@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discretization import Grid, gradient, integrate, integrate_space_time
+from .errors import ConfigError
 from .problem import (
     ConditionCheck,
     ConditionReport,
@@ -376,7 +377,9 @@ def compute_planning_certificate(
     rawT = terminal_density.value(pts)
     massT = integrate(rawT, grid)
     if not massT > 0:
-        raise ValueError("terminal density has nonpositive mass on the grid")
+        raise ConfigError(
+            ["certify.terminal_density"], "terminal density has nonpositive mass on the grid"
+        )
     mT = rawT / massT
     h0 = integrate(m0, grid, weight=grid.radius_sq)
     hT = integrate(mT, grid, weight=grid.radius_sq)

@@ -160,32 +160,44 @@ def laplacian(field_slice: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def _laplacian_axis(f: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
+    return second_difference(f, axis) / dx**2
+
+
+def second_difference(f: np.ndarray, axis: int = 0) -> np.ndarray:
+    """dx^2 times the Neumann Laplacian along one axis (ghost-node reflection)."""
     f = np.moveaxis(f, axis, 0)
     out = np.empty_like(f)
     out[1:-1] = f[2:] - 2.0 * f[1:-1] + f[:-2]
     out[0] = 2.0 * (f[1] - f[0])
     out[-1] = 2.0 * (f[-2] - f[-1])
-    return np.moveaxis(out, 0, axis) / dx**2
+    return np.moveaxis(out, 0, axis)
 
 
-def gradient(field_slice: np.ndarray, grid: Grid) -> np.ndarray:
-    """Second-order gradient, one-sided at the boundary. Shape (dim, n_nodes)."""
-    f = np.asarray(field_slice, dtype=float)
-    if grid.dim == 1:
-        return _gradient_axis(f, grid.dx)[None, :]
-    g = f.reshape(grid.nx, grid.nx)
-    gx = _gradient_axis(g, grid.dx, axis=0).ravel()
-    gy = _gradient_axis(g, grid.dx, axis=1).ravel()
-    return np.stack([gx, gy])
+def gradient(field: np.ndarray, grid: Grid) -> np.ndarray:
+    """Second-order gradient, one-sided at the boundary.
+
+    field has shape (..., n_nodes), for example one time slice or a whole
+    space-time array; the result has shape (..., dim, n_nodes).
+    """
+    f = np.asarray(field, dtype=float)
+    lead = f.shape[:-1]
+    g = f.reshape(lead + (grid.nx,) * grid.dim)
+    out = np.empty(lead + (grid.dim,) + g.shape[len(lead):])
+    for d in range(grid.dim):
+        component = np.moveaxis(out, len(lead), 0)[d]
+        _gradient_axis(g, grid.dx, len(lead) + d, component)
+    return out.reshape(lead + (grid.dim, grid.n_nodes))
 
 
-def _gradient_axis(f: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
+def _gradient_axis(f: np.ndarray, dx: float, axis: int, out: np.ndarray) -> None:
+    # written in place, so a whole space-time array needs no full-size temporaries
     f = np.moveaxis(f, axis, 0)
-    out = np.empty_like(f)
-    out[1:-1] = 0.5 * (f[2:] - f[:-2])
+    out = np.moveaxis(out, axis, 0)
+    np.subtract(f[2:], f[:-2], out=out[1:-1])
+    out[1:-1] *= 0.5
     out[0] = -1.5 * f[0] + 2.0 * f[1] - 0.5 * f[2]
     out[-1] = 1.5 * f[-1] - 2.0 * f[-2] + 0.5 * f[-3]
-    return np.moveaxis(out, 0, axis) / dx
+    out /= dx
 
 
 def face_transport_coefficients(peclet: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,14 +240,30 @@ def flux_divergence(b: np.ndarray, density: np.ndarray, grid: Grid) -> np.ndarra
     return out.ravel()
 
 
-def _flux_divergence_axis(b: np.ndarray, mu: np.ndarray, grid: Grid, axis: int = 0) -> np.ndarray:
+def face_coefficients(b: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray]:
+    """Fitted coefficients A, B on the faces between nodes along axis 0.
+
+    The face drift is the mean of the two adjacent node drifts.
+    """
+    b_face = 0.5 * (b[1:] + b[:-1])
+    return face_transport_coefficients(b_face * dx)
+
+
+def _flux_divergence_axis(
+    b: np.ndarray, mu: np.ndarray, grid: Grid, axis: int = 0, diffusion: bool = False
+) -> np.ndarray:
+    """Divergence of the fitted flux along one axis, any other axes being lines.
+
+    Only the transport part is returned unless diffusion is set, in which
+    case the unit diffusion of the fitted flux is included as well.
+    """
     dx = grid.dx
     b = np.moveaxis(b, axis, 0)
     mu = np.moveaxis(mu, axis, 0)
-    b_face = 0.5 * (b[1:] + b[:-1])
-    A, B = face_transport_coefficients(b_face * dx)
-    # transport-only part of the fitted flux, times dx
-    flux = (A - 1.0) * mu[:-1] - (B - 1.0) * mu[1:]
+    A, B = face_coefficients(b, dx)
+    if not diffusion:  # transport-only part of the fitted flux
+        A, B = A - 1.0, B - 1.0
+    flux = A * mu[:-1] - B * mu[1:]  # times dx
     out = np.zeros_like(mu)
     out[:-1] += flux
     out[1:] -= flux

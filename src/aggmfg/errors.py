@@ -12,6 +12,9 @@ class ConfigError(Exception):
             message = "invalid configuration keys: " + ", ".join(self.keys)
         super().__init__(message)
 
+    def __reduce__(self):  # keep keys and message across sweep worker processes
+        return ConfigError, (self.keys, str(self))
+
 
 class SolverError(Exception):
     """A linear march could not be carried out (e.g. time step too large)."""

@@ -12,9 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
-from .discretization import Grid, SpaceTimeField, face_transport_coefficients
+from .discretization import (
+    Grid,
+    SpaceTimeField,
+    _flux_divergence_axis,
+    face_coefficients,
+    second_difference,
+)
 from .errors import (
     KernelNormDivergenceError,
     PositivityError,
@@ -31,27 +38,57 @@ def _check_scheme(scheme: str) -> None:
 
 
 # ---------------------------------------------------------------------------
+# line-sweep tridiagonal kernel
+
+
+def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve every tridiagonal line along axis 0 of rhs in one LAPACK call.
+
+    rhs has shape (n, *lines). ab holds the bands in the (1, 1) layout of
+    scipy.linalg.solve_banded, either shape (3, n) for one matrix shared by
+    all lines or (3, n, *lines) for one matrix per line. The lines are
+    stacked end to end into a single system whose couplings between lines
+    are zero, and dgtsv eliminates each block exactly as it would alone, so
+    the result equals a per-line solve_banded loop bit for bit.
+    """
+    n = rhs.shape[0]
+    lines = rhs.reshape(n, -1).T
+    bands = np.empty((3,) + lines.shape)
+    bands[...] = ab.reshape(3, n, -1).transpose(0, 2, 1)
+    bands[0, :, 0] = 0.0  # no coupling across the ends of the lines
+    bands[2, :, -1] = 0.0
+    du, d, dl = bands.reshape(3, -1)
+    _, _, _, x, info = dgtsv(dl[:-1], d, du[1:], lines.ravel(), 1, 1, 1, 0)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
+    return x.reshape(lines.shape).T.reshape(rhs.shape)
+
+
+def _solve_lines(ab: np.ndarray, f: np.ndarray, axis: int) -> np.ndarray:
+    """solve_banded along any axis of f; ab has that axis swapped with axis 0."""
+    return solve_banded(ab, f.swapaxes(0, axis)).swapaxes(0, axis)
+
+
+# ---------------------------------------------------------------------------
 # backward heat equation with zeroth order coefficient
 
 
-def _diffusion_banded(nx: int, r: float) -> np.ndarray:
-    """Banded form of I - r*dx^2*Lap with ghost-node Neumann rows."""
-    ab = np.zeros((3, nx))
+def _diffusion_banded(nx: int, r: float, coefficient: np.ndarray | None = None) -> np.ndarray:
+    """Banded form of I - r*dx^2*Lap - coefficient with ghost-node Neumann rows.
+
+    coefficient, of shape (nx, *lines), gives one matrix per line.
+    """
+    ab = np.zeros((3, nx) if coefficient is None else (3,) + coefficient.shape)
     ab[1] = 1.0 + 2.0 * r
+    if coefficient is not None:
+        ab[1] -= coefficient
     ab[0, 1:] = -r
     ab[2, :-1] = -r
     ab[0, 1] = -2.0 * r  # reflected ghost at the left boundary
     ab[2, -2] = -2.0 * r
     return ab
-
-
-def _apply_diffusion(f: np.ndarray, r: float) -> np.ndarray:
-    """(r*dx^2*Lap) f along axis 0, Neumann reflection, any trailing shape."""
-    out = np.empty_like(f)
-    out[1:-1] = f[2:] - 2.0 * f[1:-1] + f[:-2]
-    out[0] = 2.0 * (f[1] - f[0])
-    out[-1] = 2.0 * (f[-2] - f[-1])
-    return r * out
 
 
 def solve_backward_heat(
@@ -66,6 +103,10 @@ def solve_backward_heat(
     the coefficient slice at level j. No-flux boundaries. The result is
     strictly positive whenever the terminal slice is; a sign crossing raises
     PositivityError, which signals that dt is too large for the coefficient.
+
+    In 2D each step is Lie split into line sweeps: the axis-0 sweep carries
+    the zeroth order coefficient, the axis-1 sweep is pure diffusion, and
+    each sweep is an M-matrix solve.
     """
     _check_scheme(scheme)
     w_T = np.asarray(terminal, dtype=float)
@@ -81,61 +122,26 @@ def solve_backward_heat(
             "dt * max(c) >= %g: time step too large for the coefficient" % limit
         )
 
+    half = scheme == "crank_nicolson"
+    theta = 0.5 if half else 1.0
+    r = theta * dt / grid.dx**2
+    shape = (grid.nx,) * grid.dim
+    diffusion = _diffusion_banded(grid.nx, r)
     w = np.empty((grid.nt + 1, grid.n_nodes))
     w[-1] = w_T
-    if grid.dim == 1:
-        _backward_heat_1d(w, c, grid, scheme)
-    else:
-        _backward_heat_2d(w, c, grid, scheme)
-    return SpaceTimeField(w, grid)
-
-
-def _backward_heat_1d(w: np.ndarray, c: np.ndarray, grid: Grid, scheme: str) -> None:
-    dt, nx = grid.dt, grid.nx
-    if scheme == "implicit_euler":
-        r = dt / grid.dx**2
-        base = _diffusion_banded(nx, r)
-        for j in range(grid.nt - 1, -1, -1):
-            ab = base.copy()
-            ab[1] -= dt * c[j]
-            w[j] = solve_banded((1, 1), ab, w[j + 1], check_finite=False)
-            _check_positive(w[j], j)
-    else:
-        r = 0.5 * dt / grid.dx**2
-        base = _diffusion_banded(nx, r)
-        for j in range(grid.nt - 1, -1, -1):
-            rhs = w[j + 1] + _apply_diffusion(w[j + 1], r) + 0.5 * dt * c[j + 1] * w[j + 1]
-            ab = base.copy()
-            ab[1] -= 0.5 * dt * c[j]
-            w[j] = solve_banded((1, 1), ab, rhs, check_finite=False)
-            _check_positive(w[j], j)
-
-
-def _backward_heat_2d(w: np.ndarray, c: np.ndarray, grid: Grid, scheme: str) -> None:
-    # Lie splitting: x sweep carries the zeroth order coefficient, y sweep is
-    # pure diffusion. Each sweep is an M-matrix solve.
-    dt, nx = grid.dt, grid.nx
-    half = scheme == "crank_nicolson"
-    r = (0.5 if half else 1.0) * dt / grid.dx**2
-    base = _diffusion_banded(nx, r)
     for j in range(grid.nt - 1, -1, -1):
-        prev = w[j + 1].reshape(nx, nx)
-        cj = c[j].reshape(nx, nx)
+        cur = w[j + 1].reshape(shape)
         if half:
-            cj1 = c[j + 1].reshape(nx, nx)
-            rhs = prev + _apply_diffusion(prev, r) + 0.5 * dt * cj1 * prev
-        else:
-            rhs = prev
-        star = np.empty_like(rhs)
-        for k in range(nx):  # x sweep, one tridiagonal system per y column
-            ab = base.copy()
-            ab[1] -= (0.5 if half else 1.0) * dt * cj[:, k]
-            star[:, k] = solve_banded((1, 1), ab, rhs[:, k], check_finite=False)
-        if half:
-            star = star + _apply_diffusion(star.T, r).T
-        out = solve_banded((1, 1), base, star.T, check_finite=False).T
-        w[j] = out.ravel()
+            cur = cur + r * second_difference(cur) + 0.5 * dt * c[j + 1].reshape(shape) * cur
+        ab = _diffusion_banded(grid.nx, r, theta * dt * c[j].reshape(shape))
+        cur = solve_banded(ab, cur)
+        for axis in range(1, grid.dim):
+            if half:
+                cur = cur + r * second_difference(cur, axis)
+            cur = _solve_lines(diffusion, cur, axis)
+        w[j] = cur.ravel()
         _check_positive(w[j], j)
+    return SpaceTimeField(w, grid)
 
 
 def _check_positive(slice_: np.ndarray, level: int) -> None:
@@ -148,31 +154,21 @@ def _check_positive(slice_: np.ndarray, level: int) -> None:
 # forward Fokker-Planck march
 
 
-def _fp_banded(b_nodes: np.ndarray, grid: Grid, dt: float) -> np.ndarray:
-    """Banded form of I + dt*L where L is the fitted flux divergence."""
+def _fp_banded(b_nodes: np.ndarray, grid: Grid, dt: float, axis: int = 0) -> np.ndarray:
+    """Banded form of I + dt*L along axis, one matrix per line of b_nodes.
+
+    L is the fitted flux divergence; the bands have axis swapped with axis 0.
+    """
     dx = grid.dx
-    b_face = 0.5 * (b_nodes[1:] + b_nodes[:-1])
-    A, B = face_transport_coefficients(b_face * dx)
-    scale = dt / (grid.axis_weights * dx)
-    ab = np.zeros((3, grid.nx))
+    A, B = face_coefficients(b_nodes.swapaxes(0, axis), dx)
+    scale = (dt / (grid.axis_weights * dx)).reshape((-1,) + (1,) * (A.ndim - 1))
+    ab = np.zeros((3, grid.nx) + A.shape[1:])
     ab[1] = 1.0
     ab[1, :-1] += scale[:-1] * A
     ab[1, 1:] += scale[1:] * B
     ab[0, 1:] = -scale[:-1] * B
     ab[2, :-1] = -scale[1:] * A
     return ab
-
-
-def _apply_flux_operator(mu: np.ndarray, b_nodes: np.ndarray, grid: Grid) -> np.ndarray:
-    """L mu for the same fitted flux divergence, explicit application."""
-    dx = grid.dx
-    b_face = 0.5 * (b_nodes[1:] + b_nodes[:-1])
-    A, B = face_transport_coefficients(b_face * dx)
-    flux = A * mu[:-1] - B * mu[1:]
-    out = np.zeros_like(mu)
-    out[:-1] += flux
-    out[1:] -= flux
-    return out / (grid.axis_weights * dx)
 
 
 def solve_fokker_planck(
@@ -188,6 +184,10 @@ def solve_fokker_planck(
     preserves the trapezoid mass to roundoff. Densities stay nonnegative for
     the default scheme; anything below -1e-12 raises SchemeViolationError and
     smaller undershoots are clamped to zero.
+
+    In 2D each step is Lie split into an axis-0 then an axis-1 line sweep;
+    each sweep conserves the weighted line mass, so the tensor trapezoid
+    mass telescopes exactly.
     """
     _check_scheme(scheme)
     mu0 = np.asarray(initial, dtype=float)
@@ -201,61 +201,28 @@ def solve_fokker_planck(
     if float(mu0.min()) < 0.0:
         raise ValueError("initial density must be nonnegative")
 
+    half = scheme == "crank_nicolson"
+    dt = 0.5 * grid.dt if half else grid.dt
+    shape = (grid.nx,) * grid.dim
+    b = b.reshape((grid.nt + 1, grid.dim) + shape)
     mu = np.empty((grid.nt + 1, grid.n_nodes))
     mu[0] = mu0
-    step = _fp_step_1d if grid.dim == 1 else _fp_step_2d
     for n in range(1, grid.nt + 1):
-        nxt = step(mu[n - 1], b[n], b[n - 1], grid, scheme)
-        low = float(nxt.min())
+        cur = mu[n - 1].reshape(shape)
+        for axis in range(grid.dim):
+            if half:
+                flux = _flux_divergence_axis(b[n - 1, axis], cur, grid, axis, diffusion=True)
+                cur = cur - dt * flux
+            cur = _solve_lines(_fp_banded(b[n, axis], grid, dt, axis), cur, axis)
+        mu[n] = cur.ravel()
+        low = float(mu[n].min())
         if low < -1e-12:
             raise SchemeViolationError(
                 f"density undershoot {low:.3e} at time level {n}"
             )
         if low < 0.0:
-            np.clip(nxt, 0.0, None, out=nxt)
-        mu[n] = nxt
+            np.clip(mu[n], 0.0, None, out=mu[n])
     return SpaceTimeField(mu, grid)
-
-
-def _fp_step_1d(prev, b_new, b_old, grid: Grid, scheme: str) -> np.ndarray:
-    dt = grid.dt
-    if scheme == "implicit_euler":
-        ab = _fp_banded(b_new[0], grid, dt)
-        return solve_banded((1, 1), ab, prev, check_finite=False)
-    rhs = prev - 0.5 * dt * _apply_flux_operator(prev, b_old[0], grid)
-    ab = _fp_banded(b_new[0], grid, 0.5 * dt)
-    return solve_banded((1, 1), ab, rhs, check_finite=False)
-
-
-def _fp_step_2d(prev, b_new, b_old, grid: Grid, scheme: str) -> np.ndarray:
-    # Lie splitting, x sweep then y sweep; each sweep conserves the weighted
-    # row mass, so the tensor trapezoid mass telescopes exactly.
-    nx = grid.nx
-    dt = 0.5 * grid.dt if scheme == "crank_nicolson" else grid.dt
-    cur = prev.reshape(nx, nx)
-    bx = b_new[0].reshape(nx, nx)
-    by = b_new[1].reshape(nx, nx)
-    if scheme == "crank_nicolson":
-        ox = b_old[0].reshape(nx, nx)
-        oy = b_old[1].reshape(nx, nx)
-        expl = np.empty_like(cur)
-        for k in range(nx):
-            expl[:, k] = cur[:, k] - dt * _apply_flux_operator(cur[:, k], ox[:, k], grid)
-        cur = expl
-    star = np.empty_like(cur)
-    for k in range(nx):
-        ab = _fp_banded(bx[:, k], grid, dt)
-        star[:, k] = solve_banded((1, 1), ab, cur[:, k], check_finite=False)
-    if scheme == "crank_nicolson":
-        expl = np.empty_like(star)
-        for k in range(nx):
-            expl[k, :] = star[k, :] - dt * _apply_flux_operator(star[k, :], oy[k, :], grid)
-        star = expl
-    out = np.empty_like(star)
-    for k in range(nx):
-        ab = _fp_banded(by[k, :], grid, dt)
-        out[k, :] = solve_banded((1, 1), ab, star[k, :], check_finite=False)
-    return out.ravel()
 
 
 # ---------------------------------------------------------------------------

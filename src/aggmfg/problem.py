@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discretization import Grid, integrate
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -280,11 +281,15 @@ def sample_on_grid(p: ProblemSpec, grid: Grid) -> ProblemFields:
     """Sample all problem data on grid nodes, with m0 at unit trapezoid mass."""
     if grid.dim != p.dim:
         raise ValueError("grid dimension does not match problem dimension")
+    if p.potential.family == "user_table":
+        _check_table(p.potential.table, grid)
     pts = grid.coordinates
     m0 = p.data.m0.value(pts)
     mass = integrate(m0, grid)
     if not mass > 0:
-        raise ValueError("initial density has nonpositive mass on the grid")
+        raise ConfigError(
+            ["problem.initial_density"], "initial density has nonpositive mass on the grid"
+        )
     m0 = m0 / mass
     return ProblemFields(
         m0=m0,
@@ -294,6 +299,25 @@ def sample_on_grid(p: ProblemSpec, grid: Grid) -> ProblemFields:
         lap_v=p.potential.laplacian(pts),
         grad_u_terminal=p.data.terminal_cost.gradient(pts),
     )
+
+
+def _check_table(table: dict, grid: Grid) -> None:
+    """A user_table potential holds finite numbers, one per node (dim per node for the gradient)."""
+    sizes = {"values": grid.n_nodes, "gradient": grid.dim * grid.n_nodes, "laplacian": grid.n_nodes}
+    bad = []
+    for key, size in sizes.items():
+        try:
+            entries = np.asarray(table[key], dtype=float)
+        except (TypeError, ValueError):
+            entries = np.array([np.nan])
+        if entries.size != size or not np.all(np.isfinite(entries)):
+            bad.append(f"problem.potential.table.{key}")
+    if bad:
+        raise ConfigError(
+            bad,
+            f"user_table potential needs finite numbers for the {grid.n_nodes} grid nodes: "
+            + ", ".join(bad),
+        )
 
 
 @dataclass(frozen=True)

@@ -111,11 +111,12 @@ def _snapshot_indices(cfg: dict, nt: int) -> list[int]:
 def run_single(cfg: dict, out_dir=None) -> dict:
     """Solve one problem and write the full diagnostic record."""
     problem, grid, solver_cfg = cfgmod.build_run(cfg)
-    out_dir = prepare_out_dir(cfg, "solve", out_dir)
     snap = _snapshot_indices(cfg, grid.nt)
 
+    # sampling the data on the grid reports the last config errors, before any output
     conditions = check_structural_conditions(problem, grid)
     certificate = compute_nonexistence_certificate(problem, grid)
+    out_dir = prepare_out_dir(cfg, "solve", out_dir)
     outcome = solve(problem, grid, solver_cfg)
 
     reports_dir = os.path.join(out_dir, "reports")

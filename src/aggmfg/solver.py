@@ -91,9 +91,8 @@ def inverse_hopf_cole(w_values: np.ndarray) -> np.ndarray:
 def _drift_from_w(w_values: np.ndarray, grid: Grid) -> np.ndarray:
     """Node drift b = 2 grad(log w), computed as the gradient of log w."""
     logw = np.log(np.maximum(w_values, _LOG_FLOOR))
-    b = np.empty((grid.nt + 1, grid.dim, grid.n_nodes))
-    for j in range(grid.nt + 1):
-        b[j] = 2.0 * gradient(logw[j], grid)
+    b = gradient(logw, grid)
+    b *= 2.0
     return b
 
 
@@ -201,9 +200,8 @@ def _finalize(p, grid, cfg, fields, m, w, iterations, residuals, d_history) -> S
     hjb_res, fp_res = self_consistency_residual(u_field, m_field, p, grid)
 
     # independent re-solve of the density equation driven by -grad u
-    b = np.empty((grid.nt + 1, grid.dim, grid.n_nodes))
-    for j in range(grid.nt + 1):
-        b[j] = -gradient(u_values[j], grid)
+    b = gradient(u_values, grid)
+    np.negative(b, out=b)
     mu_check = solve_fokker_planck(fields.m0, b, grid, scheme=cfg.time_scheme)
     resolve = _rel_l1_change(mu_check.values, m, grid)
 

@@ -135,8 +135,8 @@ def test_run_single_deterministic(tmp_path):
 # sweep
 
 
-def test_run_sweep_small_table(tmp_path):
-    cfg = {
+def _sweep_cfg():
+    return {
         "problem": {
             "dim": 1,
             "alpha": 2.0,
@@ -151,7 +151,10 @@ def test_run_sweep_small_table(tmp_path):
             "nt_per_unit": 16,
         },
     }
-    out = run_sweep(cfg, out_dir=str(tmp_path / "sweep"))
+
+
+def test_run_sweep_small_table(tmp_path):
+    out = run_sweep(_sweep_cfg(), out_dir=str(tmp_path / "sweep"))
     assert len(out["cells"]) == 4
     assert all(c["verdict"] == "converged" for c in out["cells"])
     assert out["empirical_sigma_threshold"] == 0.05
@@ -162,6 +165,27 @@ def test_run_sweep_small_table(tmp_path):
     boundary = _read_csv(os.path.join(out["out_dir"], "boundary.csv"))
     assert boundary[0] == ["sigma", "e0", "T_star"]
     assert len(boundary) == 3
+
+
+def test_run_sweep_parallel_matches_serial(tmp_path):
+    tables = []
+    for workers in (1, 2):
+        cfg = _sweep_cfg()
+        cfg["sweep"]["workers"] = workers
+        out = run_sweep(cfg, out_dir=str(tmp_path / f"workers{workers}"))
+        with open(os.path.join(out["out_dir"], "table.csv"), "rb") as fh:
+            tables.append(fh.read())
+    assert tables[0] == tables[1]
+
+
+def test_run_sweep_reports_config_error_from_workers(tmp_path):
+    cfg = _sweep_cfg()
+    cfg["problem"]["initial_density"]["means"] = [[100.0]]
+    cfg["sweep"]["workers"] = 2
+    with pytest.raises(ConfigError) as exc:
+        run_sweep(cfg, out_dir=str(tmp_path / "sweep"))
+    assert exc.value.keys == ["problem.initial_density"]
+    assert "nonpositive mass" in str(exc.value)
 
 
 def test_run_sweep_rejects_unsorted_grid(tmp_path):
@@ -274,6 +298,38 @@ def test_cli_bad_config_exits_two(tmp_path, capsys):
     code = main(["solve", str(cfg_path)])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("table", [
+    {"values": [0.0] * 3, "gradient": [0.0] * 3, "laplacian": [0.0] * 3},
+    {"values": ["x"] * 17, "gradient": [0.0] * 17, "laplacian": [0.0] * 17},
+])
+def test_cli_user_table_off_grid_exits_two(tmp_path, capsys, table):
+    cfg = _solve_cfg(nx=17, nt=8)
+    cfg["problem"]["potential"] = {"family": "user_table", "table": table}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = main(["solve", str(cfg_path), "--output", str(tmp_path / "out")])
+    assert code == 2
+    assert "problem.potential.table" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("command,density", [
+    ("solve", "problem.initial_density"),
+    ("certify", "certify.terminal_density"),
+])
+def test_cli_density_off_grid_exits_two(tmp_path, capsys, command, density):
+    cfg = _solve_cfg(nx=17, nt=8)
+    cfg["grid"]["half_width"] = 6.0
+    off_grid = {"weights": [1.0], "means": [[100.0]], "stds": [1.0]}
+    section, key = density.split(".")
+    cfg.setdefault(section, {})[key] = off_grid
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = main([command, str(cfg_path), "--output", str(tmp_path / "out")])
+    assert code == 2
+    assert "nonpositive mass" in capsys.readouterr().err
 
 
 def test_cli_kernelcheck_no_config(tmp_path, capsys):

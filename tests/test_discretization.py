@@ -114,6 +114,15 @@ def test_gradient_2d_separable():
     assert np.allclose(out[1], 3.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_gradient_of_a_stack_matches_each_slice(dim, rng):
+    g = Grid(dim=dim, half_width=4.0, nx=9, nt=3, horizon=1.0)
+    f = rng.standard_normal((g.nt + 1, g.n_nodes))
+    out = gradient(f, g)
+    assert out.shape == (g.nt + 1, dim, g.n_nodes)
+    assert np.array_equal(out, np.stack([gradient(s, g) for s in f]))
+
+
 def test_face_transport_coefficients_identities():
     p = np.array([-50.0, -2.0, -1e-8, 0.0, 1e-8, 1.0, 30.0])
     a, b = face_transport_coefficients(p)

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
+from scipy.linalg import solve_banded as scipy_solve_banded
 
+from aggmfg import parabolic
 from aggmfg import (
     GaussianMixture,
     HeatKernelQuery,
@@ -14,7 +17,7 @@ from aggmfg import (
     solve_backward_heat,
     solve_fokker_planck,
 )
-from aggmfg.discretization import Grid, integrate
+from aggmfg.discretization import Grid, _flux_divergence_axis, integrate, second_difference
 
 
 def _gaussian(grid, std=1.0, mean=0.0):
@@ -138,6 +141,100 @@ def test_fokker_planck_rejects_negative_initial():
     b = np.zeros((g.nt + 1, 1, g.n_nodes))
     with pytest.raises(ValueError):
         solve_fokker_planck(mu0, b, g)
+
+
+# ---------------------------------------------------------------------------
+# line-sweep kernel against one scipy solve per line
+
+
+def _solve_each_line(f, axis, band_of_line):
+    """Solve every line of f along axis with its own scipy.linalg.solve_banded call."""
+    out = f.copy()
+    lines = np.moveaxis(out, axis, 0)
+    for line in np.ndindex(lines.shape[1:]):
+        idx = (slice(None),) + line
+        lines[idx] = scipy_solve_banded((1, 1), band_of_line(idx), lines[idx], check_finite=False)
+    return out
+
+
+def _per_line_heat(w_T, c, g, scheme):
+    half = scheme == "crank_nicolson"
+    theta = 0.5 if half else 1.0
+    r = theta * g.dt / g.dx**2
+    shape = (g.nx,) * g.dim
+    w = np.empty((g.nt + 1, g.n_nodes))
+    w[-1] = w_T
+    for j in range(g.nt - 1, -1, -1):
+        cur = w[j + 1].reshape(shape)
+        if half:
+            cur = cur + r * second_difference(cur) + 0.5 * g.dt * c[j + 1].reshape(shape) * cur
+        cj = theta * g.dt * c[j].reshape(shape)
+        cur = _solve_each_line(cur, 0, lambda idx: parabolic._diffusion_banded(g.nx, r, cj[idx]))
+        if g.dim == 2:
+            if half:
+                cur = cur + r * second_difference(cur, 1)
+            cur = _solve_each_line(cur, 1, lambda idx: parabolic._diffusion_banded(g.nx, r))
+        w[j] = cur.ravel()
+    return w
+
+
+def _per_line_fokker_planck(mu0, b, g, scheme):
+    half = scheme == "crank_nicolson"
+    dt = 0.5 * g.dt if half else g.dt
+    shape = (g.nx,) * g.dim
+    b = b.reshape((g.nt + 1, g.dim) + shape)
+    mu = np.empty((g.nt + 1, g.n_nodes))
+    mu[0] = mu0
+    for n in range(1, g.nt + 1):
+        cur = mu[n - 1].reshape(shape)
+        for axis in range(g.dim):
+            if half:
+                cur = cur - dt * _flux_divergence_axis(b[n - 1, axis], cur, g, axis, diffusion=True)
+            b_new = np.moveaxis(b[n, axis], axis, 0)
+            cur = _solve_each_line(cur, axis, lambda idx: parabolic._fp_banded(b_new[idx], g, dt))
+        mu[n] = np.maximum(cur.ravel(), 0.0)
+    return mu
+
+
+@pytest.mark.parametrize("scheme", ["implicit_euler", "crank_nicolson"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_line_sweep_matches_per_line_solves(dim, scheme, rng):
+    g = Grid(dim=dim, half_width=6.0, nx=17, nt=6, horizon=0.3)
+    c = 2.0 * rng.standard_normal((g.nt + 1, g.n_nodes))
+    w_T = _gaussian(g, std=1.5) + 0.1
+    w = solve_backward_heat(w_T, c, g, scheme=scheme).values
+    assert np.array_equal(w, _per_line_heat(w_T, c, g, scheme))
+
+    b = 0.5 * rng.standard_normal((g.nt + 1, dim, g.n_nodes))
+    mu0 = _gaussian(g)
+    mu = solve_fokker_planck(mu0, b, g, scheme=scheme).values
+    assert np.array_equal(mu, _per_line_fokker_planck(mu0, b, g, scheme))
+
+
+def test_2d_marches_solve_each_sweep_in_one_kernel_call(monkeypatch, rng):
+    g = Grid(dim=2, half_width=6.0, nx=17, nt=5, horizon=0.2)
+    kernel = parabolic.solve_banded
+    rows = []
+
+    def counting(ab, rhs):
+        rows.append(rhs.size)
+        return kernel(ab, rhs)
+
+    monkeypatch.setattr(parabolic, "solve_banded", counting)
+    solve_backward_heat(_gaussian(g) + 0.1, np.zeros((g.nt + 1, g.n_nodes)), g)
+    assert rows == [g.n_nodes] * (2 * g.nt)
+    rows.clear()
+    b = rng.standard_normal((g.nt + 1, 2, g.n_nodes))
+    solve_fokker_planck(_gaussian(g), b, g)
+    assert rows == [g.n_nodes] * (2 * g.nt)
+
+
+def test_line_sweep_kernel_rejects_singular_line():
+    ab = np.zeros((3, 5, 2))
+    ab[1] = 1.0
+    ab[1, 2, 1] = 0.0  # a zero row in the second line only
+    with pytest.raises(LinAlgError):
+        parabolic.solve_banded(ab, np.ones((5, 2)))
 
 
 # ---------------------------------------------------------------------------
