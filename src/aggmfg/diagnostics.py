@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretization import Grid, gradient, integrate, integrate_space_time
+from .discretization import Grid, _level_blocks, gradient, integrate, integrate_space_time
 from .errors import ConfigError
 from .problem import (
     ConditionCheck,
@@ -48,7 +48,11 @@ class EnergyReport:
 
 
 def compute_energy(u, m, p: ProblemSpec, grid: Grid) -> EnergyReport:
-    """Time series of the conserved energy and its four components."""
+    """Time series of the conserved energy and its four components.
+
+    The integrands are formed over blocks of time levels; each level's
+    integral is its own quadrature.
+    """
     uv, mv = _values(u), _values(m)
     fields = sample_on_grid(p, grid)
     nt = grid.nt
@@ -56,14 +60,17 @@ def compute_energy(u, m, p: ProblemSpec, grid: Grid) -> EnergyReport:
     kinetic = np.empty(nt + 1)
     coupling = np.empty(nt + 1)
     potential = np.empty(nt + 1)
-    for j in range(nt + 1):
-        gu = gradient(uv[j], grid)
-        gm = gradient(mv[j], grid)
-        cross[j] = integrate(np.sum(gu * gm, axis=0), grid)
-        kinetic[j] = 0.5 * integrate(np.sum(gu**2, axis=0) * mv[j], grid)
-        _, F, _ = eval_coupling(p.coupling, np.maximum(mv[j], 0.0))
-        coupling[j] = integrate(F, grid)
-        potential[j] = -integrate(fields.v * mv[j], grid)
+    for lo, hi in _level_blocks(nt + 1, grid.n_nodes):
+        mb = mv[lo:hi]
+        gu = gradient(uv[lo:hi], grid)
+        gm = gradient(mb, grid)
+        _, F, _ = eval_coupling(p.coupling, np.maximum(mb, 0.0))
+        terms = zip(np.sum(gu * gm, axis=-2), np.sum(gu**2, axis=-2) * mb, F, fields.v * mb)
+        for j, (c_j, k_j, F_j, v_j) in enumerate(terms, start=lo):
+            cross[j] = integrate(c_j, grid)
+            kinetic[j] = 0.5 * integrate(k_j, grid)
+            coupling[j] = integrate(F_j, grid)
+            potential[j] = -integrate(v_j, grid)
     total = cross + kinetic + coupling + potential
     return EnergyReport(
         times=grid.times.copy(),
@@ -127,20 +134,21 @@ def check_moment_identity(
 
     rhs1 = np.empty(nt + 1)
     rhs2 = np.empty(nt + 1)
-    for j in range(nt + 1):
-        gu = gradient(uv[j], grid)
-        transport = integrate(mv[j] * np.sum(gu * pts, axis=0), grid)
-        # weak form with test function |x|^2: Lap gives 2N, the drift term
-        # -grad u picks up grad |x|^2 = 2x, hence the 2 on the transport
-        rhs1[j] = 2.0 * n * mass[0] - 2.0 * transport
-        f, F, _ = eval_coupling(p.coupling, np.maximum(mv[j], 0.0))
-        rhs2[j] = (
-            4.0 * energy.total[j]
-            + 2.0 * n * integrate(f * mv[j], grid)
-            - 2.0 * (n + 2.0) * integrate(F, grid)
-            + 4.0 * integrate(fields.v * mv[j], grid)
-            + 2.0 * integrate(gv_dot_x * mv[j], grid)
-        )
+    for lo, hi in _level_blocks(nt + 1, grid.n_nodes):
+        mb = mv[lo:hi]
+        transport = mb * np.sum(gradient(uv[lo:hi], grid) * pts, axis=-2)
+        f, F, _ = eval_coupling(p.coupling, np.maximum(mb, 0.0))
+        for j, (m_j, t_j, f_j, F_j) in enumerate(zip(mb, transport, f, F), start=lo):
+            # weak form with test function |x|^2: Lap gives 2N, the drift term
+            # -grad u picks up grad |x|^2 = 2x, hence the 2 on the transport
+            rhs1[j] = 2.0 * n * mass[0] - 2.0 * integrate(t_j, grid)
+            rhs2[j] = (
+                4.0 * energy.total[j]
+                + 2.0 * n * integrate(f_j * m_j, grid)
+                - 2.0 * (n + 2.0) * integrate(F_j, grid)
+                + 4.0 * integrate(fields.v * m_j, grid)
+                + 2.0 * integrate(gv_dot_x * m_j, grid)
+            )
 
     hprime = (h[2:] - h[:-2]) / (2.0 * dt)
     hsecond = (h[2:] - 2.0 * h[1:-1] + h[:-2]) / dt**2
@@ -253,6 +261,10 @@ def _optimal_shift(p: ProblemSpec, grid: Grid, first: np.ndarray, h0: float):
     feasible shift set: coarse scan on axis nodes, then golden-section per
     coordinate. The objective is quadratic, so local refinement is global."""
 
+    if p.potential.family == "user_table":
+        # a table holds values on the grid nodes only; it has no translate
+        return None, None
+
     def moment(y: np.ndarray) -> float:
         return h0 - 2.0 * float(np.dot(y, first)) + float(np.dot(y, y))
 
@@ -320,6 +332,8 @@ def compute_nonexistence_certificate(
         if shift is not None and h_shift < h_used:
             h_used = h_shift
             notes = "second moment minimized over feasible shifts"
+        elif p.potential.family == "user_table":
+            notes = "shift not optimized: a tabulated potential cannot be translated"
         translational_ok = (
             shift is not None
             and conditions.coercive_coupling.holds

@@ -19,7 +19,8 @@ from .discretization import (
     Grid,
     SpaceTimeField,
     _flux_divergence_axis,
-    face_coefficients,
+    _level_blocks,
+    face_transport_coefficients,
     second_difference,
 )
 from .errors import (
@@ -39,56 +40,50 @@ def _check_scheme(scheme: str) -> None:
 
 # ---------------------------------------------------------------------------
 # line-sweep tridiagonal kernel
+#
+# A march on a grid of nx**dim nodes keeps each time level as a
+# (nx**(dim-1), nx) array: one row per line along the last axis. A sweep
+# along grid axis a works on the view swapped so that axis a is last
+# (array axis a - dim), which is a line layout of shape (lines, n).
 
 
 def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve every tridiagonal line along axis 0 of rhs in one LAPACK call.
+    """Solve every tridiagonal line of one time level in one LAPACK call.
 
-    rhs has shape (n, *lines). ab holds the bands in the (1, 1) layout of
-    scipy.linalg.solve_banded, either shape (3, n) for one matrix shared by
-    all lines or (3, n, *lines) for one matrix per line. The lines are
-    stacked end to end into a single system whose couplings between lines
-    are zero, and dgtsv eliminates each block exactly as it would alone, so
-    the result equals a per-line solve_banded loop bit for bit.
+    rhs has shape (lines, n), one line per row. ab has shape (3, lines, n)
+    and holds each line's matrix in the (1, 1) layout of
+    scipy.linalg.solve_banded, with the unused ends ab[0, :, 0] and
+    ab[2, :, -1] zero. The lines are stacked end to end into a single system
+    whose couplings between lines are those zeros, and dgtsv eliminates each
+    block exactly as it would alone, so the result equals a per-line
+    solve_banded loop bit for bit. dgtsv overwrites ab.
     """
-    n = rhs.shape[0]
-    lines = rhs.reshape(n, -1).T
-    bands = np.empty((3,) + lines.shape)
-    bands[...] = ab.reshape(3, n, -1).transpose(0, 2, 1)
-    bands[0, :, 0] = 0.0  # no coupling across the ends of the lines
-    bands[2, :, -1] = 0.0
-    du, d, dl = bands.reshape(3, -1)
-    _, _, _, x, info = dgtsv(dl[:-1], d, du[1:], lines.ravel(), 1, 1, 1, 0)
+    du, d, dl = ab.reshape(3, -1)
+    _, _, _, x, info = dgtsv(dl[:-1], d, du[1:], rhs.ravel(), 1, 1, 1, 0)
     if info > 0:
         raise LinAlgError("singular matrix")
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
-    return x.reshape(lines.shape).T.reshape(rhs.shape)
+    return x.reshape(rhs.shape)
 
 
-def _solve_lines(ab: np.ndarray, f: np.ndarray, axis: int) -> np.ndarray:
-    """solve_banded along any axis of f; ab has that axis swapped with axis 0."""
-    return solve_banded(ab, f.swapaxes(0, axis)).swapaxes(0, axis)
+def _sweep(ab: np.ndarray, cur: np.ndarray, axis: int) -> np.ndarray:
+    """Solve the lines of cur along array axis (negative) with bands ab."""
+    return solve_banded(ab, cur.swapaxes(axis, -1)).swapaxes(axis, -1)
 
 
 # ---------------------------------------------------------------------------
 # backward heat equation with zeroth order coefficient
 
 
-def _diffusion_banded(nx: int, r: float, coefficient: np.ndarray | None = None) -> np.ndarray:
-    """Banded form of I - r*dx^2*Lap - coefficient with ghost-node Neumann rows.
-
-    coefficient, of shape (nx, *lines), gives one matrix per line.
-    """
-    ab = np.zeros((3, nx) if coefficient is None else (3,) + coefficient.shape)
-    ab[1] = 1.0 + 2.0 * r
-    if coefficient is not None:
-        ab[1] -= coefficient
-    ab[0, 1:] = -r
-    ab[2, :-1] = -r
-    ab[0, 1] = -2.0 * r  # reflected ghost at the left boundary
-    ab[2, -2] = -2.0 * r
-    return ab
+def _diffusion_off_diagonals(ab: np.ndarray, r: float) -> None:
+    """Off-diagonal bands of I - r*dx^2*Lap with ghost-node Neumann rows."""
+    ab[0, ..., 0] = 0.0
+    ab[0, ..., 1:] = -r
+    ab[0, ..., 1] = -2.0 * r  # reflected ghost at the left boundary
+    ab[2, ..., :-1] = -r
+    ab[2, ..., -2] = -2.0 * r
+    ab[2, ..., -1] = 0.0
 
 
 def solve_backward_heat(
@@ -106,7 +101,8 @@ def solve_backward_heat(
 
     In 2D each step is Lie split into line sweeps: the axis-0 sweep carries
     the zeroth order coefficient, the axis-1 sweep is pure diffusion, and
-    each sweep is an M-matrix solve.
+    each sweep is an M-matrix solve. The bands are built for a block of
+    time levels at a time, so each step is only its solves.
     """
     _check_scheme(scheme)
     w_T = np.asarray(terminal, dtype=float)
@@ -125,22 +121,30 @@ def solve_backward_heat(
     half = scheme == "crank_nicolson"
     theta = 0.5 if half else 1.0
     r = theta * dt / grid.dx**2
-    shape = (grid.nx,) * grid.dim
-    diffusion = _diffusion_banded(grid.nx, r)
+    shape = (grid.nx ** (grid.dim - 1), grid.nx)
+    first = -grid.dim  # the axis-0 sweep, which carries the coefficient
+    diffusion = np.empty((3,) + shape)  # every other sweep, the same at every level
+    diffusion[1] = 1.0 + 2.0 * r
+    _diffusion_off_diagonals(diffusion, r)
+    c = c.reshape((grid.nt + 1,) + shape)
     w = np.empty((grid.nt + 1, grid.n_nodes))
     w[-1] = w_T
-    for j in range(grid.nt - 1, -1, -1):
-        cur = w[j + 1].reshape(shape)
-        if half:
-            cur = cur + r * second_difference(cur) + 0.5 * dt * c[j + 1].reshape(shape) * cur
-        ab = _diffusion_banded(grid.nx, r, theta * dt * c[j].reshape(shape))
-        cur = solve_banded(ab, cur)
-        for axis in range(1, grid.dim):
+    for lo, hi in reversed(list(_level_blocks(grid.nt, grid.n_nodes))):
+        bands = np.empty((3, hi - lo) + shape)
+        np.multiply(theta * dt, c[lo:hi].swapaxes(first, -1), out=bands[1])
+        np.subtract(1.0 + 2.0 * r, bands[1], out=bands[1])
+        _diffusion_off_diagonals(bands, r)
+        for j in range(hi - 1, lo - 1, -1):
+            cur = w[j + 1].reshape(shape)
             if half:
-                cur = cur + r * second_difference(cur, axis)
-            cur = _solve_lines(diffusion, cur, axis)
-        w[j] = cur.ravel()
-        _check_positive(w[j], j)
+                cur = cur + r * second_difference(cur, first) + 0.5 * dt * c[j + 1] * cur
+            cur = _sweep(bands[:, j - lo], cur, first)
+            for axis in range(first + 1, 0):
+                if half:
+                    cur = cur + r * second_difference(cur, axis)
+                cur = _sweep(diffusion.copy(), cur, axis)
+            w[j] = cur.ravel()
+            _check_positive(w[j], j)
     return SpaceTimeField(w, grid)
 
 
@@ -154,20 +158,25 @@ def _check_positive(slice_: np.ndarray, level: int) -> None:
 # forward Fokker-Planck march
 
 
-def _fp_banded(b_nodes: np.ndarray, grid: Grid, dt: float, axis: int = 0) -> np.ndarray:
-    """Banded form of I + dt*L along axis, one matrix per line of b_nodes.
+def _fp_bands(b_lines: np.ndarray, grid: Grid, dt: float) -> np.ndarray:
+    """Bands of I + dt*L for every line of b_lines, shape (3, *b_lines.shape).
 
-    L is the fitted flux divergence; the bands have axis swapped with axis 0.
+    L is the fitted flux divergence along the last axis of b_lines, which
+    holds node drifts of shape (..., lines, n).
     """
     dx = grid.dx
-    A, B = face_coefficients(b_nodes.swapaxes(0, axis), dx)
-    scale = (dt / (grid.axis_weights * dx)).reshape((-1,) + (1,) * (A.ndim - 1))
-    ab = np.zeros((3, grid.nx) + A.shape[1:])
-    ab[1] = 1.0
-    ab[1, :-1] += scale[:-1] * A
-    ab[1, 1:] += scale[1:] * B
-    ab[0, 1:] = -scale[:-1] * B
-    ab[2, :-1] = -scale[1:] * A
+    A, B = face_transport_coefficients(0.5 * (b_lines[..., 1:] + b_lines[..., :-1]) * dx)
+    scale = dt / (grid.axis_weights * dx)
+    ab = np.empty((3,) + b_lines.shape)
+    upper, diag, lower = ab
+    np.multiply(scale[:-1], A, out=diag[..., :-1])
+    diag[..., :-1] += 1.0
+    diag[..., -1] = 1.0
+    diag[..., 1:] += scale[1:] * B
+    upper[..., 0] = 0.0
+    np.multiply(-scale[:-1], B, out=upper[..., 1:])
+    np.multiply(-scale[1:], A, out=lower[..., :-1])
+    lower[..., -1] = 0.0
     return ab
 
 
@@ -187,7 +196,8 @@ def solve_fokker_planck(
 
     In 2D each step is Lie split into an axis-0 then an axis-1 line sweep;
     each sweep conserves the weighted line mass, so the tensor trapezoid
-    mass telescopes exactly.
+    mass telescopes exactly. The bands are built for a block of time levels
+    at a time, so each step is only its solves.
     """
     _check_scheme(scheme)
     mu0 = np.asarray(initial, dtype=float)
@@ -203,25 +213,30 @@ def solve_fokker_planck(
 
     half = scheme == "crank_nicolson"
     dt = 0.5 * grid.dt if half else grid.dt
-    shape = (grid.nx,) * grid.dim
+    shape = (grid.nx ** (grid.dim - 1), grid.nx)
+    axes = range(-grid.dim, 0)  # grid axis a is array axis a - dim
     b = b.reshape((grid.nt + 1, grid.dim) + shape)
     mu = np.empty((grid.nt + 1, grid.n_nodes))
     mu[0] = mu0
-    for n in range(1, grid.nt + 1):
-        cur = mu[n - 1].reshape(shape)
-        for axis in range(grid.dim):
-            if half:
-                flux = _flux_divergence_axis(b[n - 1, axis], cur, grid, axis, diffusion=True)
-                cur = cur - dt * flux
-            cur = _solve_lines(_fp_banded(b[n, axis], grid, dt, axis), cur, axis)
-        mu[n] = cur.ravel()
-        low = float(mu[n].min())
-        if low < -1e-12:
-            raise SchemeViolationError(
-                f"density undershoot {low:.3e} at time level {n}"
-            )
-        if low < 0.0:
-            np.clip(mu[n], 0.0, None, out=mu[n])
+    for lo, hi in _level_blocks(grid.nt, grid.n_nodes):
+        # bands of the steps onto levels lo+1 .. hi, one array per sweep axis
+        bands = [_fp_bands(b[lo + 1 : hi + 1, a].swapaxes(ax, -1), grid, dt)
+                 for a, ax in enumerate(axes)]
+        for n in range(lo + 1, hi + 1):
+            cur = mu[n - 1].reshape(shape)
+            for a, ax in enumerate(axes):
+                if half:
+                    flux = _flux_divergence_axis(b[n - 1, a], cur, grid, ax, diffusion=True)
+                    cur = cur - dt * flux
+                cur = _sweep(bands[a][:, n - 1 - lo], cur, ax)
+            mu[n] = cur.ravel()
+            low = float(mu[n].min())
+            if low < -1e-12:
+                raise SchemeViolationError(
+                    f"density undershoot {low:.3e} at time level {n}"
+                )
+            if low < 0.0:
+                np.clip(mu[n], 0.0, None, out=mu[n])
     return SpaceTimeField(mu, grid)
 
 

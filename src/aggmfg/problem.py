@@ -273,7 +273,6 @@ class ProblemFields:
     u_terminal: np.ndarray
     v: np.ndarray
     grad_v: np.ndarray
-    lap_v: np.ndarray
     grad_u_terminal: np.ndarray
 
 
@@ -296,7 +295,6 @@ def sample_on_grid(p: ProblemSpec, grid: Grid) -> ProblemFields:
         u_terminal=p.data.terminal_cost.value(pts),
         v=p.potential.value(pts),
         grad_v=p.potential.gradient(pts),
-        lap_v=p.potential.laplacian(pts),
         grad_u_terminal=p.data.terminal_cost.gradient(pts),
     )
 

@@ -233,6 +233,7 @@ def test_criterion_7_kernel_exponents():
     _report(7, ok, f"worst exponent error {worst:.1e}, {seconds:.2f}s")
 
 
+@pytest.mark.slow
 def test_criterion_8_phase_diagram(sweep_result):
     cells = sweep_result["cells"]
     sigmas = sorted({c["sigma"] for c in cells})

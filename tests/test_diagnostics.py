@@ -17,8 +17,8 @@ from aggmfg import (
     planning_horizon,
     solve,
 )
-from aggmfg.discretization import Grid
-from aggmfg.problem import PotentialSpec, sample_on_grid
+from aggmfg.discretization import Grid, _level_blocks, gradient, integrate
+from aggmfg.problem import PotentialSpec, eval_coupling, sample_on_grid
 from tests.conftest import gaussian_problem
 
 
@@ -93,6 +93,27 @@ def test_certificate_shift_recovers_center():
     assert shifted.t_star < plain.t_star
 
 
+def test_certificate_does_not_shift_a_tabulated_potential():
+    # a user_table holds V on the grid nodes only, so no translate of it can
+    # be checked: the certificate keeps the unshifted second moment
+    g = Grid(dim=1, half_width=12.0, nx=257, nt=4, horizon=1.0)
+    x = g.axis
+    table = {
+        "values": (0.01 * x**2).tolist(),
+        "gradient": (0.02 * x).tolist(),
+        "laplacian": [0.02] * g.nx,
+    }
+    tabulated = PotentialSpec(family="user_table", table=table)
+    p = gaussian_problem(sigma=30.0, mean=3.0, potential=tabulated)
+    plain = compute_nonexistence_certificate(p, g)
+    shifted = compute_nonexistence_certificate(p, g, optimize_shift=True)
+    assert plain.t_star is not None
+    assert shifted.shift is None
+    assert "tabulated potential cannot be translated" in shifted.notes
+    assert shifted.h0 == plain.h0
+    assert shifted.t_star == plain.t_star
+
+
 def test_certificate_requires_conditions():
     bump = PotentialSpec(family="gaussian_well", amplitude=1.0, width=1.0, center=(0.0,))
     p = gaussian_problem(sigma=20.0, potential=bump)
@@ -154,6 +175,39 @@ def test_energy_reduces_to_coupling_for_flat_value():
     assert np.allclose(rep.potential, 0.0)
     assert rep.total[0] == pytest.approx(expected, rel=1e-8)
     assert rep.drift == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("dim,nx,nt", [(1, 17, 600), (2, 9, 120)])
+def test_blocked_energy_and_moments_match_per_level_loop(dim, nx, nt, rng):
+    g = Grid(dim=dim, half_width=4.0, nx=nx, nt=nt, horizon=1.0)
+    assert len(list(_level_blocks(g.nt + 1, g.n_nodes))) >= 3
+    bump = PotentialSpec(family="gaussian_well", amplitude=0.5, width=1.0, center=(0.0,) * dim)
+    p = gaussian_problem(sigma=3.0, dim=dim, potential=bump)
+    u = rng.standard_normal((g.nt + 1, g.n_nodes))
+    m = rng.random((g.nt + 1, g.n_nodes))
+    fields = sample_on_grid(p, g)
+    pts = g.coordinates
+    gv_dot_x = np.sum(fields.grad_v * pts, axis=0)
+    n = g.dim
+
+    rep = compute_energy(u, m, p, g)
+    moments = check_moment_identity(u, m, p, g, energy=rep)
+    for j in range(g.nt + 1):
+        gu, gm = gradient(u[j], g), gradient(m[j], g)
+        f, F, _ = eval_coupling(p.coupling, m[j])
+        assert rep.cross[j] == integrate(np.sum(gu * gm, axis=0), g)
+        assert rep.kinetic[j] == 0.5 * integrate(np.sum(gu**2, axis=0) * m[j], g)
+        assert rep.coupling[j] == integrate(F, g)
+        assert rep.potential[j] == -integrate(fields.v * m[j], g)
+        transport = integrate(m[j] * np.sum(gu * pts, axis=0), g)
+        assert moments.rhs_first[j] == 2.0 * n * moments.mass[0] - 2.0 * transport
+        assert moments.rhs_second[j] == (
+            4.0 * rep.total[j]
+            + 2.0 * n * integrate(f * m[j], g)
+            - 2.0 * (n + 2.0) * integrate(F, g)
+            + 4.0 * integrate(fields.v * m[j], g)
+            + 2.0 * integrate(gv_dot_x * m[j], g)
+        )
 
 
 def test_moment_identities_on_decoupled_solve():

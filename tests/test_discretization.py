@@ -123,6 +123,16 @@ def test_gradient_of_a_stack_matches_each_slice(dim, rng):
     assert np.array_equal(out, np.stack([gradient(s, g) for s in f]))
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_laplacian_and_flux_of_a_stack_match_each_slice(dim, rng):
+    g = Grid(dim=dim, half_width=4.0, nx=9, nt=3, horizon=1.0)
+    f = rng.standard_normal((g.nt + 1, g.n_nodes))
+    b = rng.standard_normal((g.nt + 1, dim, g.n_nodes))
+    assert np.array_equal(laplacian(f, g), np.stack([laplacian(s, g) for s in f]))
+    per_slice = np.stack([flux_divergence(bs, s, g) for bs, s in zip(b, f)])
+    assert np.array_equal(flux_divergence(b, f, g), per_slice)
+
+
 def test_face_transport_coefficients_identities():
     p = np.array([-50.0, -2.0, -1e-8, 0.0, 1e-8, 1.0, 30.0])
     a, b = face_transport_coefficients(p)

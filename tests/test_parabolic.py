@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import LinAlgError
 from scipy.linalg import solve_banded as scipy_solve_banded
 
@@ -17,7 +19,15 @@ from aggmfg import (
     solve_backward_heat,
     solve_fokker_planck,
 )
-from aggmfg.discretization import Grid, _flux_divergence_axis, integrate, second_difference
+from aggmfg.discretization import (
+    _BLOCK_ROWS,
+    Grid,
+    _flux_divergence_axis,
+    _level_blocks,
+    face_transport_coefficients,
+    integrate,
+    second_difference,
+)
 
 
 def _gaussian(grid, std=1.0, mean=0.0):
@@ -157,6 +167,31 @@ def _solve_each_line(f, axis, band_of_line):
     return out
 
 
+def _heat_band(nx, r, coefficient=0.0):
+    """(1, 1) bands of I - r*dx^2*Lap - coefficient on one line, Neumann ghost rows."""
+    ab = np.zeros((3, nx))
+    ab[1] = 1.0 + 2.0 * r
+    ab[1] -= coefficient
+    ab[0, 1:] = -r
+    ab[2, :-1] = -r
+    ab[0, 1] = -2.0 * r
+    ab[2, -2] = -2.0 * r
+    return ab
+
+
+def _fp_band(b_line, g, dt):
+    """(1, 1) bands of I + dt*L on one line, L the fitted flux divergence."""
+    A, B = face_transport_coefficients(0.5 * (b_line[1:] + b_line[:-1]) * g.dx)
+    scale = dt / (g.axis_weights * g.dx)
+    ab = np.zeros((3, g.nx))
+    ab[1] = 1.0
+    ab[1, :-1] += scale[:-1] * A
+    ab[1, 1:] += scale[1:] * B
+    ab[0, 1:] = -scale[:-1] * B
+    ab[2, :-1] = -scale[1:] * A
+    return ab
+
+
 def _per_line_heat(w_T, c, g, scheme):
     half = scheme == "crank_nicolson"
     theta = 0.5 if half else 1.0
@@ -169,11 +204,11 @@ def _per_line_heat(w_T, c, g, scheme):
         if half:
             cur = cur + r * second_difference(cur) + 0.5 * g.dt * c[j + 1].reshape(shape) * cur
         cj = theta * g.dt * c[j].reshape(shape)
-        cur = _solve_each_line(cur, 0, lambda idx: parabolic._diffusion_banded(g.nx, r, cj[idx]))
+        cur = _solve_each_line(cur, 0, lambda idx: _heat_band(g.nx, r, cj[idx]))
         if g.dim == 2:
             if half:
                 cur = cur + r * second_difference(cur, 1)
-            cur = _solve_each_line(cur, 1, lambda idx: parabolic._diffusion_banded(g.nx, r))
+            cur = _solve_each_line(cur, 1, lambda idx: _heat_band(g.nx, r))
         w[j] = cur.ravel()
     return w
 
@@ -191,7 +226,7 @@ def _per_line_fokker_planck(mu0, b, g, scheme):
             if half:
                 cur = cur - dt * _flux_divergence_axis(b[n - 1, axis], cur, g, axis, diffusion=True)
             b_new = np.moveaxis(b[n, axis], axis, 0)
-            cur = _solve_each_line(cur, axis, lambda idx: parabolic._fp_banded(b_new[idx], g, dt))
+            cur = _solve_each_line(cur, axis, lambda idx: _fp_band(b_new[idx], g, dt))
         mu[n] = np.maximum(cur.ravel(), 0.0)
     return mu
 
@@ -199,20 +234,24 @@ def _per_line_fokker_planck(mu0, b, g, scheme):
 @pytest.mark.parametrize("scheme", ["implicit_euler", "crank_nicolson"])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_line_sweep_matches_per_line_solves(dim, scheme, rng):
-    g = Grid(dim=dim, half_width=6.0, nx=17, nt=6, horizon=0.3)
-    c = 2.0 * rng.standard_normal((g.nt + 1, g.n_nodes))
-    w_T = _gaussian(g, std=1.5) + 0.1
-    w = solve_backward_heat(w_T, c, g, scheme=scheme).values
-    assert np.array_equal(w, _per_line_heat(w_T, c, g, scheme))
+    # nt = 6 fits in one block of time levels; the longer march spans several
+    for nt, min_blocks in ((6, 1), ({1: 500, 2: 40}[dim], 3)):
+        g = Grid(dim=dim, half_width=6.0, nx=17, nt=nt, horizon=0.05 * nt)
+        assert len(list(_level_blocks(nt, g.n_nodes))) >= min_blocks
+        c = 2.0 * rng.standard_normal((g.nt + 1, g.n_nodes))
+        w_T = _gaussian(g, std=1.5) + 0.1
+        w = solve_backward_heat(w_T, c, g, scheme=scheme).values
+        assert np.array_equal(w, _per_line_heat(w_T, c, g, scheme))
 
-    b = 0.5 * rng.standard_normal((g.nt + 1, dim, g.n_nodes))
-    mu0 = _gaussian(g)
-    mu = solve_fokker_planck(mu0, b, g, scheme=scheme).values
-    assert np.array_equal(mu, _per_line_fokker_planck(mu0, b, g, scheme))
+        b = 0.5 * rng.standard_normal((g.nt + 1, dim, g.n_nodes))
+        mu0 = _gaussian(g)
+        mu = solve_fokker_planck(mu0, b, g, scheme=scheme).values
+        assert np.array_equal(mu, _per_line_fokker_planck(mu0, b, g, scheme))
 
 
-def test_2d_marches_solve_each_sweep_in_one_kernel_call(monkeypatch, rng):
-    g = Grid(dim=2, half_width=6.0, nx=17, nt=5, horizon=0.2)
+def _kernel_rows_per_march(dim, monkeypatch, rng):
+    """Rows of every kernel call made by one heat and one FP march."""
+    g = Grid(dim=dim, half_width=6.0, nx=17, nt=5, horizon=0.2)
     kernel = parabolic.solve_banded
     rows = []
 
@@ -222,19 +261,41 @@ def test_2d_marches_solve_each_sweep_in_one_kernel_call(monkeypatch, rng):
 
     monkeypatch.setattr(parabolic, "solve_banded", counting)
     solve_backward_heat(_gaussian(g) + 0.1, np.zeros((g.nt + 1, g.n_nodes)), g)
-    assert rows == [g.n_nodes] * (2 * g.nt)
+    heat = list(rows)
     rows.clear()
-    b = rng.standard_normal((g.nt + 1, 2, g.n_nodes))
+    b = rng.standard_normal((g.nt + 1, dim, g.n_nodes))
     solve_fokker_planck(_gaussian(g), b, g)
-    assert rows == [g.n_nodes] * (2 * g.nt)
+    return g, heat, rows
+
+
+def test_1d_marches_solve_each_step_in_one_kernel_call(monkeypatch, rng):
+    g, heat, fp = _kernel_rows_per_march(1, monkeypatch, rng)
+    assert heat == fp == [g.nx] * g.nt
+
+
+def test_2d_marches_solve_each_sweep_in_one_kernel_call(monkeypatch, rng):
+    g, heat, fp = _kernel_rows_per_march(2, monkeypatch, rng)
+    assert heat == fp == [g.n_nodes] * (2 * g.nt)
 
 
 def test_line_sweep_kernel_rejects_singular_line():
-    ab = np.zeros((3, 5, 2))
+    ab = np.zeros((3, 2, 5))
     ab[1] = 1.0
-    ab[1, 2, 1] = 0.0  # a zero row in the second line only
+    ab[1, 1, 2] = 0.0  # a zero row in the second line only
     with pytest.raises(LinAlgError):
-        parabolic.solve_banded(ab, np.ones((5, 2)))
+        parabolic.solve_banded(ab, np.ones((2, 5)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(levels=st.integers(1, 3000), rows_per_level=st.integers(1, 20000))
+def test_level_blocks_cover_levels_in_order(levels, rows_per_level):
+    blocks = list(_level_blocks(levels, rows_per_level))
+    assert blocks[0][0] == 0 and blocks[-1][1] == levels
+    for (lo, hi), (next_lo, _) in zip(blocks, blocks[1:]):
+        assert hi == next_lo
+    for lo, hi in blocks:
+        assert hi > lo
+        assert (hi - lo) * rows_per_level <= _BLOCK_ROWS or hi - lo == 1
 
 
 # ---------------------------------------------------------------------------
