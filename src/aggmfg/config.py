@@ -158,7 +158,7 @@ def _potential_from(chk: _Checker, dim: int) -> PotentialSpec:
         return PotentialSpec()
     if family == "user_table":
         table = chk.get("problem.potential.table", required=True)
-        if not isinstance(table, dict) or not {"values", "gradient", "laplacian"} <= set(table):
+        if not isinstance(table, dict) or not {"values", "gradient"} <= set(table):
             chk.bad.append("problem.potential.table")
             return PotentialSpec()
         return PotentialSpec(family="user_table", table=table)

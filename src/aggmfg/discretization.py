@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -299,17 +299,20 @@ def write_grid_json(path, grid: Grid) -> None:
 
 def write_field_csv(path, grid: Grid, field_slice: np.ndarray) -> None:
     """One node per row: x,value in 1D and x,y,value in 2D."""
-    f = np.asarray(field_slice, dtype=float)
-    coords = grid.coordinates
+    header = "x,value\n" if grid.dim == 1 else "x,y,value\n"
+    values = np.asarray(field_slice, dtype=float).tolist()
     with open(path, "w") as fh:
-        if grid.dim == 1:
-            fh.write("x,value\n")
-            for x, v in zip(coords[0], f):
-                fh.write(f"{x:.17g},{v:.17g}\n")
-        else:
-            fh.write("x,y,value\n")
-            for x, y, v in zip(coords[0], coords[1], f):
-                fh.write(f"{x:.17g},{y:.17g},{v:.17g}\n")
+        fh.write(header + "".join(f"{c}{v:.17g}\n" for c, v in zip(_coordinate_text(grid), values)))
+
+
+@lru_cache(maxsize=4)
+def _coordinate_text(grid: Grid) -> tuple[str, ...]:
+    """The "x," or "x,y," text that starts each node's row of a field CSV.
+
+    Every snapshot of a run is written on the same grid, so the coordinates
+    are formatted once rather than once per file.
+    """
+    return tuple("".join(f"{x:.17g}," for x in node) for node in grid.coordinates.T.tolist())
 
 
 def read_field_csv(path) -> np.ndarray:

@@ -43,33 +43,45 @@ def _check_scheme(scheme: str) -> None:
 #
 # A march on a grid of nx**dim nodes keeps each time level as a
 # (nx**(dim-1), nx) array: one row per line along the last axis. A sweep
-# along grid axis a works on the view swapped so that axis a is last
-# (array axis a - dim), which is a line layout of shape (lines, n).
+# along grid axis a works on the level swapped so that axis a is last
+# (array axis a - dim), which is a line layout of shape (lines, n). For the
+# last axis that layout is the level's own row of the space-time array; for
+# the other axis of a 2D grid it is a transposed copy in a scratch buffer.
 
 
-def solve_banded(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve every tridiagonal line of one time level in one LAPACK call.
+def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Solve every tridiagonal line of one time level in place, in one LAPACK call.
 
-    rhs has shape (lines, n), one line per row. ab has shape (3, lines, n)
-    and holds each line's matrix in the (1, 1) layout of
-    scipy.linalg.solve_banded, with the unused ends ab[0, :, 0] and
-    ab[2, :, -1] zero. The lines are stacked end to end into a single system
-    whose couplings between lines are those zeros, and dgtsv eliminates each
-    block exactly as it would alone, so the result equals a per-line
-    solve_banded loop bit for bit. dgtsv overwrites ab.
+    x is a contiguous float array holding the right-hand sides of the
+    level's lines end to end; it is overwritten by the solution and
+    returned. dl, d and du are the sub-, main and super-diagonals of the
+    stacked system (sizes x.size - 1, x.size, x.size - 1), with zero
+    couplings where one line ends and the next begins, so dgtsv eliminates
+    each line exactly as it would alone and the result equals a per-line
+    scipy.linalg.solve_banded loop bit for bit. dgtsv overwrites the
+    diagonals too.
     """
-    du, d, dl = ab.reshape(3, -1)
-    _, _, _, x, info = dgtsv(dl[:-1], d, du[1:], rhs.ravel(), 1, 1, 1, 0)
+    _, _, _, out, info = dgtsv(dl, d, du, x, 1, 1, 1, 1)
     if info > 0:
         raise LinAlgError("singular matrix")
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
-    return x.reshape(rhs.shape)
+    if out is not x:
+        raise ValueError("right-hand side must be a contiguous float array")
+    return x
 
 
-def _sweep(ab: np.ndarray, cur: np.ndarray, axis: int) -> np.ndarray:
-    """Solve the lines of cur along array axis (negative) with bands ab."""
-    return solve_banded(ab, cur.swapaxes(axis, -1)).swapaxes(axis, -1)
+def _level_views(ab: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The (dl, d, du) diagonals solve_banded takes, one triple per level.
+
+    ab has shape (3, levels, lines, n) and holds each line's matrix in the
+    (1, 1) layout of scipy.linalg.solve_banded, with the unused ends
+    ab[0, ..., 0] and ab[2, ..., -1] zero: those are the couplings between
+    stacked lines. The triples are views, so the levels' bands are solved
+    where they were built.
+    """
+    upper, diag, lower = ab.reshape(ab.shape[:2] + (-1,))
+    return list(zip(lower[:, :-1], diag, upper[:, 1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +113,9 @@ def solve_backward_heat(
 
     In 2D each step is Lie split into line sweeps: the axis-0 sweep carries
     the zeroth order coefficient, the axis-1 sweep is pure diffusion, and
-    each sweep is an M-matrix solve. The bands are built for a block of
-    time levels at a time, so each step is only its solves.
+    each sweep is an M-matrix solve. The bands and the sign check are done
+    for a block of time levels at a time, so each step is only a copy of the
+    previous level and one in-place solve per sweep.
     """
     _check_scheme(scheme)
     w_T = np.asarray(terminal, dtype=float)
@@ -122,36 +135,54 @@ def solve_backward_heat(
     theta = 0.5 if half else 1.0
     r = theta * dt / grid.dx**2
     shape = (grid.nx ** (grid.dim - 1), grid.nx)
-    first = -grid.dim  # the axis-0 sweep, which carries the coefficient
-    diffusion = np.empty((3,) + shape)  # every other sweep, the same at every level
-    diffusion[1] = 1.0 + 2.0 * r
-    _diffusion_off_diagonals(diffusion, r)
+    axes = range(-grid.dim, 0)  # grid axis a is array axis a - dim
+    first = axes[0]  # the axis-0 sweep, which carries the coefficient
     c = c.reshape((grid.nt + 1,) + shape)
     w = np.empty((grid.nt + 1, grid.n_nodes))
     w[-1] = w_T
+    rows = w.reshape((grid.nt + 1,) + shape)
+    scratch = np.empty(shape)
     for lo, hi in reversed(list(_level_blocks(grid.nt, grid.n_nodes))):
-        bands = np.empty((3, hi - lo) + shape)
-        np.multiply(theta * dt, c[lo:hi].swapaxes(first, -1), out=bands[1])
-        np.subtract(1.0 + 2.0 * r, bands[1], out=bands[1])
+        # bands of every sweep axis and level: dgtsv overwrites them, so
+        # even the pure diffusion sweeps get a band array per level
+        bands = np.empty((3, grid.dim, hi - lo) + shape)
+        np.multiply(theta * dt, c[lo:hi].swapaxes(first, -1), out=bands[1, 0])
+        np.subtract(1.0 + 2.0 * r, bands[1, 0], out=bands[1, 0])
+        bands[1, 1:] = 1.0 + 2.0 * r
         _diffusion_off_diagonals(bands, r)
-        for j in range(hi - 1, lo - 1, -1):
-            cur = w[j + 1].reshape(shape)
-            if half:
-                cur = cur + r * second_difference(cur, first) + 0.5 * dt * c[j + 1] * cur
-            cur = _sweep(bands[:, j - lo], cur, first)
-            for axis in range(first + 1, 0):
-                if half:
-                    cur = cur + r * second_difference(cur, axis)
-                cur = _sweep(diffusion.copy(), cur, axis)
-            w[j] = cur.ravel()
-            _check_positive(w[j], j)
+        steps = list(zip(*(_level_views(bands[:, a]) for a in range(grid.dim))))
+        for j, level in zip(range(hi - 1, lo - 1, -1), reversed(steps)):
+            src = rows[j + 1]
+            for ax, views in zip(axes, level):
+                if ax == -1:
+                    dst, x = rows[j], w[j]
+                else:
+                    dst, x = scratch.swapaxes(ax, -1), scratch.reshape(-1)
+                if not half:
+                    dst[...] = src
+                elif ax == first:
+                    dst[...] = src + r * second_difference(src, ax) + 0.5 * dt * c[j + 1] * src
+                else:
+                    dst[...] = src + r * second_difference(src, ax)
+                solve_banded(*views, x)
+                src = dst
+        _check_positive(w, lo, hi)
     return SpaceTimeField(w, grid)
 
 
-def _check_positive(slice_: np.ndarray, level: int) -> None:
-    m = float(slice_.min())
-    if not m > 0.0:
-        raise PositivityError(f"value field lost positivity at time level {level} (min {m:.3e})")
+def _check_positive(w: np.ndarray, lo: int, hi: int) -> None:
+    """Raise PositivityError if a level of w[lo:hi] has a non-positive node.
+
+    The march runs downward, so the level named is the highest failing one,
+    which a check after every step would have met first.
+    """
+    low = w[lo:hi].min(axis=1)
+    bad = np.flatnonzero(~(low > 0.0))
+    if bad.size:
+        k = bad[-1]
+        raise PositivityError(
+            f"value field lost positivity at time level {lo + k} (min {low[k]:.3e})"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +227,9 @@ def solve_fokker_planck(
 
     In 2D each step is Lie split into an axis-0 then an axis-1 line sweep;
     each sweep conserves the weighted line mass, so the tensor trapezoid
-    mass telescopes exactly. The bands are built for a block of time levels
-    at a time, so each step is only its solves.
+    mass telescopes exactly. The bands and the undershoot check are done
+    for a block of time levels at a time, so each step is only a copy of
+    the previous level and one in-place solve per sweep.
     """
     _check_scheme(scheme)
     mu0 = np.asarray(initial, dtype=float)
@@ -218,26 +250,51 @@ def solve_fokker_planck(
     b = b.reshape((grid.nt + 1, grid.dim) + shape)
     mu = np.empty((grid.nt + 1, grid.n_nodes))
     mu[0] = mu0
+    rows = mu.reshape((grid.nt + 1,) + shape)
+    scratch = np.empty(shape)
     for lo, hi in _level_blocks(grid.nt, grid.n_nodes):
-        # bands of the steps onto levels lo+1 .. hi, one array per sweep axis
-        bands = [_fp_bands(b[lo + 1 : hi + 1, a].swapaxes(ax, -1), grid, dt)
-                 for a, ax in enumerate(axes)]
-        for n in range(lo + 1, hi + 1):
-            cur = mu[n - 1].reshape(shape)
-            for a, ax in enumerate(axes):
-                if half:
-                    flux = _flux_divergence_axis(b[n - 1, a], cur, grid, ax, diffusion=True)
-                    cur = cur - dt * flux
-                cur = _sweep(bands[a][:, n - 1 - lo], cur, ax)
-            mu[n] = cur.ravel()
-            low = float(mu[n].min())
-            if low < -1e-12:
-                raise SchemeViolationError(
-                    f"density undershoot {low:.3e} at time level {n}"
-                )
-            if low < 0.0:
-                np.clip(mu[n], 0.0, None, out=mu[n])
+        start = lo
+        while start < hi:
+            # bands of the steps onto levels start+1 .. hi, for every sweep axis
+            steps = list(zip(*(
+                _level_views(_fp_bands(b[start + 1 : hi + 1, a].swapaxes(ax, -1), grid, dt))
+                for a, ax in enumerate(axes)
+            )))
+            for n, level in zip(range(start + 1, hi + 1), steps):
+                src = rows[n - 1]
+                for a, (ax, views) in enumerate(zip(axes, level)):
+                    if ax == -1:
+                        dst, x = rows[n], mu[n]
+                    else:
+                        dst, x = scratch.swapaxes(ax, -1), scratch.reshape(-1)
+                    if half:
+                        flux = _flux_divergence_axis(b[n - 1, a], src, grid, ax, diffusion=True)
+                        dst[...] = src - dt * flux
+                    else:
+                        dst[...] = src
+                    solve_banded(*views, x)
+                    src = dst
+            start = _clamp_undershoot(mu, start, hi)
     return SpaceTimeField(mu, grid)
+
+
+def _clamp_undershoot(mu: np.ndarray, lo: int, hi: int) -> int:
+    """Clamp the first level of mu[lo+1 : hi+1] that dips below zero.
+
+    Returns that level, from which the march must re-solve the levels after
+    it, or hi when no level dips. An undershoot below -1e-12 raises
+    SchemeViolationError instead.
+    """
+    low = mu[lo + 1 : hi + 1].min(axis=1)
+    neg = np.flatnonzero(low < 0.0)
+    if not neg.size:
+        return hi
+    k = neg[0]
+    n = lo + 1 + int(k)
+    if low[k] < -1e-12:
+        raise SchemeViolationError(f"density undershoot {low[k]:.3e} at time level {n}")
+    np.clip(mu[n], 0.0, None, out=mu[n])
+    return n
 
 
 # ---------------------------------------------------------------------------

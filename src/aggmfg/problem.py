@@ -2,9 +2,9 @@
 
 The coupling is the decreasing local cost -sigma*m^alpha entering the value
 equation, so f(m) = sigma*m^alpha with antiderivative F. Potentials and
-terminal costs are restricted to closed forms with analytic gradients (and
-Laplacians for potentials) because the structural checks and the moment
-identities consume d/dx V * x and Delta V pointwise.
+terminal costs are restricted to closed forms with analytic gradients
+because the structural checks and the moment identities consume
+d/dx V * x pointwise.
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ class CouplingSpec:
         if not (self.alpha > 0 and np.isfinite(self.alpha)):
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
 
+    def f(self, m: np.ndarray) -> np.ndarray:
+        """The law f(m) = sigma * m**alpha at nonnegative densities m, unchecked."""
+        return self.sigma * m**self.alpha
+
 
 def eval_coupling(coupling: CouplingSpec, m: np.ndarray):
     """Return (f(m), F(m), f'(m)) for nonnegative densities m.
@@ -42,7 +46,7 @@ def eval_coupling(coupling: CouplingSpec, m: np.ndarray):
     if np.any(m < 0):
         raise ValueError("coupling evaluated at negative density")
     sigma, alpha = coupling.sigma, coupling.alpha
-    f = sigma * m**alpha
+    f = coupling.f(m)
     F = sigma * m ** (alpha + 1.0) / (alpha + 1.0)
     with np.errstate(divide="ignore"):
         if alpha == 1.0:
@@ -60,7 +64,8 @@ class PotentialSpec:
     amplitude: float = 0.0
     width: float = 1.0
     center: tuple[float, ...] = (0.0,)
-    # user_table: values/gradient/laplacian tabulated on the grid nodes
+    # user_table: values/gradient tabulated on the grid nodes (an optional
+    # laplacian entry is kept for PotentialSpec.laplacian, never checked)
     table: dict | None = None
 
     _FAMILIES = ("zero", "gaussian_well", "cosine_bump", "user_table")
@@ -115,6 +120,8 @@ class PotentialSpec:
         if self.family == "zero":
             return np.zeros(n)
         if self.family == "user_table":
+            if "laplacian" not in self.table:
+                raise ValueError("this user_table potential tabulates no laplacian")
             return np.asarray(self.table["laplacian"], dtype=float)
         z = self._centered(points)
         if self.family == "gaussian_well":
@@ -301,7 +308,7 @@ def sample_on_grid(p: ProblemSpec, grid: Grid) -> ProblemFields:
 
 def _check_table(table: dict, grid: Grid) -> None:
     """A user_table potential holds finite numbers, one per node (dim per node for the gradient)."""
-    sizes = {"values": grid.n_nodes, "gradient": grid.dim * grid.n_nodes, "laplacian": grid.n_nodes}
+    sizes = {"values": grid.n_nodes, "gradient": grid.dim * grid.n_nodes}
     bad = []
     for key, size in sizes.items():
         try:

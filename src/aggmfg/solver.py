@@ -25,7 +25,7 @@ from .discretization import (
 )
 from .errors import SolverError
 from .parabolic import solve_backward_heat, solve_fokker_planck
-from .problem import ProblemFields, ProblemSpec, eval_coupling, sample_on_grid
+from .problem import ProblemFields, ProblemSpec, sample_on_grid
 
 VERDICT_CONVERGED = "converged"
 VERDICT_DIVERGED = "diverged"
@@ -108,7 +108,7 @@ def picard_map(
     if fields is None:
         fields = sample_on_grid(p, grid)
     m = np.asarray(m_values, dtype=float)
-    f, _, _ = eval_coupling(p.coupling, np.maximum(m, 0.0))
+    f = p.coupling.f(np.maximum(m, 0.0))
     # half the source: -w_t - Lap w = ((f - V)/2) w is what w = e^(-u/2)
     # turns the value equation into when the kinetic term is |grad u|^2/2
     c = 0.5 * (f - fields.v[None, :])
@@ -253,7 +253,7 @@ def self_consistency_residual(
         m0, m1 = mv[lo:hi], mv[lo + 1 : hi + 1]
         du = -(u1 - u0) / dt
         gu = gradient(u0, grid)
-        f, _, _ = eval_coupling(p.coupling, np.maximum(m0, 0.0))
+        f = p.coupling.f(np.maximum(m0, 0.0))
         r = du - laplacian(u0, grid) + 0.5 * np.sum(gu**2, axis=-2) + f - fields.v
         for row in np.abs(r):
             hjb_total += float(np.dot(w_int, row)) * dt

@@ -315,6 +315,20 @@ def test_cli_user_table_off_grid_exits_two(tmp_path, capsys, table):
     assert not os.path.exists(tmp_path / "out")
 
 
+@pytest.mark.parametrize("laplacian", [False, True])
+def test_cli_user_table_needs_no_laplacian(tmp_path, capsys, laplacian):
+    # no computation reads a potential's Laplacian; a table with one still runs
+    table = {"values": [0.0] * 17, "gradient": [0.0] * 17}
+    if laplacian:
+        table["laplacian"] = [0.0] * 17
+    cfg = _solve_cfg(nx=17, nt=8)
+    cfg["problem"]["potential"] = {"family": "user_table", "table": table}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["solve", str(cfg_path), "--output", str(tmp_path / "out")]) == 0
+    assert "verdict: converged" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command,density", [
     ("solve", "problem.initial_density"),
     ("certify", "certify.terminal_density"),

@@ -196,6 +196,21 @@ def test_field_csv_roundtrip(tmp_path, rng):
     assert np.array_equal(back, values)
 
 
+def test_field_csv_matches_per_node_formatting(tmp_path, rng):
+    # the coordinate text is formatted once per grid; every file must still
+    # read exactly as if each row were formatted on its own
+    for g in (Grid(dim=1, half_width=2.0, nx=17, nt=1, horizon=1.0),
+              Grid(dim=2, half_width=1.5, nx=7, nt=1, horizon=1.0)):
+        header = "x,value\n" if g.dim == 1 else "x,y,value\n"
+        for _ in range(2):
+            values = rng.standard_normal(g.n_nodes)
+            path = tmp_path / "field.csv"
+            write_field_csv(path, g, values)
+            rows = (",".join(f"{c:.17g}" for c in (*node, v)) + "\n"
+                    for node, v in zip(g.coordinates.T, values))
+            assert path.read_text() == header + "".join(rows)
+
+
 def test_field_csv_2d_shape(tmp_path):
     g = Grid(dim=2, half_width=1.0, nx=5, nt=1, horizon=1.0)
     values = np.arange(25.0)

@@ -12,6 +12,8 @@ from aggmfg import (
     GaussianMixture,
     HeatKernelQuery,
     KernelNormDivergenceError,
+    PositivityError,
+    SchemeViolationError,
     SolverError,
     analytic_kernel_exponent,
     heat_kernel_convolve,
@@ -255,9 +257,9 @@ def _kernel_rows_per_march(dim, monkeypatch, rng):
     kernel = parabolic.solve_banded
     rows = []
 
-    def counting(ab, rhs):
-        rows.append(rhs.size)
-        return kernel(ab, rhs)
+    def counting(dl, d, du, x):
+        rows.append(x.size)
+        return kernel(dl, d, du, x)
 
     monkeypatch.setattr(parabolic, "solve_banded", counting)
     solve_backward_heat(_gaussian(g) + 0.1, np.zeros((g.nt + 1, g.n_nodes)), g)
@@ -278,12 +280,89 @@ def test_2d_marches_solve_each_sweep_in_one_kernel_call(monkeypatch, rng):
     assert heat == fp == [g.n_nodes] * (2 * g.nt)
 
 
+def test_line_sweep_kernel_solves_in_place(rng):
+    ab = rng.random((3, 1, 4, 9))
+    ab[1] += 3.0
+    ab[0, ..., 0] = ab[2, ..., -1] = 0.0  # no coupling between the stacked lines
+    rhs = rng.standard_normal((4, 9))
+    expected = np.stack([scipy_solve_banded((1, 1), ab[:, 0, i], rhs[i]) for i in range(4)])
+    (views,) = parabolic._level_views(ab.copy())
+    x = rhs.ravel().copy()
+    assert parabolic.solve_banded(*views, x) is x
+    assert np.array_equal(x.reshape(4, 9), expected)
+    # a strided right-hand side would be solved in a copy, not in place
+    (views,) = parabolic._level_views(ab.copy())
+    with pytest.raises(ValueError, match="contiguous"):
+        parabolic.solve_banded(*views, np.ones(2 * x.size)[::2])
+
+
 def test_line_sweep_kernel_rejects_singular_line():
-    ab = np.zeros((3, 2, 5))
+    ab = np.zeros((3, 1, 2, 5))
     ab[1] = 1.0
-    ab[1, 1, 2] = 0.0  # a zero row in the second line only
+    ab[1, 0, 1, 2] = 0.0  # a zero row in the second line only
+    (views,) = parabolic._level_views(ab)
     with pytest.raises(LinAlgError):
-        parabolic.solve_banded(ab, np.ones((2, 5)))
+        parabolic.solve_banded(*views, np.ones(10))
+
+
+def _inject_after_kernel(monkeypatch, values):
+    """Make kernel call i (counted from 0) write values[i] into node 3 of its solution."""
+    kernel = parabolic.solve_banded
+    calls = []
+
+    def injecting(dl, d, du, x):
+        kernel(dl, d, du, x)
+        if len(calls) in values:
+            x[3] = values[len(calls)]
+        calls.append(x.size)
+        return x
+
+    monkeypatch.setattr(parabolic, "solve_banded", injecting)
+    return calls
+
+
+def _one_block_grid():
+    g = Grid(dim=1, half_width=6.0, nx=17, nt=20, horizon=0.2)
+    assert list(_level_blocks(g.nt, g.n_nodes)) == [(0, g.nt)]
+    return g
+
+
+def test_heat_block_check_names_the_first_level_the_march_reaches(monkeypatch):
+    # the march solves levels 19, 18, ..., 0, one call each: call 7 solves
+    # level 12 and call 14 level 5, both inside one block of levels
+    g = _one_block_grid()
+    _inject_after_kernel(monkeypatch, {7: -0.5, 14: -2.0})
+    with pytest.raises(PositivityError) as exc:
+        solve_backward_heat(_gaussian(g) + 0.1, np.zeros((g.nt + 1, g.n_nodes)), g)
+    # what a check after every step would raise: level 12, not the lower,
+    # more negative level 5
+    assert str(exc.value) == "value field lost positivity at time level 12 (min -5.000e-01)"
+
+
+def test_fokker_planck_clamps_a_small_undershoot_and_resolves_the_block(monkeypatch, rng):
+    g = _one_block_grid()
+    b = 0.5 * rng.standard_normal((g.nt + 1, 1, g.n_nodes))
+    mu0 = _gaussian(g)
+    clean = solve_fokker_planck(mu0, b, g).values
+    calls = _inject_after_kernel(monkeypatch, {9: -1e-14})  # call 9 solves level 10
+    mu = solve_fokker_planck(mu0, b, g).values
+    assert np.array_equal(mu[:10], clean[:10])
+    assert mu[10, 3] == 0.0
+    assert len(calls) == g.nt + (g.nt - 10)  # levels 11 .. 20 solved again
+    # every later level is what a march of one step at a time gives from the clamped level
+    step = Grid(dim=1, half_width=g.half_width, nx=g.nx, nt=1, horizon=g.dt)
+    ref = mu[10]
+    for n in range(11, g.nt + 1):
+        ref = _per_line_fokker_planck(ref, b[n - 1 : n + 1], step, "implicit_euler")[1]
+        assert np.array_equal(mu[n], ref)
+
+
+def test_fokker_planck_deep_undershoot_names_its_level(monkeypatch, rng):
+    g = _one_block_grid()
+    b = 0.5 * rng.standard_normal((g.nt + 1, 1, g.n_nodes))
+    _inject_after_kernel(monkeypatch, {9: -1e-11})
+    with pytest.raises(SchemeViolationError, match=r"undershoot -1\.000e-11 at time level 10$"):
+        solve_fokker_planck(_gaussian(g), b, g)
 
 
 @settings(max_examples=200, deadline=None)

@@ -22,6 +22,7 @@ def test_eval_coupling_values():
     assert np.allclose(f, [0.0, 3.0, 12.0])
     assert np.allclose(big_f, [0.0, 1.0, 8.0])
     assert np.allclose(fprime, [0.0, 6.0, 12.0])
+    assert np.array_equal(c.f(np.array([0.0, 1.0, 2.0])), f)
 
 
 def test_eval_coupling_rejects_negative_density():
@@ -92,6 +93,15 @@ def test_potential_families_derivatives():
         assert np.allclose(spec.gradient(x)[0], fd_grad, atol=1e-7)
         fd_lap = (spec.value(x + eps) - 2 * spec.value(x) + spec.value(x - eps)) / eps**2
         assert np.allclose(spec.laplacian(x), fd_lap, atol=1e-3)
+
+
+def test_user_table_laplacian_is_optional():
+    table = {"values": [0.0, 1.0, 0.0], "gradient": [1.0, 0.0, -1.0]}
+    x = np.array([[-1.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="no laplacian"):
+        PotentialSpec(family="user_table", table=table).laplacian(x)
+    tabulated = PotentialSpec(family="user_table", table={**table, "laplacian": [0.5, -2.0, 0.5]})
+    assert np.array_equal(tabulated.laplacian(x), [0.5, -2.0, 0.5])
 
 
 def test_cosine_bump_compact_support():
