@@ -8,6 +8,7 @@ collects every offending key path and reports them in a single error.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from typing import Any
@@ -24,14 +25,7 @@ from .problem import (
 )
 from .solver import SolverConfig
 
-_SOLVER_DEFAULTS = dict(
-    damping=0.5,
-    tol=1e-8,
-    max_iter=200,
-    d_cap=1e6,
-    time_scheme="implicit_euler",
-    initial_guess="heat_flow",
-)
+_SOLVER_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
 
 
 def load_config(path) -> dict:

@@ -18,6 +18,7 @@ from .problem import (
     ConditionCheck,
     ConditionReport,
     GaussianMixture,
+    ProblemFields,
     ProblemSpec,
     check_structural_conditions,
     eval_coupling,
@@ -47,14 +48,17 @@ class EnergyReport:
         return float(np.max(np.abs(self.total - self.total[0])))
 
 
-def compute_energy(u, m, p: ProblemSpec, grid: Grid) -> EnergyReport:
+def compute_energy(
+    u, m, p: ProblemSpec, grid: Grid, fields: ProblemFields | None = None
+) -> EnergyReport:
     """Time series of the conserved energy and its four components.
 
     The integrands are formed over blocks of time levels; each level's
     integral is its own quadrature.
     """
     uv, mv = _values(u), _values(m)
-    fields = sample_on_grid(p, grid)
+    if fields is None:
+        fields = sample_on_grid(p, grid)
     nt = grid.nt
     cross = np.empty(nt + 1)
     kinetic = np.empty(nt + 1)
@@ -107,7 +111,12 @@ class MomentReport:
 
 
 def check_moment_identity(
-    u, m, p: ProblemSpec, grid: Grid, energy: EnergyReport | None = None
+    u,
+    m,
+    p: ProblemSpec,
+    grid: Grid,
+    energy: EnergyReport | None = None,
+    fields: ProblemFields | None = None,
 ) -> MomentReport:
     """Compare discrete moment derivatives against their identity right sides.
 
@@ -117,9 +126,10 @@ def check_moment_identity(
     norms over interior time nodes, derivatives by centered differences.
     """
     uv, mv = _values(u), _values(m)
-    fields = sample_on_grid(p, grid)
+    if fields is None:
+        fields = sample_on_grid(p, grid)
     if energy is None:
-        energy = compute_energy(uv, mv, p, grid)
+        energy = compute_energy(uv, mv, p, grid, fields=fields)
     nt, dt, n = grid.nt, grid.dt, grid.dim
     pts = grid.coordinates
     r_sq = grid.radius_sq
@@ -307,7 +317,10 @@ def _optimal_shift(p: ProblemSpec, grid: Grid, first: np.ndarray, h0: float):
 
 
 def compute_nonexistence_certificate(
-    p: ProblemSpec, grid: Grid, optimize_shift: bool = False
+    p: ProblemSpec,
+    grid: Grid,
+    optimize_shift: bool = False,
+    fields: ProblemFields | None = None,
 ) -> Certificate:
     """Certificate for the fixed-terminal-cost problem.
 
@@ -315,7 +328,7 @@ def compute_nonexistence_certificate(
     (at the optimized shift when requested: the translation changes neither
     e0 nor the algebraic coupling condition, only the pointwise checks and
     the second moment)."""
-    conditions = check_structural_conditions(p, grid)
+    conditions = check_structural_conditions(p, grid, fields=fields)
     e0 = compute_e0(p, grid)
     pts = grid.coordinates
     raw = p.data.m0.value(pts)

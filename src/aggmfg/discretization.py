@@ -226,9 +226,11 @@ def face_transport_coefficients(peclet: np.ndarray) -> tuple[np.ndarray, np.ndar
     """
     p = np.asarray(peclet, dtype=float)
     small = np.abs(p) < 1e-8
-    # series B = 1 - p/2 + p^2/12 + O(p^4) avoids 0/0
-    safe = np.where(small, 1.0, p)
-    B = np.where(small, 1.0 - 0.5 * p + p * p / 12.0, safe / np.expm1(safe))
+    # series B = 1 - p/2 + p^2/12 + O(p^4) avoids 0/0; below |p| = 1e-8 the
+    # p^2/12 term is under half an ulp of 1 - p/2, so it is left out
+    B = np.multiply(p, -0.5, out=np.empty_like(p))
+    B += 1.0
+    np.divide(p, np.expm1(p), out=B, where=~small)
     A = B + p
     return A, B
 
@@ -299,20 +301,22 @@ def write_grid_json(path, grid: Grid) -> None:
 
 def write_field_csv(path, grid: Grid, field_slice: np.ndarray) -> None:
     """One node per row: x,value in 1D and x,y,value in 2D."""
-    header = "x,value\n" if grid.dim == 1 else "x,y,value\n"
-    values = np.asarray(field_slice, dtype=float).tolist()
+    values = tuple(np.asarray(field_slice, dtype=float).tolist())
     with open(path, "w") as fh:
-        fh.write(header + "".join(f"{c}{v:.17g}\n" for c, v in zip(_coordinate_text(grid), values)))
+        fh.write(_row_template(grid) % values)
 
 
 @lru_cache(maxsize=4)
-def _coordinate_text(grid: Grid) -> tuple[str, ...]:
-    """The "x," or "x,y," text that starts each node's row of a field CSV.
+def _row_template(grid: Grid) -> str:
+    """The whole text of a field CSV with a %.17g slot for each node's value.
 
-    Every snapshot of a run is written on the same grid, so the coordinates
-    are formatted once rather than once per file.
+    Every snapshot of a run is written on the same grid, so the header and
+    the "x," or "x,y," coordinate text are formatted once rather than once
+    per file.
     """
-    return tuple("".join(f"{x:.17g}," for x in node) for node in grid.coordinates.T.tolist())
+    header = "x,value\n" if grid.dim == 1 else "x,y,value\n"
+    coords = ("".join(f"{x:.17g}," for x in node) for node in grid.coordinates.T.tolist())
+    return header + "".join(c + "%.17g\n" for c in coords)
 
 
 def read_field_csv(path) -> np.ndarray:

@@ -194,21 +194,41 @@ def _fp_bands(b_lines: np.ndarray, grid: Grid, dt: float) -> np.ndarray:
 
     L is the fitted flux divergence along the last axis of b_lines, which
     holds node drifts of shape (..., lines, n).
+
+    The lines are worked on as one flat run of nodes (a copy only when
+    b_lines is a transposed view), so each coefficient is formed by
+    whole-array passes instead of one short loop per line. Flat face k lies
+    between nodes k and k+1; the faces between stacked lines are zeroed
+    before the coefficients are formed, and the line ends, whose scale is
+    the half cell's, are fixed up by strided writes. Every entry gets the
+    floating-point operations of the per-line formulas: diag = (scale*A + 1)
+    + scale*B of the left face, upper = (-scale)*B and lower = (-scale)*A.
     """
-    dx = grid.dx
-    A, B = face_transport_coefficients(0.5 * (b_lines[..., 1:] + b_lines[..., :-1]) * dx)
-    scale = dt / (grid.axis_weights * dx)
-    ab = np.empty((3,) + b_lines.shape)
+    n = b_lines.shape[-1]
+    b = b_lines.reshape(-1)
+    p = np.empty(b.size)
+    np.add(b[1:], b[:-1], out=p[:-1])
+    p *= 0.5
+    p *= grid.dx
+    p[n - 1 :: n] = 0.0  # no face between one line's end and the next line's start
+    A, B = face_transport_coefficients(p)
+    scale = dt / (grid.axis_weights * grid.dx)
+    inner, end = scale[1], scale[0]  # interior cells, and the half cells at the ends
+    ab = np.empty((3, b.size))
     upper, diag, lower = ab
-    np.multiply(scale[:-1], A, out=diag[..., :-1])
-    diag[..., :-1] += 1.0
-    diag[..., -1] = 1.0
-    diag[..., 1:] += scale[1:] * B
-    upper[..., 0] = 0.0
-    np.multiply(-scale[:-1], B, out=upper[..., 1:])
-    np.multiply(-scale[1:], A, out=lower[..., :-1])
-    lower[..., -1] = 0.0
-    return ab
+    np.multiply(A, -inner, out=lower)
+    np.subtract(1.0, lower, out=diag)  # 1 - (-scale*A) is 1 + scale*A, bit for bit
+    np.multiply(A[::n], end, out=diag[::n])
+    diag[::n] += 1.0
+    np.multiply(B[:-1], -inner, out=upper[1:])
+    upper[::n] = 0.0
+    diag -= upper  # adds scale*B of the left face; line starts have none
+    np.multiply(B[n - 2 :: n], end, out=diag[n - 1 :: n])
+    diag[n - 1 :: n] += 1.0
+    np.multiply(B[::n], -end, out=upper[1::n])
+    np.multiply(A[n - 2 :: n], -end, out=lower[n - 2 :: n])
+    lower[n - 1 :: n] = 0.0
+    return ab.reshape((3,) + b_lines.shape)
 
 
 def solve_fokker_planck(

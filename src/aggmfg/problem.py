@@ -370,8 +370,11 @@ class ConditionReport:
         return out
 
 
-def check_structural_conditions(p: ProblemSpec, grid: Grid) -> ConditionReport:
-    fields = sample_on_grid(p, grid)
+def check_structural_conditions(
+    p: ProblemSpec, grid: Grid, fields: ProblemFields | None = None
+) -> ConditionReport:
+    if fields is None:
+        fields = sample_on_grid(p, grid)
     pts = grid.coordinates
     n = p.dim
 

@@ -33,7 +33,7 @@ from .parabolic import (
     HeatKernelQuery,
     heat_kernel_spacetime_norm,
 )
-from .problem import check_structural_conditions
+from .problem import check_structural_conditions, sample_on_grid
 from .solver import solve
 
 DEFAULT_KERNEL_QUERIES = (
@@ -113,11 +113,13 @@ def run_single(cfg: dict, out_dir=None) -> dict:
     problem, grid, solver_cfg = cfgmod.build_run(cfg)
     snap = _snapshot_indices(cfg, grid.nt)
 
-    # sampling the data on the grid reports the last config errors, before any output
-    conditions = check_structural_conditions(problem, grid)
-    certificate = compute_nonexistence_certificate(problem, grid)
+    # sampling the data on the grid reports the last config errors, before any
+    # output; every later step reads these fields instead of sampling again
+    fields = sample_on_grid(problem, grid)
+    conditions = check_structural_conditions(problem, grid, fields=fields)
+    certificate = compute_nonexistence_certificate(problem, grid, fields=fields)
     out_dir = prepare_out_dir(cfg, "solve", out_dir)
-    outcome = solve(problem, grid, solver_cfg)
+    outcome = solve(problem, grid, solver_cfg, fields=fields)
 
     reports_dir = os.path.join(out_dir, "reports")
     fields_dir = os.path.join(out_dir, "fields")
@@ -141,8 +143,10 @@ def run_single(cfg: dict, out_dir=None) -> dict:
             write_field_csv(os.path.join(fields_dir, f"m_{tag}.csv"), grid, outcome.m.values[idx])
             write_field_csv(os.path.join(fields_dir, f"u_{tag}.csv"), grid, outcome.u.values[idx])
             write_field_csv(os.path.join(fields_dir, f"w_{tag}.csv"), grid, outcome.w.values[idx])
-        energy = compute_energy(outcome.u, outcome.m, problem, grid)
-        moments = check_moment_identity(outcome.u, outcome.m, problem, grid, energy=energy)
+        energy = compute_energy(outcome.u, outcome.m, problem, grid, fields=fields)
+        moments = check_moment_identity(
+            outcome.u, outcome.m, problem, grid, energy=energy, fields=fields
+        )
         apriori = compute_apriori(outcome.m, problem, grid)
         _write_csv(
             os.path.join(reports_dir, "energy.csv"),
@@ -273,11 +277,12 @@ def _sweep_cell(job: dict) -> dict:
 
     grid0 = _cell_grid(problem.dim, job["half_width"], job["nx"],
                        job["nt_per_unit"], job["horizon"], 0)
-    certificate = compute_nonexistence_certificate(problem, grid0)
+    fields0 = sample_on_grid(problem, grid0)
+    certificate = compute_nonexistence_certificate(problem, grid0, fields=fields0)
     applies = certificate.applies_at(job["horizon"])
 
     runs = []
-    outcome = solve(problem, grid0, solver_cfg)
+    outcome = solve(problem, grid0, solver_cfg, fields=fields0)
     runs.append({
         "level": 0, "nx": grid0.nx, "nt": grid0.nt,
         "verdict": outcome.verdict, "iterations": outcome.iterations,
@@ -471,8 +476,11 @@ def run_certify(cfg: dict, out_dir=None) -> dict:
     has_terminal = chk.get("certify.terminal_density") is not None
     chk.raise_if_bad()
 
-    certificate = compute_nonexistence_certificate(problem, grid, optimize_shift=optimize_shift)
-    conditions = check_structural_conditions(problem, grid)
+    fields = sample_on_grid(problem, grid)
+    certificate = compute_nonexistence_certificate(
+        problem, grid, optimize_shift=optimize_shift, fields=fields
+    )
+    conditions = check_structural_conditions(problem, grid, fields=fields)
     fisher, coupling_term, potential_term = e0_terms(problem, grid)
     planning = None
     if has_terminal:

@@ -137,19 +137,26 @@ def _initial_trajectory(fields: ProblemFields, grid: Grid, cfg: SolverConfig) ->
     return solve_fokker_planck(fields.m0, zero_drift, grid, scheme=cfg.time_scheme).values
 
 
-def solve(p: ProblemSpec, grid: Grid, cfg: SolverConfig | None = None) -> SolveOutcome:
+def solve(
+    p: ProblemSpec,
+    grid: Grid,
+    cfg: SolverConfig | None = None,
+    fields: ProblemFields | None = None,
+) -> SolveOutcome:
     """Damped fixed-point iteration on the density trajectory.
 
     Numerical blow-up is a verdict, not an error: the iteration stops with
     verdict 'diverged' when the monitor integral of m^(2 alpha + 1) exceeds
     d_cap, when non-finite values appear, or when a linear march loses
     positivity (which only happens under blow-up scale coefficients).
+    fields, when given, is the problem data already sampled on grid.
     """
     if cfg is None:
         cfg = SolverConfig()
     if abs(grid.horizon - p.horizon) > 1e-12 * max(1.0, p.horizon):
         raise ValueError("grid horizon does not match problem horizon")
-    fields = sample_on_grid(p, grid)
+    if fields is None:
+        fields = sample_on_grid(p, grid)
     m = _initial_trajectory(fields, grid, cfg)
 
     residuals: list[float] = []

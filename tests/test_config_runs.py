@@ -5,7 +5,11 @@ import os
 
 import pytest
 
-from aggmfg import ConfigError
+from aggmfg import ConfigError, SolverConfig
+from aggmfg import diagnostics as diagnostics_module
+from aggmfg import problem as problem_module
+from aggmfg import runs as runs_module
+from aggmfg import solver as solver_module
 from aggmfg.cli import main
 from aggmfg.config import build_run, load_config
 from aggmfg.runs import (
@@ -75,6 +79,7 @@ def test_build_run_solver_defaults():
     assert solver_cfg.max_iter == 200
     assert solver_cfg.time_scheme == "implicit_euler"
     assert solver_cfg.initial_guess == "heat_flow"
+    assert solver_cfg == SolverConfig()
 
 
 def test_build_run_valid():
@@ -109,6 +114,21 @@ def test_run_single_writes_record(tmp_path):
     assert meta["conditions"]["all_hold"] is True
     assert meta["certificate"]["t_star"] is None
     assert meta["moments"]["mass_step_drift"] < 1e-13
+
+
+def test_run_single_samples_the_problem_once(tmp_path, monkeypatch):
+    sample = problem_module.sample_on_grid
+    calls = []
+
+    def counting(p, grid):
+        calls.append(grid)
+        return sample(p, grid)
+
+    for module in (problem_module, solver_module, diagnostics_module, runs_module):
+        monkeypatch.setattr(module, "sample_on_grid", counting)
+    out = run_single(_solve_cfg(sigma=0.05), out_dir=str(tmp_path / "run"))
+    assert out["verdict"] == "converged"
+    assert len(calls) == 1
 
 
 def test_run_single_decoupled_energy_budget(tmp_path):

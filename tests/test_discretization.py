@@ -154,6 +154,22 @@ def test_face_transport_series_matches_formula_at_crossover():
         assert b_lo[0] == pytest.approx(direct, rel=1e-12)
 
 
+def test_face_transport_series_is_the_quadratic_series_below_1e8(rng):
+    # below |p| = 1e-8 the p^2/12 term of B's series is under half an ulp of
+    # 1 - p/2, so leaving it out must change no bit
+    edge = 1e-8 - np.spacing(1e-8)
+    p = np.concatenate([
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-300, edge, -edge],
+        rng.uniform(-1e-8, 1e-8, 100_000),
+        rng.choice([-1.0, 1.0], 100_000) * 10.0 ** rng.uniform(-323, -8, 100_000),
+    ])
+    p = p[np.abs(p) < 1e-8]
+    a, b = face_transport_coefficients(p)
+    series = 1.0 - 0.5 * p + p * p / 12.0
+    assert np.array_equal(b, series)
+    assert np.array_equal(a, series + p)
+
+
 def test_flux_divergence_conserves_weighted_sum(rng):
     for dim, nx in ((1, 129), (2, 17)):
         g = Grid(dim=dim, half_width=5.0, nx=nx, nt=1, horizon=1.0)

@@ -194,6 +194,39 @@ def _fp_band(b_line, g, dt):
     return ab
 
 
+def _far_field_drift_lines(rng, levels, lines, n):
+    """Line-layout drifts (levels, lines, n) that probe every face kind.
+
+    Interior faces are random, a run of faces near each line's start is
+    exactly zero and a run near its end is below 1e-8, and each line ends on
+    a large value that the next line does not start near. The faces at both
+    line ends have zero Peclet number, so only a face between two stacked
+    lines would overflow expm1.
+    """
+    b = rng.standard_normal((levels, lines, n))
+    b[..., 2:5] = 0.0
+    b[..., -5:-2] = 1e-9 * rng.standard_normal((levels, lines, 3))
+    b[..., 0], b[..., 1] = 1e3, -1e3
+    b[..., -2], b[..., -1] = -3e3, 3e3
+    return b
+
+
+@pytest.mark.parametrize("dim, axis", [(1, 0), (2, 0), (2, 1)])
+def test_fp_bands_match_per_line_bands(dim, axis, rng):
+    g = Grid(dim=dim, half_width=6.0, nx=17, nt=4, horizon=0.2)
+    lines = g.nx ** (dim - 1)
+    b = _far_field_drift_lines(rng, 4, lines, g.nx)
+    if axis == 0 and dim == 2:
+        # the axis-0 sweep sees its lines through a transposed view of the level
+        b = np.ascontiguousarray(b.swapaxes(-2, -1)).swapaxes(-2, -1)
+    with np.errstate(over="raise", invalid="raise"):
+        ab = parabolic._fp_bands(b, g, g.dt)
+    expected = np.empty_like(ab)
+    for idx in np.ndindex(b.shape[:-1]):
+        expected[(slice(None),) + idx] = _fp_band(b[idx], g, g.dt)
+    assert np.array_equal(ab, expected)
+
+
 def _per_line_heat(w_T, c, g, scheme):
     half = scheme == "crank_nicolson"
     theta = 0.5 if half else 1.0
