@@ -328,11 +328,12 @@ def compute_nonexistence_certificate(
     (at the optimized shift when requested: the translation changes neither
     e0 nor the algebraic coupling condition, only the pointwise checks and
     the second moment)."""
+    if fields is None:
+        fields = sample_on_grid(p, grid)
     conditions = check_structural_conditions(p, grid, fields=fields)
     e0 = compute_e0(p, grid)
     pts = grid.coordinates
-    raw = p.data.m0.value(pts)
-    m0 = raw / integrate(raw, grid)
+    m0 = fields.m0
     h0 = integrate(m0, grid, weight=grid.radius_sq)
     first = np.array([integrate(m0 * pts[d], grid) for d in range(p.dim)])
 
@@ -391,16 +392,20 @@ class PlanningCertificate:
 
 
 def compute_planning_certificate(
-    p: ProblemSpec, grid: Grid, terminal_density: GaussianMixture
+    p: ProblemSpec,
+    grid: Grid,
+    terminal_density: GaussianMixture,
+    fields: ProblemFields | None = None,
 ) -> PlanningCertificate:
     """Certificate for the prescribed initial and terminal density problem.
 
     No terminal cost enters here, so the monotone terminal condition is not
     required; both endpoint densities must be unit mass and nonnegative."""
-    base = check_structural_conditions(p, grid)
+    if fields is None:
+        fields = sample_on_grid(p, grid)
+    base = check_structural_conditions(p, grid, fields=fields)
     pts = grid.coordinates
-    raw0 = p.data.m0.value(pts)
-    m0 = raw0 / integrate(raw0, grid)
+    m0 = fields.m0
     rawT = terminal_density.value(pts)
     massT = integrate(rawT, grid)
     if not massT > 0:

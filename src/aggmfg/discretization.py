@@ -118,20 +118,26 @@ class SpaceTimeField:
             )
 
 
-# Time-level blocks hold at most this many node rows: enough that one set
+# Time-level blocks hold this many node rows: enough that one set
 # of array calls serves 15 to 63 levels of a 1D grid, few enough that the
 # block temporaries add nothing measurable to peak memory (building for the
 # whole horizon at once added 5 to 20 MB on the benchmark solves).
 _BLOCK_ROWS = 4096
+# A block holds at least this many levels, so that a 2D grid whose level
+# alone fills _BLOCK_ROWS (65 x 65 has 4225 nodes) still shares one set of
+# band builds, views and sign checks among several levels. The Picard map
+# frees the heat coefficient before the Fokker-Planck march to make room
+# for these larger blocks.
+_MIN_BLOCK_LEVELS = 4
 
 
 def _level_blocks(levels: int, rows_per_level: int):
     """Consecutive (lo, hi) blocks covering range(levels) in order.
 
-    Each block holds at most _BLOCK_ROWS rows, or a single level when one
-    level alone has more rows than that.
+    Each block holds max(_MIN_BLOCK_LEVELS, _BLOCK_ROWS // rows_per_level)
+    levels, except the last, which holds what is left.
     """
-    step = max(1, _BLOCK_ROWS // rows_per_level)
+    step = max(_MIN_BLOCK_LEVELS, _BLOCK_ROWS // rows_per_level)
     for lo in range(0, levels, step):
         yield lo, min(lo + step, levels)
 

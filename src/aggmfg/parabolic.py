@@ -60,6 +60,12 @@ def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, x: np.ndarray) -
     each line exactly as it would alone and the result equals a per-line
     scipy.linalg.solve_banded loop bit for bit. dgtsv overwrites the
     diagonals too.
+
+    When every line has the same matrix, x may instead be an F-contiguous
+    (n, nrhs) block, one line per column, with dl, d and du one line's
+    bands (sizes n - 1, n, n - 1). dgtsv then forms each elimination factor
+    once and applies it to every column, which is again bit for bit a
+    per-line solve.
     """
     _, _, _, out, info = dgtsv(dl, d, du, x, 1, 1, 1, 1)
     if info > 0:
@@ -113,8 +119,11 @@ def solve_backward_heat(
 
     In 2D each step is Lie split into line sweeps: the axis-0 sweep carries
     the zeroth order coefficient, the axis-1 sweep is pure diffusion, and
-    each sweep is an M-matrix solve. The bands and the sign check are done
-    for a block of time levels at a time, so each step is only a copy of the
+    each sweep is an M-matrix solve. The coefficient sweep's bands and the
+    sign check are done for a block of time levels at a time. Every line of
+    the diffusion sweep has the same matrix, so that sweep solves the
+    level's rows as the columns of one multi-right-hand-side call, with a
+    fresh copy of one line's bands. Each step is thus only a copy of the
     previous level and one in-place solve per sweep.
     """
     _check_scheme(scheme)
@@ -142,18 +151,21 @@ def solve_backward_heat(
     w[-1] = w_T
     rows = w.reshape((grid.nt + 1,) + shape)
     scratch = np.empty(shape)
+    # one line's bands of the pure diffusion sweep, copied for every solve
+    # because dgtsv overwrites them
+    line = np.empty((3, 1, 1, grid.nx))
+    line[1] = 1.0 + 2.0 * r
+    _diffusion_off_diagonals(line, r)
+    (diffusion,) = _level_views(line)
     for lo, hi in reversed(list(_level_blocks(grid.nt, grid.n_nodes))):
-        # bands of every sweep axis and level: dgtsv overwrites them, so
-        # even the pure diffusion sweeps get a band array per level
-        bands = np.empty((3, grid.dim, hi - lo) + shape)
-        np.multiply(theta * dt, c[lo:hi].swapaxes(first, -1), out=bands[1, 0])
-        np.subtract(1.0 + 2.0 * r, bands[1, 0], out=bands[1, 0])
-        bands[1, 1:] = 1.0 + 2.0 * r
+        # bands of the coefficient sweep, one set per level
+        bands = np.empty((3, hi - lo) + shape)
+        np.multiply(theta * dt, c[lo:hi].swapaxes(first, -1), out=bands[1])
+        np.subtract(1.0 + 2.0 * r, bands[1], out=bands[1])
         _diffusion_off_diagonals(bands, r)
-        steps = list(zip(*(_level_views(bands[:, a]) for a in range(grid.dim))))
-        for j, level in zip(range(hi - 1, lo - 1, -1), reversed(steps)):
+        for j, coupled in zip(range(hi - 1, lo - 1, -1), reversed(_level_views(bands))):
             src = rows[j + 1]
-            for ax, views in zip(axes, level):
+            for ax in axes:
                 if ax == -1:
                     dst, x = rows[j], w[j]
                 else:
@@ -164,7 +176,10 @@ def solve_backward_heat(
                     dst[...] = src + r * second_difference(src, ax) + 0.5 * dt * c[j + 1] * src
                 else:
                     dst[...] = src + r * second_difference(src, ax)
-                solve_banded(*views, x)
+                if ax == first:
+                    solve_banded(*coupled, x)
+                else:  # the level's lines are the columns of dst.T
+                    solve_banded(*(band.copy() for band in diffusion), dst.T)
                 src = dst
         _check_positive(w, lo, hi)
     return SpaceTimeField(w, grid)

@@ -485,7 +485,7 @@ def run_certify(cfg: dict, out_dir=None) -> dict:
     planning = None
     if has_terminal:
         terminal = cfgmod.build_mixture(cfg, "certify.terminal_density", problem.dim)
-        planning = compute_planning_certificate(problem, grid, terminal)
+        planning = compute_planning_certificate(problem, grid, terminal, fields=fields)
 
     out_dir = prepare_out_dir(cfg, "certify", out_dir)
     payload = {

@@ -108,11 +108,13 @@ def picard_map(
     if fields is None:
         fields = sample_on_grid(p, grid)
     m = np.asarray(m_values, dtype=float)
-    f = p.coupling.f(np.maximum(m, 0.0))
     # half the source: -w_t - Lap w = ((f - V)/2) w is what w = e^(-u/2)
     # turns the value equation into when the kinetic term is |grad u|^2/2
-    c = 0.5 * (f - fields.v[None, :])
+    c = p.coupling.f(np.maximum(m, 0.0))
+    c -= fields.v
+    c *= 0.5
     w = solve_backward_heat(hopf_cole(fields.u_terminal), c, grid, scheme=scheme)
+    del c  # the FP march holds the largest working set; c is not needed there
     b = _drift_from_w(w.values, grid)
     mu = solve_fokker_planck(fields.m0, b, grid, scheme=scheme)
     return w, mu

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,7 +324,7 @@ def test_criterion_10_determinism(tmp_path):
     mismatched = [
         os.path.relpath(p, a)
         for p in files
-        if open(p, "rb").read() != open(p.replace(a, b, 1), "rb").read()
+        if Path(p).read_bytes() != Path(p.replace(a, b, 1)).read_bytes()
     ]
     ok = bool(files) and not mismatched
     detail = f"{len(files)} files bit-identical across two runs"

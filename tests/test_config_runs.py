@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -21,14 +22,14 @@ from aggmfg.runs import (
 )
 
 
-def _solve_cfg(sigma=0.0, nx=65, nt=32, horizon=1.0):
+def _solve_cfg(sigma=0.0, nx=65, nt=32, horizon=1.0, dim=1):
     return {
         "problem": {
-            "dim": 1,
+            "dim": dim,
             "horizon": horizon,
             "sigma": sigma,
             "alpha": 2.0,
-            "initial_density": {"weights": [1.0], "means": [[0.0]], "stds": [1.0]},
+            "initial_density": {"weights": [1.0], "means": [[0.0] * dim], "stds": [1.0]},
         },
         "grid": {"half_width": 12.0, "nx": nx, "nt": nt},
         "solver": {"damping": 1.0 if sigma == 0.0 else 0.5, "tol": 1e-8},
@@ -138,9 +139,10 @@ def test_run_single_decoupled_energy_budget(tmp_path):
     assert meta["consistency"]["resolve_residual"] == 0.0
 
 
-def test_run_single_deterministic(tmp_path):
-    cfg = _solve_cfg(sigma=0.05)
-    a = run_single(cfg, out_dir=str(tmp_path / "a"))["out_dir"]
+def _assert_runs_write_the_same_bytes(cfg, tmp_path):
+    """Run cfg twice and compare every file; returns the first run's result."""
+    first = run_single(cfg, out_dir=str(tmp_path / "a"))
+    a = first["out_dir"]
     b = run_single(cfg, out_dir=str(tmp_path / "b"))["out_dir"]
     names_a = sorted(
         os.path.join(r, f) for r, _, fs in os.walk(a) for f in fs
@@ -148,7 +150,17 @@ def test_run_single_deterministic(tmp_path):
     assert names_a
     for path_a in names_a:
         path_b = path_a.replace(a, b, 1)
-        assert open(path_a, "rb").read() == open(path_b, "rb").read(), path_a
+        assert Path(path_a).read_bytes() == Path(path_b).read_bytes(), path_a
+    return first
+
+
+def test_run_single_deterministic(tmp_path):
+    _assert_runs_write_the_same_bytes(_solve_cfg(sigma=0.05), tmp_path)
+
+
+def test_run_single_deterministic_2d(tmp_path):
+    cfg = _solve_cfg(sigma=0.05, nx=33, nt=16, dim=2)
+    assert _assert_runs_write_the_same_bytes(cfg, tmp_path)["verdict"] == "converged"
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +296,26 @@ def test_run_certify_supercritical(tmp_path):
     assert out["planning"]["t_hat"] == pytest.approx(math.sqrt(2.0 / e0), abs=1e-4)
     payload = json.load(open(os.path.join(out["out_dir"], "certificate.json")))
     assert payload["certificate"]["e0"] == cert["e0"]
+
+
+def test_run_certify_samples_the_problem_once(tmp_path, monkeypatch):
+    sample = problem_module.sample_on_grid
+    calls = []
+
+    def counting(p, grid):
+        calls.append(grid)
+        return sample(p, grid)
+
+    for module in (problem_module, solver_module, diagnostics_module, runs_module):
+        monkeypatch.setattr(module, "sample_on_grid", counting)
+    cfg = _solve_cfg(sigma=20.0, horizon=8.0, nt=64)
+    cfg["certify"] = {
+        "optimize_shift": True,
+        "terminal_density": {"weights": [1.0], "means": [[0.0]], "stds": [1.0]},
+    }
+    out = run_certify(cfg, out_dir=str(tmp_path / "cert"))
+    assert out["planning"] is not None
+    assert len(calls) == 1
 
 
 def test_run_kernelcheck_default_queries(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import LinAlgError
 from scipy.linalg import solve_banded as scipy_solve_banded
 
-from aggmfg import parabolic
+from aggmfg import discretization, parabolic
 from aggmfg import (
     GaussianMixture,
     HeatKernelQuery,
@@ -268,11 +268,20 @@ def _per_line_fokker_planck(mu0, b, g, scheme):
 
 @pytest.mark.parametrize("scheme", ["implicit_euler", "crank_nicolson"])
 @pytest.mark.parametrize("dim", [1, 2])
-def test_line_sweep_matches_per_line_solves(dim, scheme, rng):
-    # nt = 6 fits in one block of time levels; the longer march spans several
-    for nt, min_blocks in ((6, 1), ({1: 500, 2: 40}[dim], 3)):
+def test_line_sweep_matches_per_line_solves(dim, scheme, monkeypatch, rng):
+    # nt = 6 fits in one block of time levels and the longer march spans
+    # several; with a one-row cap every block but the last holds the
+    # minimum of 4 levels, as a 65 x 65 level does under the default cap
+    cases = [(6, _BLOCK_ROWS, 1), ({1: 500, 2: 40}[dim], _BLOCK_ROWS, 3)]
+    if dim == 2:
+        cases.append((14, 1, 4))
+    for nt, block_rows, min_blocks in cases:
+        monkeypatch.setattr(discretization, "_BLOCK_ROWS", block_rows)
         g = Grid(dim=dim, half_width=6.0, nx=17, nt=nt, horizon=0.05 * nt)
-        assert len(list(_level_blocks(nt, g.n_nodes))) >= min_blocks
+        blocks = list(_level_blocks(nt, g.n_nodes))
+        assert len(blocks) >= min_blocks
+        if block_rows == 1:
+            assert blocks == [(0, 4), (4, 8), (8, 12), (12, 14)]
         c = 2.0 * rng.standard_normal((g.nt + 1, g.n_nodes))
         w_T = _gaussian(g, std=1.5) + 0.1
         w = solve_backward_heat(w_T, c, g, scheme=scheme).values
@@ -327,6 +336,18 @@ def test_line_sweep_kernel_solves_in_place(rng):
     (views,) = parabolic._level_views(ab.copy())
     with pytest.raises(ValueError, match="contiguous"):
         parabolic.solve_banded(*views, np.ones(2 * x.size)[::2])
+
+
+def test_line_sweep_kernel_solves_many_right_hand_sides_with_one_lines_bands(rng):
+    ab = rng.random((3, 9))
+    ab[1] += 3.0
+    ab[0, 0] = ab[2, -1] = 0.0
+    rows = rng.standard_normal((5, 9))
+    expected = np.stack([scipy_solve_banded((1, 1), ab, row) for row in rows])
+    x = rows.T  # F-contiguous (n, lines): one line per column
+    assert x.flags.f_contiguous
+    assert parabolic.solve_banded(ab[2, :-1].copy(), ab[1].copy(), ab[0, 1:].copy(), x) is x
+    assert np.array_equal(rows, expected)
 
 
 def test_line_sweep_kernel_rejects_singular_line():
@@ -390,6 +411,27 @@ def test_fokker_planck_clamps_a_small_undershoot_and_resolves_the_block(monkeypa
         assert np.array_equal(mu[n], ref)
 
 
+def test_fokker_planck_2d_clamps_inside_a_block_of_the_minimum_levels(monkeypatch, rng):
+    monkeypatch.setattr(discretization, "_BLOCK_ROWS", 1)
+    g = Grid(dim=2, half_width=6.0, nx=9, nt=8, horizon=0.2)
+    assert list(_level_blocks(g.nt, g.n_nodes)) == [(0, 4), (4, 8)]
+    b = 0.5 * rng.standard_normal((g.nt + 1, 2, g.n_nodes))
+    mu0 = _gaussian(g)
+    clean = solve_fokker_planck(mu0, b, g).values
+    # two calls per level, axis 0 into scratch and then axis 1 into the
+    # level itself: call 3 is the axis-1 solve of level 2
+    calls = _inject_after_kernel(monkeypatch, {3: -1e-14})
+    mu = solve_fokker_planck(mu0, b, g).values
+    assert np.array_equal(mu[:2], clean[:2])
+    assert mu[2, 3] == 0.0
+    assert len(calls) == 2 * g.nt + 2 * 2  # levels 3 and 4 of the first block solved again
+    step = Grid(dim=2, half_width=g.half_width, nx=g.nx, nt=1, horizon=g.dt)
+    ref = mu[2]
+    for n in range(3, g.nt + 1):
+        ref = _per_line_fokker_planck(ref, b[n - 1 : n + 1], step, "implicit_euler")[1]
+        assert np.array_equal(mu[n], ref)
+
+
 def test_fokker_planck_deep_undershoot_names_its_level(monkeypatch, rng):
     g = _one_block_grid()
     b = 0.5 * rng.standard_normal((g.nt + 1, 1, g.n_nodes))
@@ -407,7 +449,9 @@ def test_level_blocks_cover_levels_in_order(levels, rows_per_level):
         assert hi == next_lo
     for lo, hi in blocks:
         assert hi > lo
-        assert (hi - lo) * rows_per_level <= _BLOCK_ROWS or hi - lo == 1
+    step = max(4, _BLOCK_ROWS // rows_per_level)
+    assert all(hi - lo == step for lo, hi in blocks[:-1])
+    assert blocks[-1][1] - blocks[-1][0] <= step
 
 
 # ---------------------------------------------------------------------------

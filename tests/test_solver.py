@@ -1,6 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
+from aggmfg import solver as solver_module
 from aggmfg import (
     SolverConfig,
     SpaceTimeField,
@@ -45,6 +48,29 @@ def test_picard_map_is_identity_when_decoupled(grid_1d):
     w2, mu2 = picard_map(mu1.values, p, grid_1d, fields=fields)
     assert np.array_equal(w1.values, w2.values)
     assert np.array_equal(mu1.values, mu2.values)
+
+
+def test_picard_map_releases_the_heat_coefficient_before_the_density_march(
+    grid_2d, monkeypatch
+):
+    heat, fp = solver_module.solve_backward_heat, solver_module.solve_fokker_planck
+    coefficient = []
+    alive = []
+
+    def recording_heat(terminal, c, grid, **kwargs):
+        coefficient.append(weakref.ref(c))
+        return heat(terminal, c, grid, **kwargs)
+
+    def checking_fp(*args, **kwargs):
+        alive.append(coefficient[-1]() is not None)
+        return fp(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "solve_backward_heat", recording_heat)
+    monkeypatch.setattr(solver_module, "solve_fokker_planck", checking_fp)
+    p = gaussian_problem(sigma=1.0, dim=2, horizon=grid_2d.horizon)
+    fields = sample_on_grid(p, grid_2d)
+    picard_map(np.tile(fields.m0, (grid_2d.nt + 1, 1)), p, grid_2d, fields=fields)
+    assert alive == [False]
 
 
 def test_solve_decoupled_single_iteration(grid_1d):
