@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretization import Grid, _level_blocks, gradient, integrate, integrate_space_time
+from .discretization import Grid, _level_blocks, gradient, integrate
 from .errors import ConfigError
 from .problem import (
     ConditionCheck,
@@ -21,6 +21,7 @@ from .problem import (
     ProblemFields,
     ProblemSpec,
     check_structural_conditions,
+    coupling_mass,
     eval_coupling,
     sample_on_grid,
 )
@@ -462,7 +463,7 @@ def compute_apriori(m, p: ProblemSpec, grid: Grid) -> AprioriReport:
     mv = _values(m)
     alpha = p.coupling.alpha
     power = 2.0 * alpha + 1.0
-    d_value = integrate_space_time(np.maximum(mv, 0.0) ** power, grid)
+    d_value = coupling_mass(mv, p.coupling, grid)
     q = 2.0 * power / (alpha + 1.0)
     delta = 4.0 / q
     beta = alpha * p.dim / 2.0

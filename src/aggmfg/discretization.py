@@ -76,6 +76,13 @@ class Grid:
         return np.outer(self.axis_weights, self.axis_weights).ravel()
 
     @cached_property
+    def time_weights(self) -> np.ndarray:
+        """Trapezoid weights of the time levels, shape (nt+1,)."""
+        tw = np.full(self.nt + 1, self.dt)
+        tw[0] = tw[-1] = 0.5 * self.dt
+        return tw
+
+    @cached_property
     def coordinates(self) -> np.ndarray:
         """Node coordinates, shape (dim, n_nodes)."""
         if self.dim == 1:
@@ -157,9 +164,7 @@ def integrate(field_slice: np.ndarray, grid: Grid, weight: np.ndarray | None = N
 def integrate_space_time(values: np.ndarray, grid: Grid) -> float:
     """Trapezoid integral over space and time of a (nt+1, n_nodes) array."""
     spatial = _values(values) @ grid.weights
-    tw = np.full(grid.nt + 1, grid.dt)
-    tw[0] = tw[-1] = 0.5 * grid.dt
-    return float(np.dot(tw, spatial))
+    return float(np.dot(grid.time_weights, spatial))
 
 
 def laplacian(field: np.ndarray, grid: Grid) -> np.ndarray:

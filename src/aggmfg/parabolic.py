@@ -10,6 +10,8 @@ keeps the iteration matrix an M-matrix, hence mu >= 0 unconditionally.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, repeat
 
 import numpy as np
 from scipy.linalg import LinAlgError
@@ -77,17 +79,54 @@ def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, x: np.ndarray) -
     return x
 
 
-def _level_views(ab: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The (dl, d, du) diagonals solve_banded takes, one triple per level.
+def _diagonals(ab: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (dl, d, du) diagonals solve_banded takes, as stacks of one row per level.
 
-    ab has shape (3, levels, lines, n) and holds each line's matrix in the
+    ab has shape (3, levels, ...) and holds each line's matrix in the
     (1, 1) layout of scipy.linalg.solve_banded, with the unused ends
     ab[0, ..., 0] and ab[2, ..., -1] zero: those are the couplings between
-    stacked lines. The triples are views, so the levels' bands are solved
+    stacked lines. The rows are views, so the levels' bands are solved
     where they were built.
     """
     upper, diag, lower = ab.reshape(ab.shape[:2] + (-1,))
-    return list(zip(lower[:, :-1], diag, upper[:, 1:]))
+    return lower[:, :-1], diag, upper[:, 1:]
+
+
+def _level_moves(dst, src, x, sweeps, scratch):
+    """The moves of a block of time steps, in march order, for _march.
+
+    dst and src hold the levels stepped onto and from, x the layouts in
+    which the last sweep solves dst, and sweeps the (dl, d, du) stacks of
+    each sweep axis, all with one row per step in march order. In 2D a step
+    is two moves: the axis-0 lines are solved in the scratch buffer, whose
+    transpose has the level's layout, then the axis-1 lines in the level.
+    """
+    if len(sweeps) == 1:
+        return zip(dst, src, x, *sweeps[0])
+    lines = scratch.T
+    return chain.from_iterable(zip(
+        zip(repeat(lines), src, repeat(scratch.reshape(-1)), *sweeps[0]),
+        zip(dst, repeat(lines), x, *sweeps[1]),
+    ))
+
+
+def _march(moves, fill=None) -> None:
+    """Make the moves of one block of time levels, one after another.
+
+    A move (dst, src, x, dl, d, du) is one sweep of one time step: fill dst
+    from src, then solve the tridiagonal system with bands dl, d, du in
+    place in x, which is dst's memory in the layout solve_banded takes.
+    Implicit Euler fills by a copy; fill(k, dst, src), when given, forms the
+    right-hand side of the block's k-th move instead.
+    """
+    if fill is None:
+        for dst, src, x, dl, d, du in moves:
+            dst[...] = src
+            solve_banded(dl, d, du, x)
+    else:
+        for k, (dst, src, x, dl, d, du) in enumerate(moves):
+            fill(k, dst, src)
+            solve_banded(dl, d, du, x)
 
 
 # ---------------------------------------------------------------------------
@@ -119,12 +158,12 @@ def solve_backward_heat(
 
     In 2D each step is Lie split into line sweeps: the axis-0 sweep carries
     the zeroth order coefficient, the axis-1 sweep is pure diffusion, and
-    each sweep is an M-matrix solve. The coefficient sweep's bands and the
-    sign check are done for a block of time levels at a time. Every line of
-    the diffusion sweep has the same matrix, so that sweep solves the
-    level's rows as the columns of one multi-right-hand-side call, with a
-    fresh copy of one line's bands. Each step is thus only a copy of the
-    previous level and one in-place solve per sweep.
+    each sweep is an M-matrix solve. The bands and the sign check are done
+    for a block of time levels at a time. Every line of the diffusion sweep
+    has the same matrix, so that sweep solves the level's rows as the
+    columns of one multi-right-hand-side call, with its own copy of one
+    line's bands. Each step is thus only a copy of the previous level and
+    one in-place solve per sweep.
     """
     _check_scheme(scheme)
     w_T = np.asarray(terminal, dtype=float)
@@ -144,43 +183,46 @@ def solve_backward_heat(
     theta = 0.5 if half else 1.0
     r = theta * dt / grid.dx**2
     shape = (grid.nx ** (grid.dim - 1), grid.nx)
-    axes = range(-grid.dim, 0)  # grid axis a is array axis a - dim
-    first = axes[0]  # the axis-0 sweep, which carries the coefficient
+    first = -grid.dim  # the axis-0 sweep, which carries the coefficient
     c = c.reshape((grid.nt + 1,) + shape)
     w = np.empty((grid.nt + 1, grid.n_nodes))
     w[-1] = w_T
     rows = w.reshape((grid.nt + 1,) + shape)
-    scratch = np.empty(shape)
-    # one line's bands of the pure diffusion sweep, copied for every solve
-    # because dgtsv overwrites them
-    line = np.empty((3, 1, 1, grid.nx))
-    line[1] = 1.0 + 2.0 * r
-    _diffusion_off_diagonals(line, r)
-    (diffusion,) = _level_views(line)
+    scratch = None
+    if grid.dim == 2:
+        scratch = np.empty(shape)
+        # one line's bands of the pure diffusion sweep
+        line = np.empty((3, 1, grid.nx))
+        line[1] = 1.0 + 2.0 * r
+        _diffusion_off_diagonals(line, r)
+
+    def explicit_half(top: int, k: int, dst: np.ndarray, src: np.ndarray) -> None:
+        """Crank-Nicolson right-hand side of move k of the block below level top."""
+        j = top - 1 - k // grid.dim  # the level stepped onto
+        ax = k % grid.dim - grid.dim  # grid axis a is array axis a - dim
+        if ax == first:
+            dst[...] = src + r * second_difference(src, ax) + 0.5 * dt * c[j + 1] * src
+        else:
+            dst[...] = src + r * second_difference(src, ax)
+
     for lo, hi in reversed(list(_level_blocks(grid.nt, grid.n_nodes))):
         # bands of the coefficient sweep, one set per level
         bands = np.empty((3, hi - lo) + shape)
         np.multiply(theta * dt, c[lo:hi].swapaxes(first, -1), out=bands[1])
         np.subtract(1.0 + 2.0 * r, bands[1], out=bands[1])
         _diffusion_off_diagonals(bands, r)
-        for j, coupled in zip(range(hi - 1, lo - 1, -1), reversed(_level_views(bands))):
-            src = rows[j + 1]
-            for ax in axes:
-                if ax == -1:
-                    dst, x = rows[j], w[j]
-                else:
-                    dst, x = scratch.swapaxes(ax, -1), scratch.reshape(-1)
-                if not half:
-                    dst[...] = src
-                elif ax == first:
-                    dst[...] = src + r * second_difference(src, ax) + 0.5 * dt * c[j + 1] * src
-                else:
-                    dst[...] = src + r * second_difference(src, ax)
-                if ax == first:
-                    solve_banded(*coupled, x)
-                else:  # the level's lines are the columns of dst.T
-                    solve_banded(*(band.copy() for band in diffusion), dst.T)
-                src = dst
+        sweeps = [[band[::-1] for band in _diagonals(bands)]]
+        dst = rows[lo:hi][::-1]
+        if grid.dim == 1:
+            x = w[lo:hi][::-1]
+        else:
+            # each level's diffusion sweep gets its own bands, as dgtsv
+            # overwrites them, and solves the level's lines as the columns
+            # of its transpose
+            sweeps.append(_diagonals(np.broadcast_to(line, (3, hi - lo, grid.nx)).copy()))
+            x = dst.swapaxes(1, 2)
+        moves = _level_moves(dst, rows[lo + 1 : hi + 1][::-1], x, sweeps, scratch)
+        _march(moves, partial(explicit_half, hi) if half else None)
         _check_positive(w, lo, hi)
     return SpaceTimeField(w, grid)
 
@@ -189,9 +231,14 @@ def _check_positive(w: np.ndarray, lo: int, hi: int) -> None:
     """Raise PositivityError if a level of w[lo:hi] has a non-positive node.
 
     The march runs downward, so the level named is the highest failing one,
-    which a check after every step would have met first.
+    which a check after every step would have met first. One minimum over
+    the block clears it; only a failing block, a NaN included, is searched
+    level by level.
     """
-    low = w[lo:hi].min(axis=1)
+    block = w[lo:hi]
+    if block.min() > 0.0:
+        return
+    low = block.min(axis=1)
     bad = np.flatnonzero(~(low > 0.0))
     if bad.size:
         k = bad[-1]
@@ -281,34 +328,31 @@ def solve_fokker_planck(
     half = scheme == "crank_nicolson"
     dt = 0.5 * grid.dt if half else grid.dt
     shape = (grid.nx ** (grid.dim - 1), grid.nx)
-    axes = range(-grid.dim, 0)  # grid axis a is array axis a - dim
     b = b.reshape((grid.nt + 1, grid.dim) + shape)
     mu = np.empty((grid.nt + 1, grid.n_nodes))
     mu[0] = mu0
     rows = mu.reshape((grid.nt + 1,) + shape)
-    scratch = np.empty(shape)
+    scratch = np.empty(shape) if grid.dim == 2 else None
+
+    def explicit_half(bottom: int, k: int, dst: np.ndarray, src: np.ndarray) -> None:
+        """Crank-Nicolson right-hand side of move k of the block above level bottom."""
+        n = bottom + 1 + k // grid.dim  # the level stepped onto
+        a = k % grid.dim
+        flux = _flux_divergence_axis(b[n - 1, a], src, grid, a - grid.dim, diffusion=True)
+        dst[...] = src - dt * flux
+
     for lo, hi in _level_blocks(grid.nt, grid.n_nodes):
         start = lo
         while start < hi:
-            # bands of the steps onto levels start+1 .. hi, for every sweep axis
-            steps = list(zip(*(
-                _level_views(_fp_bands(b[start + 1 : hi + 1, a].swapaxes(ax, -1), grid, dt))
-                for a, ax in enumerate(axes)
-            )))
-            for n, level in zip(range(start + 1, hi + 1), steps):
-                src = rows[n - 1]
-                for a, (ax, views) in enumerate(zip(axes, level)):
-                    if ax == -1:
-                        dst, x = rows[n], mu[n]
-                    else:
-                        dst, x = scratch.swapaxes(ax, -1), scratch.reshape(-1)
-                    if half:
-                        flux = _flux_divergence_axis(b[n - 1, a], src, grid, ax, diffusion=True)
-                        dst[...] = src - dt * flux
-                    else:
-                        dst[...] = src
-                    solve_banded(*views, x)
-                    src = dst
+            # bands of the steps onto levels start+1 .. hi, for every sweep
+            # axis (grid axis a is array axis a - dim)
+            sweeps = [
+                _diagonals(_fp_bands(b[start + 1 : hi + 1, a].swapaxes(a - grid.dim, -1), grid, dt))
+                for a in range(grid.dim)
+            ]
+            levels = slice(start + 1, hi + 1)
+            moves = _level_moves(rows[levels], rows[start:hi], mu[levels], sweeps, scratch)
+            _march(moves, partial(explicit_half, start) if half else None)
             start = _clamp_undershoot(mu, start, hi)
     return SpaceTimeField(mu, grid)
 
@@ -320,7 +364,10 @@ def _clamp_undershoot(mu: np.ndarray, lo: int, hi: int) -> int:
     it, or hi when no level dips. An undershoot below -1e-12 raises
     SchemeViolationError instead.
     """
-    low = mu[lo + 1 : hi + 1].min(axis=1)
+    block = mu[lo + 1 : hi + 1]
+    if block.min() >= 0.0:  # a NaN fails this and is searched for level by level
+        return hi
+    low = block.min(axis=1)
     neg = np.flatnonzero(low < 0.0)
     if not neg.size:
         return hi

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretization import Grid, integrate
+from .discretization import Grid, integrate, integrate_space_time
 from .errors import ConfigError
 
 
@@ -54,6 +54,17 @@ def eval_coupling(coupling: CouplingSpec, m: np.ndarray):
         else:
             fp = sigma * alpha * m ** (alpha - 1.0)
     return f, F, fp
+
+
+def coupling_mass(m: np.ndarray, coupling: CouplingSpec, grid: Grid, out=None) -> float:
+    """D, the space-time integral of max(m, 0)^(2 alpha + 1): the blow-up monitor.
+
+    m has shape (nt+1, n_nodes). out, when given, is an array of that shape
+    that receives the integrand instead of a new one.
+    """
+    out = np.maximum(m, 0.0, out=out)
+    out **= 2.0 * coupling.alpha + 1.0
+    return integrate_space_time(out, grid)
 
 
 @dataclass(frozen=True)

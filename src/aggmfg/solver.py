@@ -25,7 +25,7 @@ from .discretization import (
 )
 from .errors import SolverError
 from .parabolic import solve_backward_heat, solve_fokker_planck
-from .problem import ProblemFields, ProblemSpec, sample_on_grid
+from .problem import ProblemFields, ProblemSpec, coupling_mass, sample_on_grid
 
 VERDICT_CONVERGED = "converged"
 VERDICT_DIVERGED = "diverged"
@@ -126,10 +126,26 @@ def _rel_l1_change(new: np.ndarray, old: np.ndarray, grid: Grid) -> float:
     return num / den if den > 0 else np.inf
 
 
-def _coupling_mass(m_values: np.ndarray, p: ProblemSpec, grid: Grid) -> float:
-    """Space-time integral of m^(2 alpha + 1), the blow-up monitor."""
-    power = 2.0 * p.coupling.alpha + 1.0
-    return integrate_space_time(np.maximum(m_values, 0.0) ** power, grid)
+def _damped_update(
+    m: np.ndarray, mu: np.ndarray, damping: float, den: float, p: ProblemSpec, grid: Grid
+) -> tuple[np.ndarray, float, float, float]:
+    """The damped Picard update and its monitors, worked out in mu's buffer.
+
+    den is the integral of |m|. Returns m_new = (1 - damping) m + damping mu,
+    the relative change (integral of |m_new - m|) / den, the blow-up monitor
+    D of m_new, and the integral of |m_new|, which is the next update's den.
+    mu is overwritten. Every value has the bits of the plain expressions,
+    which would allocate a trajectory apiece.
+    """
+    mu *= damping
+    m_new = (1.0 - damping) * m
+    m_new += mu
+    np.subtract(m_new, m, out=mu)
+    np.abs(mu, out=mu)
+    res = integrate_space_time(mu, grid) / den if den > 0 else np.inf
+    d_val = coupling_mass(m_new, p.coupling, grid, out=mu)
+    np.abs(m_new, out=mu)
+    return m_new, res, d_val, integrate_space_time(mu, grid)
 
 
 def _initial_trajectory(fields: ProblemFields, grid: Grid, cfg: SolverConfig) -> np.ndarray:
@@ -160,6 +176,7 @@ def solve(
     if fields is None:
         fields = sample_on_grid(p, grid)
     m = _initial_trajectory(fields, grid, cfg)
+    den = integrate_space_time(np.abs(m), grid)
 
     residuals: list[float] = []
     d_history: list[float] = []
@@ -176,9 +193,7 @@ def solve(
                 d_final=np.inf,
                 note=f"linear march failed: {exc}",
             )
-        m_new = (1.0 - cfg.damping) * m + cfg.damping * mu.values
-        res = _rel_l1_change(m_new, m, grid)
-        d_val = _coupling_mass(m_new, p, grid)
+        m_new, res, d_val, next_den = _damped_update(m, mu.values, cfg.damping, den, p, grid)
         residuals.append(res)
         d_history.append(d_val)
         if not np.isfinite(res) or not np.isfinite(d_val) or d_val > cfg.d_cap:
@@ -190,7 +205,7 @@ def solve(
                 d_final=d_val,
                 note="blow-up monitor exceeded" if np.isfinite(d_val) else "non-finite iterate",
             )
-        m = m_new
+        m, den = m_new, next_den
         if res <= cfg.tol:
             return _finalize(p, grid, cfg, fields, m, w, it, residuals, d_history)
     return SolveOutcome(

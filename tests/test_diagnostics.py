@@ -17,8 +17,8 @@ from aggmfg import (
     planning_horizon,
     solve,
 )
-from aggmfg.discretization import Grid, _level_blocks, gradient, integrate
-from aggmfg.problem import PotentialSpec, eval_coupling, sample_on_grid
+from aggmfg.discretization import Grid, _level_blocks, gradient, integrate, integrate_space_time
+from aggmfg.problem import PotentialSpec, coupling_mass, eval_coupling, sample_on_grid
 from tests.conftest import gaussian_problem
 
 
@@ -159,6 +159,15 @@ def test_apriori_exponent_bookkeeping():
     p3 = gaussian_problem(sigma=1.0, alpha=1.5)
     m3 = np.tile(sample_on_grid(p3, g1).m0, (g1.nt + 1, 1))
     assert compute_apriori(m3, p3, g1).growth_a is None
+
+
+def test_apriori_d_is_the_solvers_blow_up_monitor(rng):
+    g = Grid(dim=1, half_width=6.0, nx=33, nt=8, horizon=1.0)
+    p = gaussian_problem(sigma=1.0, alpha=1.3)
+    m = rng.standard_normal((g.nt + 1, g.n_nodes))  # negative nodes are clipped
+    d_value = compute_apriori(m, p, g).d_value
+    assert d_value == coupling_mass(m, p.coupling, g)
+    assert d_value == integrate_space_time(np.maximum(m, 0.0) ** (2.0 * 1.3 + 1.0), g)
 
 
 def test_energy_reduces_to_coupling_for_flat_value():

@@ -68,6 +68,14 @@ def test_integrate_space_time_constant():
     assert integrate_space_time(values, g) == pytest.approx(4.0)
 
 
+def test_time_weights_are_cached_trapezoid_weights():
+    g = Grid(dim=1, half_width=2.0, nx=9, nt=10, horizon=1.0)
+    expected = np.full(g.nt + 1, g.dt)
+    expected[0] = expected[-1] = 0.5 * g.dt
+    assert np.array_equal(g.time_weights, expected)
+    assert g.time_weights is g.time_weights
+
+
 def test_laplacian_quadratic_interior_exact():
     g = Grid(dim=1, half_width=12.0, nx=129, nt=1, horizon=1.0)
     out = laplacian(g.axis**2, g)

@@ -322,20 +322,24 @@ def test_2d_marches_solve_each_sweep_in_one_kernel_call(monkeypatch, rng):
     assert heat == fp == [g.n_nodes] * (2 * g.nt)
 
 
+def _stacked_diagonals(ab):
+    """Fresh (dl, d, du) of the lines of ab, shape (3, lines, n) in the (1, 1) layout, end to end."""
+    upper, diag, lower = ab.reshape(3, -1)
+    return lower[:-1].copy(), diag.copy(), upper[1:].copy()
+
+
 def test_line_sweep_kernel_solves_in_place(rng):
-    ab = rng.random((3, 1, 4, 9))
+    ab = rng.random((3, 4, 9))
     ab[1] += 3.0
-    ab[0, ..., 0] = ab[2, ..., -1] = 0.0  # no coupling between the stacked lines
+    ab[0, :, 0] = ab[2, :, -1] = 0.0  # no coupling between the stacked lines
     rhs = rng.standard_normal((4, 9))
-    expected = np.stack([scipy_solve_banded((1, 1), ab[:, 0, i], rhs[i]) for i in range(4)])
-    (views,) = parabolic._level_views(ab.copy())
+    expected = np.stack([scipy_solve_banded((1, 1), ab[:, i], rhs[i]) for i in range(4)])
     x = rhs.ravel().copy()
-    assert parabolic.solve_banded(*views, x) is x
+    assert parabolic.solve_banded(*_stacked_diagonals(ab), x) is x
     assert np.array_equal(x.reshape(4, 9), expected)
     # a strided right-hand side would be solved in a copy, not in place
-    (views,) = parabolic._level_views(ab.copy())
     with pytest.raises(ValueError, match="contiguous"):
-        parabolic.solve_banded(*views, np.ones(2 * x.size)[::2])
+        parabolic.solve_banded(*_stacked_diagonals(ab), np.ones(2 * x.size)[::2])
 
 
 def test_line_sweep_kernel_solves_many_right_hand_sides_with_one_lines_bands(rng):
@@ -351,12 +355,11 @@ def test_line_sweep_kernel_solves_many_right_hand_sides_with_one_lines_bands(rng
 
 
 def test_line_sweep_kernel_rejects_singular_line():
-    ab = np.zeros((3, 1, 2, 5))
+    ab = np.zeros((3, 2, 5))
     ab[1] = 1.0
-    ab[1, 0, 1, 2] = 0.0  # a zero row in the second line only
-    (views,) = parabolic._level_views(ab)
+    ab[1, 1, 2] = 0.0  # a zero row in the second line only
     with pytest.raises(LinAlgError):
-        parabolic.solve_banded(*views, np.ones(10))
+        parabolic.solve_banded(*_stacked_diagonals(ab), np.ones(10))
 
 
 def _inject_after_kernel(monkeypatch, values):
@@ -391,6 +394,17 @@ def test_heat_block_check_names_the_first_level_the_march_reaches(monkeypatch):
     # what a check after every step would raise: level 12, not the lower,
     # more negative level 5
     assert str(exc.value) == "value field lost positivity at time level 12 (min -5.000e-01)"
+
+
+def test_heat_block_check_names_a_nan_level(monkeypatch):
+    # a NaN passes no comparison, so it fails the block's single minimum and
+    # the level-by-level search names the level it appeared at (call 7
+    # solves level 12; the levels below inherit the NaN)
+    g = _one_block_grid()
+    _inject_after_kernel(monkeypatch, {7: np.nan})
+    with pytest.raises(PositivityError) as exc:
+        solve_backward_heat(_gaussian(g) + 0.1, np.zeros((g.nt + 1, g.n_nodes)), g)
+    assert str(exc.value) == "value field lost positivity at time level 12 (min nan)"
 
 
 def test_fokker_planck_clamps_a_small_undershoot_and_resolves_the_block(monkeypatch, rng):
@@ -436,6 +450,16 @@ def test_fokker_planck_deep_undershoot_names_its_level(monkeypatch, rng):
     g = _one_block_grid()
     b = 0.5 * rng.standard_normal((g.nt + 1, 1, g.n_nodes))
     _inject_after_kernel(monkeypatch, {9: -1e-11})
+    with pytest.raises(SchemeViolationError, match=r"undershoot -1\.000e-11 at time level 10$"):
+        solve_fokker_planck(_gaussian(g), b, g)
+
+
+def test_fokker_planck_nan_does_not_hide_an_earlier_undershoot(monkeypatch, rng):
+    # the block's single minimum is NaN here (call 14 solves level 15), so
+    # the level-by-level search still finds the undershoot below it
+    g = _one_block_grid()
+    b = 0.5 * rng.standard_normal((g.nt + 1, 1, g.n_nodes))
+    _inject_after_kernel(monkeypatch, {9: -1e-11, 14: np.nan})
     with pytest.raises(SchemeViolationError, match=r"undershoot -1\.000e-11 at time level 10$"):
         solve_fokker_planck(_gaussian(g), b, g)
 

@@ -21,6 +21,7 @@ from aggmfg.discretization import (
     flux_divergence,
     gradient,
     integrate,
+    integrate_space_time,
     laplacian,
 )
 from aggmfg.problem import eval_coupling, sample_on_grid
@@ -234,3 +235,21 @@ def test_solve_2d_coupled_with_potential():
     assert out.converged
     assert out.m.values.min() >= 0.0
     assert out.w.values.min() > 0.0
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.3, 2.0])
+def test_damped_update_matches_the_plain_expressions(alpha, rng):
+    # the update and its monitors are formed in the fresh density's buffer
+    # and must keep the bits of the expressions that allocate (alpha 0.5
+    # gives the power 2, which numpy computes as a square)
+    g = Grid(dim=1, half_width=6.0, nx=33, nt=12, horizon=0.5)
+    p = gaussian_problem(sigma=1.0, alpha=alpha, horizon=0.5)
+    m = rng.standard_normal((g.nt + 1, g.n_nodes))  # negative nodes are clipped
+    mu = rng.random((g.nt + 1, g.n_nodes))
+    den = integrate_space_time(np.abs(m), g)
+    m_new, res, d_val, next_den = solver_module._damped_update(m, mu.copy(), 0.8, den, p, g)
+    expected = (1.0 - 0.8) * m + 0.8 * mu
+    assert np.array_equal(m_new, expected)
+    assert res == integrate_space_time(np.abs(expected - m), g) / den
+    assert d_val == integrate_space_time(np.maximum(expected, 0.0) ** (2.0 * alpha + 1.0), g)
+    assert next_den == integrate_space_time(np.abs(expected), g)
