@@ -54,8 +54,9 @@ def compute_energy(
 ) -> EnergyReport:
     """Time series of the conserved energy and its four components.
 
-    The integrands are formed over blocks of time levels; each level's
-    integral is its own quadrature.
+    The integrands are formed over blocks of time levels, and one np.vecdot
+    per block and integrand gives each level's quadrature, with the bits of
+    integrate on that level.
     """
     uv, mv = _values(u), _values(m)
     if fields is None:
@@ -65,17 +66,16 @@ def compute_energy(
     kinetic = np.empty(nt + 1)
     coupling = np.empty(nt + 1)
     potential = np.empty(nt + 1)
+    w = grid.weights
     for lo, hi in _level_blocks(nt + 1, grid.n_nodes):
         mb = mv[lo:hi]
         gu = gradient(uv[lo:hi], grid)
         gm = gradient(mb, grid)
         _, F, _ = eval_coupling(p.coupling, np.maximum(mb, 0.0))
-        terms = zip(np.sum(gu * gm, axis=-2), np.sum(gu**2, axis=-2) * mb, F, fields.v * mb)
-        for j, (c_j, k_j, F_j, v_j) in enumerate(terms, start=lo):
-            cross[j] = integrate(c_j, grid)
-            kinetic[j] = 0.5 * integrate(k_j, grid)
-            coupling[j] = integrate(F_j, grid)
-            potential[j] = -integrate(v_j, grid)
+        cross[lo:hi] = np.vecdot(np.sum(gu * gm, axis=-2), w)
+        kinetic[lo:hi] = 0.5 * np.vecdot(np.sum(gu**2, axis=-2) * mb, w)
+        coupling[lo:hi] = np.vecdot(F, w)
+        potential[lo:hi] = -np.vecdot(fields.v * mb, w)
     total = cross + kinetic + coupling + potential
     return EnergyReport(
         times=grid.times.copy(),
@@ -125,6 +125,8 @@ def check_moment_identity(
     the second equates d2h/dt2 with 4E + 2*dim*int(f m) - 2(dim+2)*int(F)
     + 4*int(V m) + 2*int(grad V . x m). Residuals r1, r2 are weighted L1
     norms over interior time nodes, derivatives by centered differences.
+    Every level's integrals come from one np.vecdot per block and integrand,
+    with the bits of integrate on that level.
     """
     uv, mv = _values(u), _values(m)
     if fields is None:
@@ -137,29 +139,32 @@ def check_moment_identity(
     r_abs = grid.radius
     band = np.max(np.abs(pts), axis=0) >= 0.9 * grid.half_width
     gv_dot_x = np.sum(fields.grad_v * pts, axis=0)
+    w = grid.weights
 
-    mass = np.array([integrate(mv[j], grid) for j in range(nt + 1)])
-    tail = np.array([integrate(mv[j] * band, grid) for j in range(nt + 1)])
-    h = np.array([integrate(mv[j], grid, weight=r_sq) for j in range(nt + 1)])
-    abs_m = np.array([integrate(mv[j], grid, weight=r_abs) for j in range(nt + 1)])
-
+    mass = np.empty(nt + 1)
+    tail = np.empty(nt + 1)
+    h = np.empty(nt + 1)
+    abs_m = np.empty(nt + 1)
     rhs1 = np.empty(nt + 1)
     rhs2 = np.empty(nt + 1)
     for lo, hi in _level_blocks(nt + 1, grid.n_nodes):
         mb = mv[lo:hi]
+        mass[lo:hi] = np.vecdot(mb, w)
+        tail[lo:hi] = np.vecdot(mb * band, w)
+        h[lo:hi] = np.vecdot(mb * r_sq, w)
+        abs_m[lo:hi] = np.vecdot(mb * r_abs, w)
         transport = mb * np.sum(gradient(uv[lo:hi], grid) * pts, axis=-2)
         f, F, _ = eval_coupling(p.coupling, np.maximum(mb, 0.0))
-        for j, (m_j, t_j, f_j, F_j) in enumerate(zip(mb, transport, f, F), start=lo):
-            # weak form with test function |x|^2: Lap gives 2N, the drift term
-            # -grad u picks up grad |x|^2 = 2x, hence the 2 on the transport
-            rhs1[j] = 2.0 * n * mass[0] - 2.0 * integrate(t_j, grid)
-            rhs2[j] = (
-                4.0 * energy.total[j]
-                + 2.0 * n * integrate(f_j * m_j, grid)
-                - 2.0 * (n + 2.0) * integrate(F_j, grid)
-                + 4.0 * integrate(fields.v * m_j, grid)
-                + 2.0 * integrate(gv_dot_x * m_j, grid)
-            )
+        # weak form with test function |x|^2: Lap gives 2N, the drift term
+        # -grad u picks up grad |x|^2 = 2x, hence the 2 on the transport
+        rhs1[lo:hi] = 2.0 * n * mass[0] - 2.0 * np.vecdot(transport, w)
+        rhs2[lo:hi] = (
+            4.0 * energy.total[lo:hi]
+            + 2.0 * n * np.vecdot(f * mb, w)
+            - 2.0 * (n + 2.0) * np.vecdot(F, w)
+            + 4.0 * np.vecdot(fields.v * mb, w)
+            + 2.0 * np.vecdot(gv_dot_x * mb, w)
+        )
 
     hprime = (h[2:] - h[:-2]) / (2.0 * dt)
     hsecond = (h[2:] - 2.0 * h[1:-1] + h[:-2]) / dt**2

@@ -125,16 +125,19 @@ class SpaceTimeField:
             )
 
 
-# Time-level blocks hold this many node rows: enough that one set
-# of array calls serves 15 to 63 levels of a 1D grid, few enough that the
-# block temporaries add nothing measurable to peak memory (building for the
-# whole horizon at once added 5 to 20 MB on the benchmark solves).
-_BLOCK_ROWS = 4096
+# Time-level blocks hold this many node rows: enough that one set of array
+# calls serves 63 to 252 levels of a 1D grid, few enough that the block
+# temporaries stay small (building for the whole horizon at once added 5 to
+# 20 MB on the benchmark solves, and 65536-row blocks were slower). The
+# marches keep one block's bands alive at a time, and the Picard loop drops
+# the last map's fields before the next map; both pay for these blocks'
+# memory.
+_BLOCK_ROWS = 16384
 # A block holds at least this many levels, so that a 2D grid whose level
-# alone fills _BLOCK_ROWS (65 x 65 has 4225 nodes) still shares one set of
-# band builds, views and sign checks among several levels. The Picard map
-# frees the heat coefficient before the Fokker-Planck march to make room
-# for these larger blocks.
+# is a large part of _BLOCK_ROWS (65 x 65 has 4225 nodes, 3 to a block
+# otherwise) still shares one set of band builds, views and sign checks
+# among several levels. The Picard map frees the heat coefficient before
+# the Fokker-Planck march to make room for these blocks.
 _MIN_BLOCK_LEVELS = 4
 
 

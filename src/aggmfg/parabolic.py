@@ -223,6 +223,9 @@ def solve_backward_heat(
             x = dst.swapaxes(1, 2)
         moves = _level_moves(dst, rows[lo + 1 : hi + 1][::-1], x, sweeps, scratch)
         _march(moves, partial(explicit_half, hi) if half else None)
+        # the spent moves still hold the bands; free them before the next
+        # block's are built, so one block's bands are alive at a time
+        del bands, sweeps, moves
         _check_positive(w, lo, hi)
     return SpaceTimeField(w, grid)
 
@@ -353,6 +356,7 @@ def solve_fokker_planck(
             levels = slice(start + 1, hi + 1)
             moves = _level_moves(rows[levels], rows[start:hi], mu[levels], sweeps, scratch)
             _march(moves, partial(explicit_half, start) if half else None)
+            del sweeps, moves  # one block's bands alive at a time, as in the heat march
             start = _clamp_undershoot(mu, start, hi)
     return SpaceTimeField(mu, grid)
 

@@ -180,8 +180,8 @@ def solve(
 
     residuals: list[float] = []
     d_history: list[float] = []
-    w = None
     for it in range(1, cfg.max_iter + 1):
+        w = None  # the last map's value field is dead; free it before the next map
         try:
             w, mu = picard_map(m, p, grid, fields=fields, scheme=cfg.time_scheme)
         except SolverError as exc:
@@ -194,6 +194,7 @@ def solve(
                 note=f"linear march failed: {exc}",
             )
         m_new, res, d_val, next_den = _damped_update(m, mu.values, cfg.damping, den, p, grid)
+        mu = None  # the update's scratch: free it before the next map and _finalize
         residuals.append(res)
         d_history.append(d_val)
         if not np.isfinite(res) or not np.isfinite(d_val) or d_val > cfg.d_cap:
@@ -259,8 +260,9 @@ def self_consistency_residual(
     forward flux-form march with drift -grad u. Both are reported as
     quadrature-weighted L1 norms over interior space-time nodes, so the
     density residual sits at linear-solve roundoff on the solver's own
-    output. The stencils run over blocks of time levels; each level's
-    weighted norm is its own dot product, added in level order.
+    output. The stencils run over blocks of time levels; one np.vecdot per
+    block gives each level's weighted norm (the bits of a per-level np.dot),
+    and the norms are added in level order.
     """
     if fields is None:
         fields = sample_on_grid(p, grid)
@@ -279,14 +281,14 @@ def self_consistency_residual(
         gu = gradient(u0, grid)
         f = p.coupling.f(np.maximum(m0, 0.0))
         r = du - laplacian(u0, grid) + 0.5 * np.sum(gu**2, axis=-2) + f - fields.v
-        for row in np.abs(r):
-            hjb_total += float(np.dot(w_int, row)) * dt
+        for norm in np.vecdot(np.abs(r, out=r), w_int).tolist():
+            hjb_total += norm * dt
         # density residual at levels lo+1 .. hi, driven by -grad u
         b = gradient(u1, grid)
         np.negative(b, out=b)
         r = (m1 - m0) / dt - laplacian(m1, grid) + flux_divergence(b, m1, grid)
-        for row in np.abs(r):
-            fp_total += float(np.dot(w_int, row)) * dt
+        for norm in np.vecdot(np.abs(r, out=r), w_int).tolist():
+            fp_total += norm * dt
     return hjb_total, fp_total
 
 

@@ -10,6 +10,7 @@ from aggmfg import (
     ProblemSpec,
     TerminalCostSpec,
 )
+from aggmfg import discretization
 
 
 def gaussian_problem(sigma=0.05, alpha=2.0, horizon=1.0, dim=1, std=1.0, mean=0.0,
@@ -28,6 +29,12 @@ def gaussian_problem(sigma=0.05, alpha=2.0, horizon=1.0, dim=1, std=1.0, mean=0.
         data=DataSpec(m0=mixture,
                       terminal_cost=terminal if terminal is not None else TerminalCostSpec()),
     )
+
+
+def three_block_levels(n_nodes):
+    """A level count that _level_blocks splits into three blocks, the last one short."""
+    step = max(discretization._MIN_BLOCK_LEVELS, discretization._BLOCK_ROWS // n_nodes)
+    return 2 * step + step // 2
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from aggmfg.discretization import (
     integrate,
     second_difference,
 )
+from tests.conftest import three_block_levels
 
 
 def _gaussian(grid, std=1.0, mean=0.0):
@@ -215,16 +217,18 @@ def _far_field_drift_lines(rng, levels, lines, n):
 def test_fp_bands_match_per_line_bands(dim, axis, rng):
     g = Grid(dim=dim, half_width=6.0, nx=17, nt=4, horizon=0.2)
     lines = g.nx ** (dim - 1)
-    b = _far_field_drift_lines(rng, 4, lines, g.nx)
-    if axis == 0 and dim == 2:
-        # the axis-0 sweep sees its lines through a transposed view of the level
-        b = np.ascontiguousarray(b.swapaxes(-2, -1)).swapaxes(-2, -1)
-    with np.errstate(over="raise", invalid="raise"):
-        ab = parabolic._fp_bands(b, g, g.dt)
-    expected = np.empty_like(ab)
-    for idx in np.ndindex(b.shape[:-1]):
-        expected[(slice(None),) + idx] = _fp_band(b[idx], g, g.dt)
-    assert np.array_equal(ab, expected)
+    # a few levels, and a block of at least _BLOCK_ROWS node rows
+    for levels in (4, -(-_BLOCK_ROWS // g.n_nodes)):
+        b = _far_field_drift_lines(rng, levels, lines, g.nx)
+        if axis == 0 and dim == 2:
+            # the axis-0 sweep sees its lines through a transposed view of the level
+            b = np.ascontiguousarray(b.swapaxes(-2, -1)).swapaxes(-2, -1)
+        with np.errstate(over="raise", invalid="raise"):
+            ab = parabolic._fp_bands(b, g, g.dt)
+        expected = np.empty_like(ab)
+        for idx in np.ndindex(b.shape[:-1]):
+            expected[(slice(None),) + idx] = _fp_band(b[idx], g, g.dt)
+        assert np.array_equal(ab, expected)
 
 
 def _per_line_heat(w_T, c, g, scheme):
@@ -270,9 +274,9 @@ def _per_line_fokker_planck(mu0, b, g, scheme):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_line_sweep_matches_per_line_solves(dim, scheme, monkeypatch, rng):
     # nt = 6 fits in one block of time levels and the longer march spans
-    # several; with a one-row cap every block but the last holds the
+    # three; with a one-row cap every block but the last holds the
     # minimum of 4 levels, as a 65 x 65 level does under the default cap
-    cases = [(6, _BLOCK_ROWS, 1), ({1: 500, 2: 40}[dim], _BLOCK_ROWS, 3)]
+    cases = [(6, _BLOCK_ROWS, 1), (three_block_levels(17**dim), _BLOCK_ROWS, 3)]
     if dim == 2:
         cases.append((14, 1, 4))
     for nt, block_rows, min_blocks in cases:
@@ -291,6 +295,30 @@ def test_line_sweep_matches_per_line_solves(dim, scheme, monkeypatch, rng):
         mu0 = _gaussian(g)
         mu = solve_fokker_planck(mu0, b, g, scheme=scheme).values
         assert np.array_equal(mu, _per_line_fokker_planck(mu0, b, g, scheme))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_marches_hold_one_blocks_bands_at_a_time(dim, monkeypatch, rng):
+    # each block hands dim sets of bands to _diagonals in both marches (in
+    # 2D heat: the coefficient sweep's and the diffusion sweep's), so when
+    # a set is built only the same block's earlier sets may still be alive
+    g = Grid(dim=dim, half_width=6.0, nx=17, nt=three_block_levels(17**dim), horizon=1.0)
+    assert len(list(_level_blocks(g.nt, g.n_nodes))) == 3
+    diagonals = parabolic._diagonals
+    built = []
+    alive = []
+
+    def recording(ab):
+        alive.append(sum(ref() is not None for ref in built))
+        # the memory's owner: a view of the bands keeps it alive, not the view
+        built.append(weakref.ref(ab if ab.base is None else ab.base))
+        return diagonals(ab)
+
+    monkeypatch.setattr(parabolic, "_diagonals", recording)
+    solve_backward_heat(_gaussian(g) + 0.1, np.zeros((g.nt + 1, g.n_nodes)), g)
+    b = 0.5 * rng.standard_normal((g.nt + 1, dim, g.n_nodes))
+    solve_fokker_planck(_gaussian(g), b, g)
+    assert alive == [k % dim for k in range(2 * 3 * dim)]
 
 
 def _kernel_rows_per_march(dim, monkeypatch, rng):

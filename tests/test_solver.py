@@ -26,7 +26,7 @@ from aggmfg.discretization import (
 )
 from aggmfg.problem import eval_coupling, sample_on_grid
 from aggmfg.solver import _interior_mask
-from tests.conftest import gaussian_problem
+from tests.conftest import gaussian_problem, three_block_levels
 
 
 def test_hopf_cole_roundtrip(rng):
@@ -72,6 +72,35 @@ def test_picard_map_releases_the_heat_coefficient_before_the_density_march(
     fields = sample_on_grid(p, grid_2d)
     picard_map(np.tile(fields.m0, (grid_2d.nt + 1, 1)), p, grid_2d, fields=fields)
     assert alive == [False]
+
+
+def test_solve_frees_each_maps_dead_fields(grid_1d, monkeypatch):
+    mapping, heat = solver_module.picard_map, solver_module.solve_backward_heat
+    finalize = solver_module._finalize
+    maps = []
+    alive = []
+
+    def recording_map(*args, **kwargs):
+        w, mu = mapping(*args, **kwargs)
+        maps.append((weakref.ref(w.values), weakref.ref(mu.values)))
+        return w, mu
+
+    def checking_heat(*args, **kwargs):
+        if maps:  # the last map's w and mu, as the next map's heat march starts
+            alive.append([ref() is not None for ref in maps[-1]])
+        return heat(*args, **kwargs)
+
+    def checking_finalize(*args, **kwargs):
+        # the last map's w becomes the outcome's; its mu is dead
+        alive.append([ref() is not None for ref in maps[-1]])
+        return finalize(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "picard_map", recording_map)
+    monkeypatch.setattr(solver_module, "solve_backward_heat", checking_heat)
+    monkeypatch.setattr(solver_module, "_finalize", checking_finalize)
+    out = solve(gaussian_problem(sigma=0.05), grid_1d, SolverConfig(damping=0.5))
+    assert out.converged and out.iterations >= 3
+    assert alive == [[False, False]] * (out.iterations - 1) + [[True, False]]
 
 
 def test_solve_decoupled_single_iteration(grid_1d):
@@ -191,9 +220,9 @@ def _per_level_residual(uv, mv, p, g):
     return hjb, fp
 
 
-@pytest.mark.parametrize("dim,nx,nt", [(1, 17, 600), (2, 9, 120)])
-def test_blocked_residual_matches_per_level_loop(dim, nx, nt, rng):
-    g = Grid(dim=dim, half_width=4.0, nx=nx, nt=nt, horizon=1.0)
+@pytest.mark.parametrize("dim,nx", [(1, 17), (2, 9)])
+def test_blocked_residual_matches_per_level_loop(dim, nx, rng):
+    g = Grid(dim=dim, half_width=4.0, nx=nx, nt=three_block_levels(nx**dim), horizon=1.0)
     assert len(list(_level_blocks(g.nt, g.n_nodes))) >= 3
     p = gaussian_problem(sigma=3.0, dim=dim)
     u = rng.standard_normal((g.nt + 1, g.n_nodes))
