@@ -15,6 +15,7 @@ from typing import Any
 
 from .discretization import Grid
 from .errors import ConfigError
+from .parabolic import SCHEMES
 from .problem import (
     CouplingSpec,
     DataSpec,
@@ -23,7 +24,7 @@ from .problem import (
     ProblemSpec,
     TerminalCostSpec,
 )
-from .solver import SolverConfig
+from .solver import INITIAL_GUESSES, SolverConfig
 
 _SOLVER_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
 
@@ -144,49 +145,26 @@ def _mixture_from(chk: _Checker, base: str, dim: int) -> GaussianMixture | None:
     return GaussianMixture(weights=tuple(weights), means=tuple(means), stds=tuple(stds))
 
 
-def _potential_from(chk: _Checker, dim: int) -> PotentialSpec:
-    family = chk.choice(
-        "problem.potential.family", PotentialSpec._FAMILIES, default="zero"
-    )
+def _spec_from(chk: _Checker, base: str, spec, dim: int):
+    """A PotentialSpec or TerminalCostSpec (spec) from the config section base."""
+    family = chk.choice(f"{base}.family", spec._FAMILIES, default="zero")
     if family in (None, "zero"):
-        return PotentialSpec()
+        return spec()
     if family == "user_table":
-        table = chk.get("problem.potential.table", required=True)
+        table = chk.get(f"{base}.table", required=True)
         if not isinstance(table, dict) or not {"values", "gradient"} <= set(table):
-            chk.bad.append("problem.potential.table")
-            return PotentialSpec()
-        return PotentialSpec(family="user_table", table=table)
-    amplitude = chk.number("problem.potential.amplitude", default=0.0)
-    width = chk.number("problem.potential.width", default=1.0, strict_min=0.0)
-    center = chk.get("problem.potential.center", [0.0] * dim)
-    if not isinstance(center, list) or len(center) != dim:
-        chk.bad.append("problem.potential.center")
+            chk.bad.append(f"{base}.table")
+            return spec()
+        return spec(family="user_table", table=table)
+    center = chk.number_list(f"{base}.center") or [0.0] * dim
+    if len(center) != dim:
+        chk.bad.append(f"{base}.center")
         center = [0.0] * dim
-    return PotentialSpec(
+    return spec(
         family=family,
-        amplitude=amplitude if amplitude is not None else 0.0,
-        width=width if width is not None else 1.0,
-        center=tuple(float(c) for c in center),
-    )
-
-
-def _terminal_from(chk: _Checker, dim: int) -> TerminalCostSpec:
-    family = chk.choice(
-        "problem.terminal_cost.family", TerminalCostSpec._FAMILIES, default="zero"
-    )
-    if family in (None, "zero"):
-        return TerminalCostSpec()
-    amplitude = chk.number("problem.terminal_cost.amplitude", default=0.0)
-    width = chk.number("problem.terminal_cost.width", default=1.0, strict_min=0.0)
-    center = chk.get("problem.terminal_cost.center", [0.0] * dim)
-    if not isinstance(center, list) or len(center) != dim:
-        chk.bad.append("problem.terminal_cost.center")
-        center = [0.0] * dim
-    return TerminalCostSpec(
-        family=family,
-        amplitude=amplitude if amplitude is not None else 0.0,
-        width=width if width is not None else 1.0,
-        center=tuple(float(c) for c in center),
+        amplitude=chk.number(f"{base}.amplitude", default=0.0),
+        width=chk.number(f"{base}.width", default=1.0, strict_min=0.0),
+        center=tuple(center),
     )
 
 
@@ -199,8 +177,8 @@ def build_problem(cfg: dict, chk: _Checker | None = None) -> ProblemSpec | None:
     sigma = chk.number("problem.sigma", required=True, minimum=0.0)
     alpha = chk.number("problem.alpha", required=True, strict_min=0.0)
     mixture = _mixture_from(chk, "problem.initial_density", dim or 1)
-    potential = _potential_from(chk, dim or 1)
-    terminal = _terminal_from(chk, dim or 1)
+    potential = _spec_from(chk, "problem.potential", PotentialSpec, dim or 1)
+    terminal = _spec_from(chk, "problem.terminal_cost", TerminalCostSpec, dim or 1)
     if own:
         chk.raise_if_bad()
     if chk.bad or mixture is None or horizon is None:
@@ -244,14 +222,10 @@ def build_solver(cfg: dict, chk: _Checker | None = None) -> SolverConfig | None:
     max_iter = chk.integer("solver.max_iter", default=_SOLVER_DEFAULTS["max_iter"], minimum=1)
     d_cap = chk.number("solver.d_cap", default=_SOLVER_DEFAULTS["d_cap"], strict_min=0.0)
     scheme = chk.choice(
-        "solver.time_scheme",
-        ("implicit_euler", "crank_nicolson"),
-        default=_SOLVER_DEFAULTS["time_scheme"],
+        "solver.time_scheme", SCHEMES, default=_SOLVER_DEFAULTS["time_scheme"]
     )
     guess = chk.choice(
-        "solver.initial_guess",
-        ("heat_flow", "frozen"),
-        default=_SOLVER_DEFAULTS["initial_guess"],
+        "solver.initial_guess", INITIAL_GUESSES, default=_SOLVER_DEFAULTS["initial_guess"]
     )
     if own:
         chk.raise_if_bad()

@@ -12,23 +12,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretization import Grid, _level_blocks, gradient, integrate
-from .errors import ConfigError
+from .discretization import Grid, _level_blocks, _values, gradient, integrate
 from .problem import (
     ConditionCheck,
     ConditionReport,
     GaussianMixture,
     ProblemFields,
     ProblemSpec,
+    _pointwise_checks,
+    _unit_mass,
     check_structural_conditions,
     coupling_mass,
     eval_coupling,
     sample_on_grid,
 )
-
-
-def _values(x) -> np.ndarray:
-    return np.asarray(getattr(x, "values", x), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -192,28 +189,27 @@ def check_moment_identity(
 # blow-up certificates
 
 
-def compute_e0(p: ProblemSpec, grid: Grid) -> float:
-    fisher, coup, pot = e0_terms(p, grid)
+def compute_e0(p: ProblemSpec, grid: Grid, fields: ProblemFields | None = None) -> float:
+    fisher, coup, pot = e0_terms(p, grid, fields=fields)
     return -0.5 * fisher + coup - pot
 
 
-def e0_terms(p: ProblemSpec, grid: Grid) -> tuple[float, float, float]:
+def e0_terms(
+    p: ProblemSpec, grid: Grid, fields: ProblemFields | None = None
+) -> tuple[float, float, float]:
     """(Fisher information, coupling term, potential gap term) of m0.
 
     The density gradient is analytic, not a finite difference; the ratio
     |grad m0|^2 / m0 is set to zero wherever m0 underflows.
     """
-    pts = grid.coordinates
-    raw = p.data.m0.value(pts)
-    mass = integrate(raw, grid)
-    m0 = raw / mass
-    grad = p.data.m0.gradient(pts) / mass
+    if fields is None:
+        fields = sample_on_grid(p, grid)
+    m0, v = fields.m0, fields.v
     dens = np.maximum(m0, 1e-300)
-    ratio = np.where(m0 > 1e-300, np.sum(grad**2, axis=0) / dens, 0.0)
+    ratio = np.where(m0 > 1e-300, np.sum(fields.grad_m0**2, axis=0) / dens, 0.0)
     fisher = integrate(ratio, grid)
     _, F, _ = eval_coupling(p.coupling, m0)
     coup = integrate(F, grid)
-    v = p.potential.value(pts)
     pot = integrate((v - v.min()) * m0, grid)
     return float(fisher), float(coup), float(pot)
 
@@ -261,15 +257,14 @@ class Certificate:
 def _shift_feasible(p: ProblemSpec, grid: Grid, y: np.ndarray) -> bool:
     """Translated pointwise conditions at shift y, checked on grid nodes."""
     pts = grid.coordinates + y[:, None]
-    v = p.potential.value(pts)
-    gv = p.potential.gradient(pts)
-    tol_v = 1e-10 * max(1.0, float(np.max(np.abs(v))))
-    if float(np.min(2.0 * (v - v.min()) + np.sum(gv * grid.coordinates, axis=0))) < -tol_v:
-        return False
-    ut = p.data.terminal_cost.value(pts)
-    gu = p.data.terminal_cost.gradient(pts)
-    tol_u = 1e-10 * max(1.0, float(np.max(np.abs(ut))))
-    return float(np.min(np.sum(gu * grid.coordinates, axis=0))) >= -tol_u
+    confining, monotone = _pointwise_checks(
+        grid.coordinates,
+        p.potential.value(pts),
+        p.potential.gradient(pts),
+        p.data.terminal_cost.value(pts),
+        p.data.terminal_cost.gradient(pts),
+    )
+    return confining.holds and monotone.holds
 
 
 def _optimal_shift(p: ProblemSpec, grid: Grid, first: np.ndarray, h0: float):
@@ -337,7 +332,7 @@ def compute_nonexistence_certificate(
     if fields is None:
         fields = sample_on_grid(p, grid)
     conditions = check_structural_conditions(p, grid, fields=fields)
-    e0 = compute_e0(p, grid)
+    e0 = compute_e0(p, grid, fields=fields)
     pts = grid.coordinates
     m0 = fields.m0
     h0 = integrate(m0, grid, weight=grid.radius_sq)
@@ -389,10 +384,7 @@ class PlanningCertificate:
             "h0": self.h0,
             "h_terminal": self.h_terminal,
             "t_hat": self.t_hat,
-            "conditions": {
-                k: {"holds": bool(v.holds), "margin": float(v.margin)}
-                for k, v in self.conditions.items()
-            },
+            "conditions": {k: v.as_dict() for k, v in self.conditions.items()},
             "notes": self.notes,
         }
 
@@ -410,18 +402,13 @@ def compute_planning_certificate(
     if fields is None:
         fields = sample_on_grid(p, grid)
     base = check_structural_conditions(p, grid, fields=fields)
-    pts = grid.coordinates
-    m0 = fields.m0
-    rawT = terminal_density.value(pts)
-    massT = integrate(rawT, grid)
-    if not massT > 0:
-        raise ConfigError(
-            ["certify.terminal_density"], "terminal density has nonpositive mass on the grid"
-        )
-    mT = rawT / massT
-    h0 = integrate(m0, grid, weight=grid.radius_sq)
+    mT, _ = _unit_mass(
+        terminal_density.value(grid.coordinates), grid,
+        "certify.terminal_density", "terminal density",
+    )
+    h0 = integrate(fields.m0, grid, weight=grid.radius_sq)
     hT = integrate(mT, grid, weight=grid.radius_sq)
-    e0 = compute_e0(p, grid)
+    e0 = compute_e0(p, grid, fields=fields)
 
     conditions = {
         "coercive_coupling": base.coercive_coupling,

@@ -67,6 +67,14 @@ def coupling_mass(m: np.ndarray, coupling: CouplingSpec, grid: Grid, out=None) -
     return integrate_space_time(out, grid)
 
 
+def _centered(center: tuple[float, ...], points: np.ndarray) -> np.ndarray:
+    """Points minus the center, a short center repeated to the point dimension."""
+    c = np.asarray(center, dtype=float)
+    if c.size != points.shape[0]:
+        c = np.resize(c, points.shape[0])
+    return points - c[:, None]
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """Spatial potential V. Families: zero, gaussian_well, cosine_bump, user_table."""
@@ -75,8 +83,7 @@ class PotentialSpec:
     amplitude: float = 0.0
     width: float = 1.0
     center: tuple[float, ...] = (0.0,)
-    # user_table: values/gradient tabulated on the grid nodes (an optional
-    # laplacian entry is kept for PotentialSpec.laplacian, never checked)
+    # user_table: values/gradient tabulated on the grid nodes
     table: dict | None = None
 
     _FAMILIES = ("zero", "gaussian_well", "cosine_bump", "user_table")
@@ -89,19 +96,13 @@ class PotentialSpec:
         if self.family == "user_table" and self.table is None:
             raise ValueError("user_table potential requires a table")
 
-    def _centered(self, points: np.ndarray) -> np.ndarray:
-        c = np.asarray(self.center, dtype=float)
-        if c.size != points.shape[0]:
-            c = np.resize(c, points.shape[0])
-        return points - c[:, None]
-
     def value(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.family == "zero":
             return np.zeros(points.shape[1])
         if self.family == "user_table":
             return np.asarray(self.table["values"], dtype=float)
-        z = self._centered(points)
+        z = _centered(self.center, points)
         if self.family == "gaussian_well":
             return self.amplitude * np.exp(-np.sum(z**2, axis=0) / (2.0 * self.width**2))
         return self.amplitude * np.prod(self._hann(z), axis=0)
@@ -113,7 +114,7 @@ class PotentialSpec:
             return np.zeros((dim, n))
         if self.family == "user_table":
             return np.asarray(self.table["gradient"], dtype=float).reshape(dim, n)
-        z = self._centered(points)
+        z = _centered(self.center, points)
         if self.family == "gaussian_well":
             v = self.value(points)
             return -z / self.width**2 * v
@@ -125,28 +126,6 @@ class PotentialSpec:
             grad[d] = self.amplitude * dphi[d] * others
         return grad
 
-    def laplacian(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        dim, n = points.shape
-        if self.family == "zero":
-            return np.zeros(n)
-        if self.family == "user_table":
-            if "laplacian" not in self.table:
-                raise ValueError("this user_table potential tabulates no laplacian")
-            return np.asarray(self.table["laplacian"], dtype=float)
-        z = self._centered(points)
-        if self.family == "gaussian_well":
-            v = self.value(points)
-            r2 = np.sum(z**2, axis=0)
-            return v * (r2 / self.width**4 - dim / self.width**2)
-        phi = self._hann(z)
-        d2phi = self._hann_second(z)
-        lap = np.zeros(n)
-        for d in range(dim):
-            others = np.prod(np.delete(phi, d, axis=0), axis=0) if dim > 1 else 1.0
-            lap += self.amplitude * d2phi[d] * others
-        return lap
-
     def _hann(self, z: np.ndarray) -> np.ndarray:
         # raised-cosine bump on |z| <= width, zero outside, C^1 across the edge
         inside = np.abs(z) <= self.width
@@ -156,12 +135,6 @@ class PotentialSpec:
         inside = np.abs(z) <= self.width
         return np.where(
             inside, -0.5 * np.pi / self.width * np.sin(np.pi * z / self.width), 0.0
-        )
-
-    def _hann_second(self, z: np.ndarray) -> np.ndarray:
-        inside = np.abs(z) <= self.width
-        return np.where(
-            inside, -0.5 * (np.pi / self.width) ** 2 * np.cos(np.pi * z / self.width), 0.0
         )
 
 
@@ -182,12 +155,6 @@ class TerminalCostSpec:
         if self.family == "gaussian" and not self.width > 0:
             raise ValueError("terminal cost width must be positive")
 
-    def _centered(self, points: np.ndarray) -> np.ndarray:
-        c = np.asarray(self.center, dtype=float)
-        if c.size != points.shape[0]:
-            c = np.resize(c, points.shape[0])
-        return points - c[:, None]
-
     def value(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.family == "zero":
@@ -195,7 +162,7 @@ class TerminalCostSpec:
         if self.family == "log_quadratic":
             r2 = np.sum(points**2, axis=0)
             return self.amplitude * np.log1p(r2)
-        z = self._centered(points)
+        z = _centered(self.center, points)
         return self.amplitude * np.exp(-np.sum(z**2, axis=0) / (2.0 * self.width**2))
 
     def gradient(self, points: np.ndarray) -> np.ndarray:
@@ -205,7 +172,7 @@ class TerminalCostSpec:
         if self.family == "log_quadratic":
             r2 = np.sum(points**2, axis=0)
             return 2.0 * self.amplitude * points / (1.0 + r2)
-        z = self._centered(points)
+        z = _centered(self.center, points)
         v = self.value(points)
         return -z / self.width**2 * v
 
@@ -285,13 +252,26 @@ class ProblemSpec:
 
 @dataclass
 class ProblemFields:
-    """Problem data sampled on the nodes of one grid."""
+    """Problem data sampled on the nodes of one grid, m0 at unit mass."""
 
     m0: np.ndarray
+    grad_m0: np.ndarray
     u_terminal: np.ndarray
     v: np.ndarray
     grad_v: np.ndarray
     grad_u_terminal: np.ndarray
+
+
+def _unit_mass(values: np.ndarray, grid: Grid, key: str, name: str):
+    """(values / mass, mass) for a density sampled on the grid nodes.
+
+    A density with no positive trapezoid mass on the grid is a config error
+    at key.
+    """
+    mass = integrate(values, grid)
+    if not mass > 0:
+        raise ConfigError([key], f"{name} has nonpositive mass on the grid")
+    return values / mass, mass
 
 
 def sample_on_grid(p: ProblemSpec, grid: Grid) -> ProblemFields:
@@ -301,15 +281,12 @@ def sample_on_grid(p: ProblemSpec, grid: Grid) -> ProblemFields:
     if p.potential.family == "user_table":
         _check_table(p.potential.table, grid)
     pts = grid.coordinates
-    m0 = p.data.m0.value(pts)
-    mass = integrate(m0, grid)
-    if not mass > 0:
-        raise ConfigError(
-            ["problem.initial_density"], "initial density has nonpositive mass on the grid"
-        )
-    m0 = m0 / mass
+    m0, mass = _unit_mass(
+        p.data.m0.value(pts), grid, "problem.initial_density", "initial density"
+    )
     return ProblemFields(
         m0=m0,
+        grad_m0=p.data.m0.gradient(pts) / mass,
         u_terminal=p.data.terminal_cost.value(pts),
         v=p.potential.value(pts),
         grad_v=p.potential.gradient(pts),
@@ -341,6 +318,9 @@ class ConditionCheck:
     holds: bool
     margin: float
 
+    def as_dict(self) -> dict:
+        return {"holds": bool(self.holds), "margin": float(self.margin)}
+
 
 @dataclass(frozen=True)
 class ConditionReport:
@@ -368,17 +348,34 @@ class ConditionReport:
         )
 
     def as_dict(self) -> dict:
-        out = {}
-        for name in (
-            "coercive_coupling",
-            "confining_potential",
-            "monotone_terminal",
-            "unit_mass",
-        ):
-            c: ConditionCheck = getattr(self, name)
-            out[name] = {"holds": bool(c.holds), "margin": float(c.margin)}
+        out = {
+            name: getattr(self, name).as_dict()
+            for name in (
+                "coercive_coupling",
+                "confining_potential",
+                "monotone_terminal",
+                "unit_mass",
+            )
+        }
         out["all_hold"] = self.all_hold
         return out
+
+
+def _pointwise_checks(x, v, grad_v, u_terminal, grad_u_terminal):
+    """(confining_potential, monotone_terminal) checks of V and u(T) at the nodes x.
+
+    V, u(T) and their gradients may be sampled at translated points; the
+    margins always pair them with the untranslated x. Each margin is allowed
+    a roundoff tolerance relative to the size of its data.
+    """
+    tol_v = 1e-10 * max(1.0, float(np.max(np.abs(v))))
+    vmin = float(np.min(2.0 * (v - v.min()) + np.sum(grad_v * x, axis=0)))
+    tol_u = 1e-10 * max(1.0, float(np.max(np.abs(u_terminal))))
+    umin = float(np.min(np.sum(grad_u_terminal * x, axis=0)))
+    return (
+        ConditionCheck(holds=vmin >= -tol_v, margin=vmin),
+        ConditionCheck(holds=umin >= -tol_u, margin=umin),
+    )
 
 
 def check_structural_conditions(
@@ -386,7 +383,6 @@ def check_structural_conditions(
 ) -> ConditionReport:
     if fields is None:
         fields = sample_on_grid(p, grid)
-    pts = grid.coordinates
     n = p.dim
 
     # algebraic margin of the coupling inequality; sign matches alpha - 2/N
@@ -394,16 +390,9 @@ def check_structural_conditions(
     coercive = ConditionCheck(
         holds=(p.coupling.sigma == 0.0) or margin_f >= 0.0, margin=float(margin_f)
     )
-
-    tol_v = 1e-10 * max(1.0, float(np.max(np.abs(fields.v)))) if fields.v.size else 0.0
-    vmargin = 2.0 * (fields.v - fields.v.min()) + np.sum(fields.grad_v * pts, axis=0)
-    vmin = float(vmargin.min())
-    confining = ConditionCheck(holds=vmin >= -tol_v, margin=vmin)
-
-    tol_u = 1e-10 * max(1.0, float(np.max(np.abs(fields.u_terminal))))
-    umargin = np.sum(fields.grad_u_terminal * pts, axis=0)
-    umin = float(umargin.min())
-    monotone = ConditionCheck(holds=umin >= -tol_u, margin=umin)
+    confining, monotone = _pointwise_checks(
+        grid.coordinates, fields.v, fields.grad_v, fields.u_terminal, fields.grad_u_terminal
+    )
 
     mass = integrate(fields.m0, grid)
     m_min = float(fields.m0.min())

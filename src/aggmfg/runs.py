@@ -33,7 +33,7 @@ from .parabolic import (
     HeatKernelQuery,
     heat_kernel_spacetime_norm,
 )
-from .problem import check_structural_conditions, sample_on_grid
+from .problem import sample_on_grid
 from .solver import solve
 
 DEFAULT_KERNEL_QUERIES = (
@@ -116,7 +116,6 @@ def run_single(cfg: dict, out_dir=None) -> dict:
     # sampling the data on the grid reports the last config errors, before any
     # output; every later step reads these fields instead of sampling again
     fields = sample_on_grid(problem, grid)
-    conditions = check_structural_conditions(problem, grid, fields=fields)
     certificate = compute_nonexistence_certificate(problem, grid, fields=fields)
     out_dir = prepare_out_dir(cfg, "solve", out_dir)
     outcome = solve(problem, grid, solver_cfg, fields=fields)
@@ -170,9 +169,11 @@ def run_single(cfg: dict, out_dir=None) -> dict:
             os.path.join(reports_dir, "moment_residuals.csv"),
             ["time", "hprime", "rhs_first", "hsecond", "rhs_second"],
             [
-                [_g17(moments.times[j + 1]), _g17(moments.hprime[j]), _g17(moments.rhs_first[j]),
-                 _g17(moments.hsecond[j]), _g17(moments.rhs_second[j])]
-                for j in range(len(moments.hprime))
+                [_g17(t), _g17(h1), _g17(r1), _g17(h2), _g17(r2)]
+                for t, h1, r1, h2, r2 in zip(
+                    moments.times[1:-1], moments.hprime, moments.rhs_first[1:-1],
+                    moments.hsecond, moments.rhs_second[1:-1],
+                )
             ],
         )
 
@@ -184,7 +185,7 @@ def run_single(cfg: dict, out_dir=None) -> dict:
         "note": outcome.note,
         "residual_final": outcome.residual_history[-1] if outcome.residual_history else None,
         "d_final": outcome.d_final,
-        "conditions": conditions.as_dict(),
+        "conditions": certificate.conditions.as_dict(),
         "certificate": certificate.as_dict(),
         "certificate_applies": certificate.applies_at(problem.horizon),
         "consistency": None,
@@ -229,44 +230,50 @@ def run_single(cfg: dict, out_dir=None) -> dict:
     }
 
 
+# --- horizon series --------------------------------------------------------
+
+def _horizon_section(chk, section: str, horizons_key: str, nx: int, nt_per_unit: float):
+    """Positive ascending horizons and the grid rule (half_width, nx, nt_per_unit)
+    of a sweep or long-time section; nx and nt_per_unit are the defaults."""
+    horizons = chk.number_list(f"{section}.{horizons_key}", required=True, ascending=True)
+    if horizons is not None and any(t <= 0 for t in horizons):
+        chk.bad.append(f"{section}.{horizons_key}")
+    nx = chk.integer(f"{section}.nx", default=nx, minimum=3)
+    if nx is not None and nx % 2 == 0:
+        chk.bad.append(f"{section}.nx")
+    nt_per_unit = chk.number(f"{section}.nt_per_unit", default=nt_per_unit, strict_min=0.0)
+    half_width = chk.number("grid.half_width", default=12.0, strict_min=0.0)
+    return horizons, (half_width, nx, nt_per_unit)
+
+
+def _horizon_grid(dim: int, rule: tuple, horizon: float) -> Grid:
+    """The grid of one horizon: nx nodes, nt_per_unit steps per unit time (at least one)."""
+    half_width, nx, nt_per_unit = rule
+    nt = max(1, math.ceil(nt_per_unit * horizon))
+    return Grid(dim=dim, half_width=half_width, nx=nx, nt=nt, horizon=horizon)
+
+
 # --- phase sweep -----------------------------------------------------------
 
 def _sweep_sections(cfg: dict):
     chk = cfgmod._Checker(cfg)
     sigma_grid = chk.number_list("sweep.sigma_grid", required=True, minimum=0.0, ascending=True)
-    horizon_grid = chk.number_list("sweep.horizon_grid", required=True, ascending=True)
-    if horizon_grid is not None and any(t <= 0 for t in horizon_grid):
-        chk.bad.append("sweep.horizon_grid")
-    nx = chk.integer("sweep.nx", default=65, minimum=3)
-    if nx is not None and nx % 2 == 0:
-        chk.bad.append("sweep.nx")
-    nt_per_unit = chk.number("sweep.nt_per_unit", default=60.0, strict_min=0.0)
+    horizon_grid, rule = _horizon_section(chk, "sweep", "horizon_grid", 65, 60.0)
     confirm_rounds = chk.integer("sweep.confirm_rounds", default=2, minimum=0)
     workers = chk.integer("sweep.workers", default=1, minimum=1)
-    half_width = chk.number("grid.half_width", default=12.0, strict_min=0.0)
     chk.raise_if_bad()
-    return sigma_grid, horizon_grid, nx, nt_per_unit, confirm_rounds, workers, half_width
-
-
-def _cell_grid(dim, half_width, nx, nt_per_unit, horizon, level) -> Grid:
-    factor = 2 ** level
-    nt = max(1, math.ceil(nt_per_unit * horizon))
-    return Grid(
-        dim=dim,
-        half_width=half_width,
-        nx=factor * (nx - 1) + 1,
-        nt=factor * nt,
-        horizon=horizon,
-    )
+    return sigma_grid, horizon_grid, rule, confirm_rounds, workers
 
 
 def _sweep_cell(job: dict) -> dict:
     """One (sigma, horizon) cell, including refinement confirmation.
 
-    A diverged base run is only labeled non-convergent after it stays
-    diverged on refined grids; the converse contradiction (converged where
-    a certificate rules solutions out) is confirmed the same way before
-    the flag is written.
+    Level k solves on the base grid refined 2**k times. A run that agrees
+    with the certificate (converged where none applies, diverged where one
+    does) decides the cell. Otherwise the next level re-solves, so that a
+    diverged run is only labeled non-convergent after it stays diverged on
+    refined grids, and a converged run under a certificate is confirmed the
+    same way before the contradiction is written.
     """
     cfg = copy.deepcopy(job["config"])
     cfg.setdefault("problem", {})
@@ -275,39 +282,25 @@ def _sweep_cell(job: dict) -> dict:
     problem = cfgmod.build_problem(cfg)
     solver_cfg = cfgmod.build_solver(cfg)
 
-    grid0 = _cell_grid(problem.dim, job["half_width"], job["nx"],
-                       job["nt_per_unit"], job["horizon"], 0)
-    fields0 = sample_on_grid(problem, grid0)
-    certificate = compute_nonexistence_certificate(problem, grid0, fields=fields0)
+    base = _horizon_grid(problem.dim, job["rule"], job["horizon"])
+    fields = sample_on_grid(problem, base)
+    certificate = compute_nonexistence_certificate(problem, base, fields=fields)
     applies = certificate.applies_at(job["horizon"])
 
     runs = []
-    outcome = solve(problem, grid0, solver_cfg, fields=fields0)
-    runs.append({
-        "level": 0, "nx": grid0.nx, "nt": grid0.nt,
-        "verdict": outcome.verdict, "iterations": outcome.iterations,
-        "d_final": outcome.d_final,
-    })
-    needs_confirmation = (
-        (not outcome.converged and not applies)
-        or (outcome.converged and applies)
-    )
-    if needs_confirmation:
-        first_converged = outcome.converged
-        for level in range(1, job["confirm_rounds"] + 1):
-            grid_l = _cell_grid(problem.dim, job["half_width"], job["nx"],
-                                job["nt_per_unit"], job["horizon"], level)
-            outcome = solve(problem, grid_l, solver_cfg)
-            runs.append({
-                "level": level, "nx": grid_l.nx, "nt": grid_l.nt,
-                "verdict": outcome.verdict, "iterations": outcome.iterations,
-                "d_final": outcome.d_final,
-            })
-            if outcome.converged != first_converged:
-                break
+    for level in range(job["confirm_rounds"] + 1):
+        grid = base.refined(2**level)
+        outcome = solve(problem, grid, solver_cfg, fields=None if level else fields)
+        runs.append({
+            "level": level, "nx": grid.nx, "nt": grid.nt,
+            "verdict": outcome.verdict, "iterations": outcome.iterations,
+            "d_final": outcome.d_final,
+        })
+        if outcome.converged != applies:
+            break
 
     deciding = runs[-1]
-    empirical = deciding["verdict"] == "converged"
+    empirical = outcome.converged
     if applies and empirical:
         verdict = "certified_nonexistent_but_converged"
     elif applies:
@@ -331,9 +324,7 @@ def _sweep_cell(job: dict) -> dict:
 
 def run_sweep(cfg: dict, out_dir=None) -> dict:
     """Phase table over a (sigma, horizon) grid, cells independent."""
-    sigma_grid, horizon_grid, nx, nt_per_unit, confirm_rounds, workers, half_width = (
-        _sweep_sections(cfg)
-    )
+    sigma_grid, horizon_grid, rule, confirm_rounds, workers = _sweep_sections(cfg)
     # validate the problem template once before paying for any cell
     template = copy.deepcopy(cfg)
     template.setdefault("problem", {})
@@ -345,9 +336,8 @@ def run_sweep(cfg: dict, out_dir=None) -> dict:
 
     jobs = [
         {
-            "config": cfg, "sigma": s, "horizon": t, "nx": nx,
-            "nt_per_unit": nt_per_unit, "confirm_rounds": confirm_rounds,
-            "half_width": half_width,
+            "config": cfg, "sigma": s, "horizon": t, "rule": rule,
+            "confirm_rounds": confirm_rounds,
         }
         for s in sigma_grid
         for t in horizon_grid
@@ -406,14 +396,7 @@ def run_sweep(cfg: dict, out_dir=None) -> dict:
 def run_longtime(cfg: dict, out_dir=None) -> dict:
     """D(T) series for growing horizons with the rescaled diagnostic D(T)/T."""
     chk = cfgmod._Checker(cfg)
-    horizons = chk.number_list("longtime.horizons", required=True, ascending=True)
-    if horizons is not None and any(t <= 0 for t in horizons):
-        chk.bad.append("longtime.horizons")
-    nx = chk.integer("longtime.nx", default=129, minimum=3)
-    if nx is not None and nx % 2 == 0:
-        chk.bad.append("longtime.nx")
-    nt_per_unit = chk.number("longtime.nt_per_unit", default=100.0, strict_min=0.0)
-    half_width = chk.number("grid.half_width", default=12.0, strict_min=0.0)
+    horizons, rule = _horizon_section(chk, "longtime", "horizons", 129, 100.0)
     family = chk.get("problem.potential.family", "zero")
     if family != "zero":
         chk.bad.append("problem.potential.family")
@@ -426,14 +409,7 @@ def run_longtime(cfg: dict, out_dir=None) -> dict:
         cell_cfg["problem"]["horizon"] = horizon
         problem = cfgmod.build_problem(cell_cfg)
         solver_cfg = cfgmod.build_solver(cell_cfg)
-        grid = Grid(
-            dim=problem.dim,
-            half_width=half_width,
-            nx=nx,
-            nt=max(1, math.ceil(nt_per_unit * horizon)),
-            horizon=horizon,
-        )
-        outcome = solve(problem, grid, solver_cfg)
+        outcome = solve(problem, _horizon_grid(problem.dim, rule, horizon), solver_cfg)
         rows.append({
             "horizon": horizon,
             "verdict": outcome.verdict,
@@ -480,8 +456,7 @@ def run_certify(cfg: dict, out_dir=None) -> dict:
     certificate = compute_nonexistence_certificate(
         problem, grid, optimize_shift=optimize_shift, fields=fields
     )
-    conditions = check_structural_conditions(problem, grid, fields=fields)
-    fisher, coupling_term, potential_term = e0_terms(problem, grid)
+    fisher, coupling_term, potential_term = e0_terms(problem, grid, fields=fields)
     planning = None
     if has_terminal:
         terminal = cfgmod.build_mixture(cfg, "certify.terminal_density", problem.dim)
@@ -491,7 +466,7 @@ def run_certify(cfg: dict, out_dir=None) -> dict:
     payload = {
         "command": "certify",
         "config": cfg,
-        "conditions": conditions.as_dict(),
+        "conditions": certificate.conditions.as_dict(),
         "certificate": certificate.as_dict(),
         "certificate_applies": certificate.applies_at(problem.horizon),
         "e0_terms": {

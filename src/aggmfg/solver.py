@@ -33,6 +33,8 @@ VERDICT_MAX_ITERATIONS = "max_iterations"
 
 _LOG_FLOOR = 1e-300
 
+INITIAL_GUESSES = ("heat_flow", "frozen")
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -52,7 +54,7 @@ class SolverConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if not self.d_cap > 0:
             raise ValueError(f"d_cap must be positive, got {self.d_cap}")
-        if self.initial_guess not in ("heat_flow", "frozen"):
+        if self.initial_guess not in INITIAL_GUESSES:
             raise ValueError(f"unknown initial guess policy {self.initial_guess!r}")
 
 

@@ -3,10 +3,12 @@ import json
 import math
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from aggmfg import ConfigError, SolverConfig
+from aggmfg import ConfigError, Grid, SolveOutcome, SolverConfig
 from aggmfg import diagnostics as diagnostics_module
 from aggmfg import problem as problem_module
 from aggmfg import runs as runs_module
@@ -71,6 +73,18 @@ def test_build_run_collects_all_bad_keys():
     assert any(k.startswith("problem.initial_density") for k in keys)
 
 
+@pytest.mark.parametrize("section, family", [
+    ("potential", "gaussian_well"), ("terminal_cost", "gaussian"),
+])
+@pytest.mark.parametrize("center", [["a"], [None], [0.0, 1.0], 0.5])
+def test_build_run_rejects_a_bad_center(section, family, center):
+    cfg = _solve_cfg()
+    cfg["problem"][section] = {"family": family, "amplitude": -1.0, "center": center}
+    with pytest.raises(ConfigError) as exc:
+        build_run(cfg)
+    assert exc.value.keys == [f"problem.{section}.center"]
+
+
 def test_build_run_solver_defaults():
     cfg = _solve_cfg()
     del cfg["solver"]
@@ -115,6 +129,23 @@ def test_run_single_writes_record(tmp_path):
     assert meta["conditions"]["all_hold"] is True
     assert meta["certificate"]["t_star"] is None
     assert meta["moments"]["mass_step_drift"] < 1e-13
+
+
+def test_run_single_moment_residual_columns_give_r1_r2(tmp_path):
+    # each row pairs the centered derivatives of h with the identities' right
+    # sides at the same interior time level, so the columns sum to r1 and r2
+    cfg = _solve_cfg(sigma=0.05)
+    out = run_single(cfg, out_dir=str(tmp_path / "run"))
+    meta = json.load(open(os.path.join(out["out_dir"], "metadata.json")))
+    rows = _read_csv(os.path.join(out["out_dir"], "reports", "moment_residuals.csv"))
+    cols = {name: np.array([float(r[i]) for r in rows[1:]]) for i, name in enumerate(rows[0])}
+    nt = cfg["grid"]["nt"]
+    dt = 1.0 / nt
+    assert np.array_equal(cols["time"], np.linspace(0.0, 1.0, nt + 1)[1:-1])
+    r1 = np.sum(np.abs(cols["hprime"] - cols["rhs_first"])) * dt
+    r2 = np.sum(np.abs(cols["hsecond"] - cols["rhs_second"])) * dt
+    assert r1 == pytest.approx(meta["moments"]["r1"], rel=1e-12)
+    assert r2 == pytest.approx(meta["moments"]["r2"], rel=1e-12)
 
 
 def test_run_single_samples_the_problem_once(tmp_path, monkeypatch):
@@ -208,6 +239,53 @@ def test_run_sweep_parallel_matches_serial(tmp_path):
         with open(os.path.join(out["out_dir"], "table.csv"), "rb") as fh:
             tables.append(fh.read())
     assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("applies, converged, levels, verdict", [
+    # converged without a certificate: the base run decides
+    (False, [True, False, False], [0], "converged"),
+    # diverged under a certificate: the base run decides
+    (True, [False, True, True], [0], "certified_nonexistent_and_non_convergent"),
+    # diverged at every level: divergence is confirmed on every refined grid
+    (False, [False, False, False], [0, 1, 2], "non_convergent"),
+    # a diverged base run that converges once refined
+    (False, [False, True, False], [0, 1], "converged"),
+    # converged under a certificate, resolved by divergence at level 1
+    (True, [True, False, True], [0, 1], "certified_nonexistent_and_non_convergent"),
+    # converged under a certificate at every level: the contradiction stands
+    (True, [True, True, True], [0, 1, 2], "certified_nonexistent_but_converged"),
+])
+def test_sweep_cell_refines_until_the_verdict_agrees_with_the_certificate(
+    tmp_path, monkeypatch, applies, converged, levels, verdict
+):
+    certificate = SimpleNamespace(
+        t_star=1.0 if applies else None, e0=1.0, applies_at=lambda horizon: applies
+    )
+    grids = []
+
+    def scripted(problem, grid, solver_cfg, fields=None):
+        level = len(grids)
+        grids.append(grid)
+        return SolveOutcome(
+            verdict="converged" if converged[level] else "diverged",
+            iterations=10 + level, residual_history=[], d_history=[], d_final=float(level),
+        )
+
+    monkeypatch.setattr(runs_module, "solve", scripted)
+    monkeypatch.setattr(runs_module, "compute_nonexistence_certificate",
+                        lambda *args, **kwargs: certificate)
+    cfg = _sweep_cfg()
+    cfg["sweep"].update(sigma_grid=[20.0], horizon_grid=[2.0], confirm_rounds=2)
+    (cell,) = run_sweep(cfg, out_dir=str(tmp_path / "sweep"))["cells"]
+
+    assert [r["level"] for r in cell["runs"]] == levels
+    assert cell["refine_level"] == levels[-1]
+    assert cell["iterations"] == 10 + levels[-1]
+    assert cell["verdict"] == verdict
+    base = Grid(dim=1, half_width=12.0, nx=33, nt=32, horizon=2.0)
+    expected = [(base.refined(2**k).nx, base.refined(2**k).nt) for k in levels]
+    assert [(g.nx, g.nt) for g in grids] == expected
+    assert [(r["nx"], r["nt"]) for r in cell["runs"]] == expected
 
 
 def test_run_sweep_reports_config_error_from_workers(tmp_path):

@@ -6,6 +6,8 @@ import pytest
 from aggmfg import (
     GaussianMixture,
     SolverConfig,
+    TerminalCostSpec,
+    check_structural_conditions,
     compute_apriori,
     compute_e0,
     compute_energy,
@@ -17,6 +19,7 @@ from aggmfg import (
     planning_horizon,
     solve,
 )
+from aggmfg.diagnostics import _shift_feasible
 from aggmfg.discretization import Grid, _level_blocks, gradient, integrate, integrate_space_time
 from aggmfg.problem import PotentialSpec, coupling_mass, eval_coupling, sample_on_grid
 from tests.conftest import gaussian_problem, three_block_levels
@@ -44,6 +47,33 @@ def test_e0_terms_dilation_scaling():
     assert f2 / f1 == pytest.approx(4.0, rel=1e-8)
     assert c2 / c1 == pytest.approx(4.0, rel=1e-8)
     assert v1 == 0.0 and v2 == 0.0
+
+
+def test_e0_reads_the_sampled_fields():
+    # given fields, e0 takes m0, its gradient and V from them, not from the spec
+    g = Grid(dim=1, half_width=12.0, nx=257, nt=4, horizon=1.0)
+    wide = gaussian_problem(sigma=10.0, std=1.0, potential=PotentialSpec(
+        family="gaussian_well", amplitude=-1.0, width=2.0, center=(0.5,)))
+    narrow = gaussian_problem(sigma=10.0, std=0.5, mean=0.3, potential=PotentialSpec(
+        family="cosine_bump", amplitude=0.4, width=3.0, center=(-1.0,)))
+    fields = sample_on_grid(narrow, g)
+    assert e0_terms(wide, g, fields=fields) == e0_terms(narrow, g)
+    assert compute_e0(wide, g, fields=fields) == compute_e0(narrow, g)
+    assert compute_e0(wide, g) != compute_e0(narrow, g)
+
+
+@pytest.mark.parametrize("potential, terminal", [
+    (PotentialSpec(family="gaussian_well", amplitude=-1.0, width=1.0), TerminalCostSpec()),
+    (PotentialSpec(family="gaussian_well", amplitude=1.0, width=1.0), TerminalCostSpec()),
+    (PotentialSpec(), TerminalCostSpec(family="log_quadratic", amplitude=0.5)),
+    (PotentialSpec(), TerminalCostSpec(family="gaussian", amplitude=0.5, center=(1.0,))),
+])
+def test_unshifted_feasibility_is_the_structural_check(potential, terminal):
+    g = Grid(dim=1, half_width=12.0, nx=65, nt=4, horizon=1.0)
+    p = gaussian_problem(sigma=20.0, potential=potential, terminal=terminal)
+    report = check_structural_conditions(p, g)
+    expected = report.confining_potential.holds and report.monotone_terminal.holds
+    assert _shift_feasible(p, g, np.zeros(1)) == expected
 
 
 def test_horizon_formulas():

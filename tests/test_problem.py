@@ -80,6 +80,9 @@ def test_sample_on_grid_renormalizes():
     fields = sample_on_grid(p, g)
     assert integrate(fields.m0, g) == pytest.approx(1.0, abs=1e-14)
     assert fields.m0.min() >= 0.0
+    # the gradient is scaled by the same mass as the density
+    mass = integrate(p.data.m0.value(g.coordinates), g)
+    assert np.allclose(fields.grad_m0 * mass, p.data.m0.gradient(g.coordinates), rtol=1e-13)
 
 
 def test_potential_families_derivatives():
@@ -91,17 +94,6 @@ def test_potential_families_derivatives():
         eps = 1e-6
         fd_grad = (spec.value(x + eps) - spec.value(x - eps)) / (2 * eps)
         assert np.allclose(spec.gradient(x)[0], fd_grad, atol=1e-7)
-        fd_lap = (spec.value(x + eps) - 2 * spec.value(x) + spec.value(x - eps)) / eps**2
-        assert np.allclose(spec.laplacian(x), fd_lap, atol=1e-3)
-
-
-def test_user_table_laplacian_is_optional():
-    table = {"values": [0.0, 1.0, 0.0], "gradient": [1.0, 0.0, -1.0]}
-    x = np.array([[-1.0, 0.0, 1.0]])
-    with pytest.raises(ValueError, match="no laplacian"):
-        PotentialSpec(family="user_table", table=table).laplacian(x)
-    tabulated = PotentialSpec(family="user_table", table={**table, "laplacian": [0.5, -2.0, 0.5]})
-    assert np.array_equal(tabulated.laplacian(x), [0.5, -2.0, 0.5])
 
 
 def test_cosine_bump_compact_support():
