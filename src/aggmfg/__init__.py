@@ -37,7 +37,6 @@ from .parabolic import (
     HeatKernelQuery,
     KernelNormResult,
     analytic_kernel_exponent,
-    heat_kernel_convolve,
     heat_kernel_spacetime_norm,
     solve_backward_heat,
     solve_fokker_planck,
@@ -100,7 +99,6 @@ __all__ = [
     "compute_planning_certificate",
     "e0_terms",
     "eval_coupling",
-    "heat_kernel_convolve",
     "heat_kernel_spacetime_norm",
     "hopf_cole",
     "integrate",

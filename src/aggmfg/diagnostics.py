@@ -394,14 +394,17 @@ def compute_planning_certificate(
     grid: Grid,
     terminal_density: GaussianMixture,
     fields: ProblemFields | None = None,
+    structural: ConditionReport | None = None,
 ) -> PlanningCertificate:
     """Certificate for the prescribed initial and terminal density problem.
 
     No terminal cost enters here, so the monotone terminal condition is not
-    required; both endpoint densities must be unit mass and nonnegative."""
+    required; both endpoint densities must be unit mass and nonnegative.
+    structural, when given, is check_structural_conditions' report on grid."""
     if fields is None:
         fields = sample_on_grid(p, grid)
-    base = check_structural_conditions(p, grid, fields=fields)
+    if structural is None:
+        structural = check_structural_conditions(p, grid, fields=fields)
     mT, _ = _unit_mass(
         terminal_density.value(grid.coordinates), grid,
         "certify.terminal_density", "terminal density",
@@ -411,9 +414,9 @@ def compute_planning_certificate(
     e0 = compute_e0(p, grid, fields=fields)
 
     conditions = {
-        "coercive_coupling": base.coercive_coupling,
-        "confining_potential": base.confining_potential,
-        "unit_mass_initial": base.unit_mass,
+        "coercive_coupling": structural.coercive_coupling,
+        "confining_potential": structural.confining_potential,
+        "unit_mass_initial": structural.unit_mass,
         "unit_mass_terminal": ConditionCheck(
             holds=float(mT.min()) >= 0.0, margin=float(mT.min())
         ),

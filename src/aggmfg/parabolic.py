@@ -298,14 +298,16 @@ def _fp_bands(b_lines: np.ndarray, grid: Grid, dt: float) -> np.ndarray:
 
 def solve_fokker_planck(
     initial: np.ndarray,
-    drift: np.ndarray,
+    drift,
     grid: Grid,
     scheme: str = "implicit_euler",
 ) -> SpaceTimeField:
     """March mu_t = Lap mu - div(b mu) forward from mu(0) = initial.
 
     drift has shape (nt+1, dim, n_nodes); the step onto level n uses the
-    drift at level n (the implicit side). Zero-flux boundaries: each step
+    drift at level n (the implicit side). It is read one block of levels at
+    a time, as drift[lo:hi], so it may be an array or any object of that
+    shape that forms the levels sliced. Zero-flux boundaries: each step
     preserves the trapezoid mass to roundoff. Densities stay nonnegative for
     the default scheme; anything below -1e-12 raises SchemeViolationError and
     smaller undershoots are clamped to zero.
@@ -318,10 +320,9 @@ def solve_fokker_planck(
     """
     _check_scheme(scheme)
     mu0 = np.asarray(initial, dtype=float)
-    b = np.asarray(drift, dtype=float)
-    if b.shape != (grid.nt + 1, grid.dim, grid.n_nodes):
+    if np.shape(drift) != (grid.nt + 1, grid.dim, grid.n_nodes):
         raise ValueError(
-            f"drift shape {b.shape} != {(grid.nt + 1, grid.dim, grid.n_nodes)}"
+            f"drift shape {np.shape(drift)} != {(grid.nt + 1, grid.dim, grid.n_nodes)}"
         )
     if mu0.shape != (grid.n_nodes,):
         raise ValueError("initial slice does not match the grid")
@@ -331,32 +332,35 @@ def solve_fokker_planck(
     half = scheme == "crank_nicolson"
     dt = 0.5 * grid.dt if half else grid.dt
     shape = (grid.nx ** (grid.dim - 1), grid.nx)
-    b = b.reshape((grid.nt + 1, grid.dim) + shape)
     mu = np.empty((grid.nt + 1, grid.n_nodes))
     mu[0] = mu0
     rows = mu.reshape((grid.nt + 1,) + shape)
     scratch = np.empty(shape) if grid.dim == 2 else None
 
-    def explicit_half(bottom: int, k: int, dst: np.ndarray, src: np.ndarray) -> None:
-        """Crank-Nicolson right-hand side of move k of the block above level bottom."""
-        n = bottom + 1 + k // grid.dim  # the level stepped onto
+    def explicit_half(b: np.ndarray, k: int, dst: np.ndarray, src: np.ndarray) -> None:
+        """Crank-Nicolson right-hand side of move k of a block; b starts at its first level."""
         a = k % grid.dim
-        flux = _flux_divergence_axis(b[n - 1, a], src, grid, a - grid.dim, diffusion=True)
+        flux = _flux_divergence_axis(b[k // grid.dim, a], src, grid, a - grid.dim, diffusion=True)
         dst[...] = src - dt * flux
 
     for lo, hi in _level_blocks(grid.nt, grid.n_nodes):
         start = lo
         while start < hi:
-            # bands of the steps onto levels start+1 .. hi, for every sweep
-            # axis (grid axis a is array axis a - dim)
+            # the drift of levels start+1 .. hi, which the steps onto them
+            # solve with; Crank-Nicolson's explicit half also reads level start
+            first = start if half else start + 1
+            b = np.asarray(drift[first : hi + 1], dtype=float)
+            b = b.reshape((hi + 1 - first, grid.dim) + shape)
+            # bands for every sweep axis (grid axis a is array axis a - dim)
             sweeps = [
-                _diagonals(_fp_bands(b[start + 1 : hi + 1, a].swapaxes(a - grid.dim, -1), grid, dt))
+                _diagonals(_fp_bands(b[start + 1 - first :, a].swapaxes(a - grid.dim, -1), grid, dt))
                 for a in range(grid.dim)
             ]
             levels = slice(start + 1, hi + 1)
             moves = _level_moves(rows[levels], rows[start:hi], mu[levels], sweeps, scratch)
-            _march(moves, partial(explicit_half, start) if half else None)
-            del sweeps, moves  # one block's bands alive at a time, as in the heat march
+            _march(moves, partial(explicit_half, b) if half else None)
+            # one block's bands and drift alive at a time, as in the heat march
+            del b, sweeps, moves
             start = _clamp_undershoot(mu, start, hi)
     return SpaceTimeField(mu, grid)
 
@@ -385,26 +389,6 @@ def _clamp_undershoot(mu: np.ndarray, lo: int, hi: int) -> int:
 
 # ---------------------------------------------------------------------------
 # heat kernel tools
-
-
-def heat_kernel_convolve(initial: np.ndarray, t: float, grid: Grid) -> np.ndarray:
-    """Convolve a node field with the heat kernel at time t > 0.
-
-    The sampled kernel matrix is column normalized against the quadrature
-    weights, so the discrete mass is preserved to machine precision.
-    """
-    if not t > 0:
-        raise ValueError(f"kernel time must be positive, got {t}")
-    f = np.asarray(initial, dtype=float)
-    x = grid.axis
-    K = np.exp(-((x[:, None] - x[None, :]) ** 2) / (4.0 * t))
-    K /= grid.axis_weights @ K  # unit discrete mass per column
-    w = grid.axis_weights
-    if grid.dim == 1:
-        return K @ (w * f)
-    g = f.reshape(grid.nx, grid.nx)
-    tmp = K @ (w[:, None] * g)
-    return ((w * tmp) @ K.T).ravel()
 
 
 @dataclass(frozen=True)

@@ -460,7 +460,9 @@ def run_certify(cfg: dict, out_dir=None) -> dict:
     planning = None
     if has_terminal:
         terminal = cfgmod.build_mixture(cfg, "certify.terminal_density", problem.dim)
-        planning = compute_planning_certificate(problem, grid, terminal, fields=fields)
+        planning = compute_planning_certificate(
+            problem, grid, terminal, fields=fields, structural=certificate.conditions
+        )
 
     out_dir = prepare_out_dir(cfg, "certify", out_dir)
     payload = {

@@ -396,6 +396,23 @@ def test_run_certify_samples_the_problem_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_run_certify_builds_one_condition_report(tmp_path, monkeypatch):
+    check = diagnostics_module.check_structural_conditions
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics_module, "check_structural_conditions", counting)
+    cfg = _solve_cfg(sigma=20.0, horizon=8.0, nt=64)
+    cfg["certify"] = {"terminal_density": {"weights": [1.0], "means": [[0.0]], "stds": [1.0]}}
+    out = run_certify(cfg, out_dir=str(tmp_path / "cert"))
+    # the planning certificate reads the nonexistence certificate's report
+    assert out["planning"]["conditions"]["coercive_coupling"] == out["conditions"]["coercive_coupling"]
+    assert len(calls) == 1
+
+
 def test_run_kernelcheck_default_queries(tmp_path):
     out = run_kernelcheck({}, out_dir=str(tmp_path / "kc"))
     by_key = {(r["dim"], r["exponent"], r["kind"]): r for r in out["rows"]}

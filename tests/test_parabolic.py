@@ -17,7 +17,6 @@ from aggmfg import (
     SchemeViolationError,
     SolverError,
     analytic_kernel_exponent,
-    heat_kernel_convolve,
     heat_kernel_spacetime_norm,
     solve_backward_heat,
     solve_fokker_planck,
@@ -37,6 +36,18 @@ from tests.conftest import three_block_levels
 def _gaussian(grid, std=1.0, mean=0.0):
     mix = GaussianMixture(weights=(1.0,), means=((mean,) * grid.dim,), stds=(std,))
     return mix.value(grid.coordinates)
+
+
+def heat_kernel_convolve(initial, t, grid):
+    """Reference heat flow of a 1D node field to time t > 0, by the sampled kernel.
+
+    The kernel matrix is column normalized against the quadrature weights,
+    so the discrete mass is preserved to machine precision.
+    """
+    x, w = grid.axis, grid.axis_weights
+    K = np.exp(-((x[:, None] - x[None, :]) ** 2) / (4.0 * t))
+    K /= w @ K  # unit discrete mass per column
+    return K @ (w * initial)
 
 
 # ---------------------------------------------------------------------------

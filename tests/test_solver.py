@@ -13,6 +13,7 @@ from aggmfg import (
     picard_map,
     self_consistency_residual,
     solve,
+    solve_fokker_planck,
 )
 from aggmfg.diagnostics import compute_e0
 from aggmfg.discretization import (
@@ -24,6 +25,7 @@ from aggmfg.discretization import (
     integrate_space_time,
     laplacian,
 )
+from aggmfg.parabolic import SCHEMES
 from aggmfg.problem import eval_coupling, sample_on_grid
 from aggmfg.solver import _interior_mask
 from tests.conftest import gaussian_problem, three_block_levels
@@ -74,6 +76,36 @@ def test_picard_map_releases_the_heat_coefficient_before_the_density_march(
     assert alive == [False]
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("dim,nx", [(1, 17), (2, 9)])
+def test_picard_map_forms_the_drift_one_block_at_a_time(dim, nx, scheme, monkeypatch):
+    g = Grid(dim=dim, half_width=4.0, nx=nx, nt=three_block_levels(nx**dim), horizon=1.0)
+    blocks = list(_level_blocks(g.nt, g.n_nodes))
+    assert len(blocks) == 3
+    drift = solver_module._BlockDrift.__getitem__
+    formed = []
+
+    def recording(self, levels):
+        formed.append(range(*levels.indices(g.nt + 1)))
+        return drift(self, levels)
+
+    monkeypatch.setattr(solver_module._BlockDrift, "__getitem__", recording)
+    p = gaussian_problem(sigma=1.0, dim=dim)
+    fields = sample_on_grid(p, g)
+    w, mu = picard_map(np.tile(fields.m0, (g.nt + 1, 1)), p, g, fields=fields, scheme=scheme)
+    # every call stays inside one block: its levels, and under
+    # Crank-Nicolson also the level the block steps from
+    assert all(any(lo <= r.start and r.stop <= hi + 1 for lo, hi in blocks) for r in formed)
+    levels = sorted(n for r in formed for n in r)
+    if scheme == "implicit_euler":
+        assert levels == list(range(1, g.nt + 1))
+    else:
+        assert len(formed) == len(blocks) and sorted(set(levels)) == list(range(g.nt + 1))
+    # the per-block drifts give the march the bits of the whole trajectory's
+    whole = drift(solver_module._BlockDrift(w.values, g), slice(None))
+    assert np.array_equal(mu.values, solve_fokker_planck(fields.m0, whole, g, scheme=scheme).values)
+
+
 def test_solve_frees_each_maps_dead_fields(grid_1d, monkeypatch):
     mapping, heat = solver_module.picard_map, solver_module.solve_backward_heat
     finalize = solver_module._finalize
@@ -114,6 +146,35 @@ def test_solve_decoupled_single_iteration(grid_1d):
 def test_solve_decoupled_self_consistency(grid_1d):
     out = solve(gaussian_problem(sigma=0.0), grid_1d, SolverConfig(damping=1.0))
     assert out.resolve_residual <= 1e-10
+
+
+def _resolve_by_march(out, p, g):
+    """|mu - m| / |m| for mu the density march driven by -grad u, re-solved."""
+    b = gradient(out.u.values, g)
+    np.negative(b, out=b)
+    mu = solve_fokker_planck(sample_on_grid(p, g).m0, b, g).values
+    m = out.m.values
+    return integrate_space_time(np.abs(mu - m), g) / integrate_space_time(np.abs(m), g)
+
+
+@pytest.mark.parametrize("dim,nx,nt,sigma,damping", [
+    (1, 65, 60, 14.0, 0.8),
+    (2, 33, 20, 1.0, 0.5),
+    (1, 129, 128, 0.05, 1.0),
+])
+def test_resolve_residual_matches_a_density_re_solve(dim, nx, nt, sigma, damping):
+    # the last map's density, marched again from -grad u, is the density
+    # the residual is computed from without that march
+    g = Grid(dim=dim, half_width=12.0 if dim == 1 else 8.0, nx=nx, nt=nt, horizon=1.0)
+    p = gaussian_problem(sigma=sigma, dim=dim)
+    out = solve(p, g, SolverConfig(damping=damping, tol=1e-7))
+    assert out.converged
+    expected = _resolve_by_march(out, p, g)
+    if damping == 1.0:
+        assert out.resolve_residual == expected == 0.0
+    else:
+        assert 0.0 < expected <= 1e-6
+        assert out.resolve_residual == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 def test_solve_small_coupling_converges(grid_1d):
