@@ -92,6 +92,13 @@ class _Checker:
             return default
         return val
 
+    def string(self, path: str, default: str) -> str:
+        val = self.get(path, default)
+        if not isinstance(val, str):
+            self.bad.append(path)
+            return default
+        return val
+
     def number_list(self, path: str, required=False, minimum=None, ascending=False):
         val = self.get(path, None, required)
         if val is None:

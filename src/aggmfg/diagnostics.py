@@ -8,7 +8,7 @@ conditions rules out classical solutions past an explicit horizon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -189,8 +189,10 @@ def check_moment_identity(
 # blow-up certificates
 
 
-def compute_e0(p: ProblemSpec, grid: Grid, fields: ProblemFields | None = None) -> float:
-    fisher, coup, pot = e0_terms(p, grid, fields=fields)
+def compute_e0(p: ProblemSpec, grid: Grid, fields: ProblemFields | None = None,
+               terms: tuple[float, float, float] | None = None) -> float:
+    """e0 from e0_terms' (Fisher, coupling, potential), or from terms when given."""
+    fisher, coup, pot = e0_terms(p, grid, fields=fields) if terms is None else terms
     return -0.5 * fisher + coup - pot
 
 
@@ -239,6 +241,8 @@ class Certificate:
     conditions: ConditionReport
     shift: tuple[float, ...] | None = None
     notes: str = ""
+    # e0_terms' (Fisher, coupling, potential) that e0 combines; not in as_dict
+    terms: tuple[float, float, float] | None = None
 
     def applies_at(self, horizon: float) -> bool:
         return self.t_star is not None and bool(horizon > self.t_star)
@@ -332,7 +336,8 @@ def compute_nonexistence_certificate(
     if fields is None:
         fields = sample_on_grid(p, grid)
     conditions = check_structural_conditions(p, grid, fields=fields)
-    e0 = compute_e0(p, grid, fields=fields)
+    terms = e0_terms(p, grid, fields=fields)
+    e0 = compute_e0(p, grid, terms=terms)
     pts = grid.coordinates
     m0 = fields.m0
     h0 = integrate(m0, grid, weight=grid.radius_sq)
@@ -366,6 +371,7 @@ def compute_nonexistence_certificate(
         conditions=conditions,
         shift=shift,
         notes=notes,
+        terms=terms,
     )
 
 
@@ -394,29 +400,31 @@ def compute_planning_certificate(
     grid: Grid,
     terminal_density: GaussianMixture,
     fields: ProblemFields | None = None,
-    structural: ConditionReport | None = None,
+    certificate: Certificate | None = None,
 ) -> PlanningCertificate:
     """Certificate for the prescribed initial and terminal density problem.
 
     No terminal cost enters here, so the monotone terminal condition is not
     required; both endpoint densities must be unit mass and nonnegative.
-    structural, when given, is check_structural_conditions' report on grid."""
+    certificate, when given, is compute_nonexistence_certificate's result on
+    grid, whose condition report and e0 are reused; h0 is always the
+    unshifted second moment of m0, since the certificate's may be shifted."""
     if fields is None:
         fields = sample_on_grid(p, grid)
-    if structural is None:
-        structural = check_structural_conditions(p, grid, fields=fields)
+    if certificate is None:
+        certificate = compute_nonexistence_certificate(p, grid, fields=fields)
     mT, _ = _unit_mass(
         terminal_density.value(grid.coordinates), grid,
         "certify.terminal_density", "terminal density",
     )
     h0 = integrate(fields.m0, grid, weight=grid.radius_sq)
     hT = integrate(mT, grid, weight=grid.radius_sq)
-    e0 = compute_e0(p, grid, fields=fields)
+    e0 = certificate.e0
 
     conditions = {
-        "coercive_coupling": structural.coercive_coupling,
-        "confining_potential": structural.confining_potential,
-        "unit_mass_initial": structural.unit_mass,
+        "coercive_coupling": certificate.conditions.coercive_coupling,
+        "confining_potential": certificate.conditions.confining_potential,
+        "unit_mass_initial": certificate.conditions.unit_mass,
         "unit_mass_terminal": ConditionCheck(
             holds=float(mT.min()) >= 0.0, margin=float(mT.min())
         ),

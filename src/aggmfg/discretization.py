@@ -8,6 +8,11 @@ C-style to (nx, nx) with axis 0 along x and axis 1 along y.
 Quadrature is the trapezoid rule. Its weights are exactly the finite-volume
 cell widths (half cells at the boundary nodes), which is what makes the
 flux-form updates below conserve the trapezoid mass to roundoff.
+
+Each spatial operator is defined once, as tridiagonal bands per grid line in
+the (1, 1) layout that the marches solve: the Neumann Laplacian by
+neumann_off_diagonals and the fitted flux divergence by fitted_bands.
+laplacian and flux_divergence apply those bands with banded_product.
 """
 
 from __future__ import annotations
@@ -170,36 +175,63 @@ def integrate_space_time(values: np.ndarray, grid: Grid) -> float:
     return float(np.dot(grid.time_weights, spatial))
 
 
-def laplacian(field: np.ndarray, grid: Grid) -> np.ndarray:
-    """Second-order Laplacian with ghost-node reflection at the boundary.
+def banded_product(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The tridiagonal product A x along the last axis of x.
 
-    The reflected ghost value enforces a homogeneous Neumann condition, so
-    constants are annihilated exactly at every node including the boundary.
-    field has shape (..., n_nodes), for example one time slice or a block of
-    them; the result has the same shape.
+    ab holds A in solve_banded's (1, 1) layout, shape (3, ..., n): ab[1] is
+    the diagonal, ab[0, ..., 1:] the super- and ab[2, ..., :-1] the
+    sub-diagonal; the unused ends are never read. ab broadcasts against x,
+    so one line's bands serve every line of x.
+    """
+    out = ab[1] * x
+    tmp = np.multiply(ab[0, ..., 1:], x[..., 1:])  # one temporary for both off-diagonals
+    out[..., :-1] += tmp
+    np.multiply(ab[2, ..., :-1], x[..., :-1], out=tmp)
+    out[..., 1:] += tmp
+    return out
+
+
+def _along_axes(field: np.ndarray, grid: Grid, bands_of_axis) -> np.ndarray:
+    """Sum over the grid axes of banded_product along each.
+
+    field has shape (..., n_nodes) and the result the same shape.
+    bands_of_axis(ax) gives the bands of the lines along array axis ax of
+    the unflattened field (grid axis ax + dim), with that axis last.
     """
     f = np.asarray(field, dtype=float)
     g = f.reshape(f.shape[:-1] + (grid.nx,) * grid.dim)
-    out = _laplacian_axis(g, grid.dx, axis=-grid.dim)
-    for axis in range(1 - grid.dim, 0):
-        out += _laplacian_axis(g, grid.dx, axis)
+    out = banded_product(bands_of_axis(-1), g)
+    for ax in range(-grid.dim, -1):
+        out += banded_product(bands_of_axis(ax), g.swapaxes(ax, -1)).swapaxes(ax, -1)
     return out.reshape(f.shape)
 
 
-def _laplacian_axis(f: np.ndarray, dx: float, axis: int = 0) -> np.ndarray:
-    return second_difference(f, axis) / dx**2
+def neumann_off_diagonals(ab: np.ndarray, r: float) -> None:
+    """Off-diagonal bands of I - r*dx^2*Lap with ghost-node Neumann rows.
+
+    The reflected ghost node doubles each boundary row's coupling, and the
+    unused ends are zeroed, so stacked lines are not coupled.
+    """
+    ab[0, ..., 0] = 0.0
+    ab[0, ..., 1:] = -r
+    ab[0, ..., 1] = -2.0 * r  # reflected ghost at the left boundary
+    ab[2, ..., :-1] = -r
+    ab[2, ..., -2] = -2.0 * r
+    ab[2, ..., -1] = 0.0
 
 
-def second_difference(f: np.ndarray, axis: int = 0) -> np.ndarray:
-    """dx^2 times the Neumann Laplacian along one axis (ghost-node reflection)."""
-    # swapaxes, not moveaxis: the stencils are elementwise, so the order of
-    # the other axes is free, and swapaxes costs far less per call
-    f = f.swapaxes(axis, 0)
-    out = np.empty_like(f)
-    out[1:-1] = f[2:] - 2.0 * f[1:-1] + f[:-2]
-    out[0] = 2.0 * (f[1] - f[0])
-    out[-1] = 2.0 * (f[-2] - f[-1])
-    return out.swapaxes(0, axis)
+def laplacian(field: np.ndarray, grid: Grid) -> np.ndarray:
+    """Second-order Laplacian with ghost-node reflection at the boundary.
+
+    The bands of neumann_off_diagonals with diagonal -2/dx^2, applied along
+    every axis. The reflection enforces a homogeneous Neumann condition, so
+    constants are annihilated exactly at every node. field has shape
+    (..., n_nodes), for example one time slice or a block of them.
+    """
+    ab = np.empty((3, grid.nx))
+    ab[1] = -2.0 / grid.dx**2
+    neumann_off_diagonals(ab, -1.0 / grid.dx**2)
+    return _along_axes(field, grid, lambda ax: ab)
 
 
 def gradient(field: np.ndarray, grid: Grid) -> np.ndarray:
@@ -249,53 +281,70 @@ def face_transport_coefficients(peclet: np.ndarray) -> tuple[np.ndarray, np.ndar
     return A, B
 
 
-def flux_divergence(b: np.ndarray, density: np.ndarray, grid: Grid) -> np.ndarray:
-    """Divergence of the fitted advective flux b*mu, flux form, no-flux boundary.
+def fitted_bands(b_lines: np.ndarray, grid: Grid, dt: float) -> np.ndarray:
+    """Bands of I + dt*L for every line of b_lines, shape (3, *b_lines.shape).
 
-    density has shape (..., n_nodes), for example one time slice or a block
-    of them, and b has shape (..., dim, n_nodes); face drifts are the means
-    of the adjacent node values. Only the transport part of the fitted flux
-    is returned; the unit diffusion that fixes the fitting weights is handled
-    by the time steppers. The quadrature-weighted sum of the output
-    telescopes to zero exactly.
+    L is the fitted flux divergence along the last axis of b_lines, which
+    holds node drifts (..., lines, n); face drifts are the means of the
+    adjacent node values. The lines are one flat run of nodes (a copy only
+    when b_lines is a transposed view), so each coefficient takes
+    whole-array passes; flat face k lies between nodes k and k+1. The faces
+    between stacked lines are zeroed before the coefficients are formed,
+    and the line ends, whose scale is the half cell's, are fixed up by
+    strided writes. The Peclet numbers are formed in the upper band, which
+    is written last. Every entry has the bits of the per-line formulas:
+    diag = (scale*A + 1) + scale*B of the left face, upper = (-scale)*B and
+    lower = (-scale)*A.
+    """
+    n = b_lines.shape[-1]
+    b = b_lines.reshape(-1)
+    ab = np.empty((3, b.size))
+    upper, diag, lower = ab
+    p = upper
+    np.add(b[1:], b[:-1], out=p[:-1])
+    p *= 0.5
+    p *= grid.dx
+    p[n - 1 :: n] = 0.0  # no face between one line's end and the next line's start
+    A, B = face_transport_coefficients(p)
+    scale = dt / (grid.axis_weights * grid.dx)
+    inner, end = scale[1], scale[0]  # interior cells, and the half cells at the ends
+    np.multiply(A, -inner, out=lower)
+    np.subtract(1.0, lower, out=diag)  # 1 - (-scale*A) is 1 + scale*A, bit for bit
+    np.multiply(A[::n], end, out=diag[::n])
+    diag[::n] += 1.0
+    np.multiply(B[:-1], -inner, out=upper[1:])
+    upper[::n] = 0.0
+    diag -= upper  # adds scale*B of the left face; line starts have none
+    np.multiply(B[n - 2 :: n], end, out=diag[n - 1 :: n])
+    diag[n - 1 :: n] += 1.0
+    np.multiply(B[::n], -end, out=upper[1::n])
+    np.multiply(A[n - 2 :: n], -end, out=lower[n - 2 :: n])
+    lower[n - 1 :: n] = 0.0
+    return ab.reshape((3,) + b_lines.shape)
+
+
+def flux_divergence(b: np.ndarray, density: np.ndarray, grid: Grid) -> np.ndarray:
+    """The fitted divergence L mu = -Lap mu + div(b mu), no-flux boundary.
+
+    L is the operator whose implicit step (I + dt*L) mu_new = mu_old the
+    Fokker-Planck march solves: fitted_bands with dt = 1 and the identity
+    taken off the diagonal, applied along each axis. density has shape
+    (..., n_nodes) and b (..., dim, n_nodes). The weighted sum of the
+    output telescopes to zero up to roundoff; b = 0 gives -Lap mu.
     """
     b = np.asarray(b, dtype=float)
-    mu = np.asarray(density, dtype=float)
-    lead = mu.shape[:-1]
+    lead = np.shape(density)[:-1]
     if b.shape != lead + (grid.dim, grid.n_nodes):
         raise ValueError(f"drift shape {b.shape} != {lead + (grid.dim, grid.n_nodes)}")
-    space = (grid.nx,) * grid.dim
-    bg = b.reshape(lead + (grid.dim,) + space)
-    mg = mu.reshape(lead + space)
-    out = np.zeros_like(mg)
-    for d in range(grid.dim):
-        b_d = bg[(slice(None),) * len(lead) + (d,)]
-        out += _flux_divergence_axis(b_d, mg, grid, axis=d - grid.dim)
-    return out.reshape(mu.shape)
+    # component d of the drift at index d, or d - dim like its array axis
+    bg = np.moveaxis(b.reshape(lead + (grid.dim,) + (grid.nx,) * grid.dim), -1 - grid.dim, 0)
 
+    def fitted(ax):
+        ab = fitted_bands(bg[ax].swapaxes(ax, -1), grid, 1.0)
+        ab[1] -= 1.0
+        return ab
 
-def _flux_divergence_axis(
-    b: np.ndarray, mu: np.ndarray, grid: Grid, axis: int = 0, diffusion: bool = False
-) -> np.ndarray:
-    """Divergence of the fitted flux along one axis, any other axes being lines.
-
-    Only the transport part is returned unless diffusion is set, in which
-    case the unit diffusion of the fitted flux is included as well.
-    """
-    dx = grid.dx
-    b = b.swapaxes(axis, 0)
-    mu = mu.swapaxes(axis, 0)
-    # face drifts are the means of the two adjacent node drifts
-    A, B = face_transport_coefficients(0.5 * (b[1:] + b[:-1]) * dx)
-    if not diffusion:  # transport-only part of the fitted flux
-        A, B = A - 1.0, B - 1.0
-    flux = A * mu[:-1] - B * mu[1:]  # times dx
-    out = np.zeros_like(mu)
-    out[:-1] += flux
-    out[1:] -= flux
-    w = grid.axis_weights.reshape((-1,) + (1,) * (mu.ndim - 1))
-    out /= w * dx
-    return out.swapaxes(0, axis)
+    return _along_axes(density, grid, fitted)
 
 
 def write_grid_json(path, grid: Grid) -> None:

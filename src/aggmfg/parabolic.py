@@ -10,7 +10,6 @@ keeps the iteration matrix an M-matrix, hence mu >= 0 unconditionally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, repeat
 
 import numpy as np
@@ -20,10 +19,10 @@ from scipy.linalg.lapack import dgtsv
 from .discretization import (
     Grid,
     SpaceTimeField,
-    _flux_divergence_axis,
     _level_blocks,
-    face_transport_coefficients,
-    second_difference,
+    banded_product,
+    fitted_bands,
+    neumann_off_diagonals,
 )
 from .errors import (
     KernelNormDivergenceError,
@@ -54,20 +53,14 @@ def _check_scheme(scheme: str) -> None:
 def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Solve every tridiagonal line of one time level in place, in one LAPACK call.
 
-    x is a contiguous float array holding the right-hand sides of the
-    level's lines end to end; it is overwritten by the solution and
-    returned. dl, d and du are the sub-, main and super-diagonals of the
-    stacked system (sizes x.size - 1, x.size, x.size - 1), with zero
-    couplings where one line ends and the next begins, so dgtsv eliminates
-    each line exactly as it would alone and the result equals a per-line
-    scipy.linalg.solve_banded loop bit for bit. dgtsv overwrites the
-    diagonals too.
-
-    When every line has the same matrix, x may instead be an F-contiguous
-    (n, nrhs) block, one line per column, with dl, d and du one line's
-    bands (sizes n - 1, n, n - 1). dgtsv then forms each elimination factor
-    once and applies it to every column, which is again bit for bit a
-    per-line solve.
+    x is a contiguous float array holding the level's right-hand sides end
+    to end; it is overwritten by the solution and returned. dl, d and du
+    are the sub-, main and super-diagonals of the stacked system, with zero
+    couplings between lines, so dgtsv eliminates each line exactly as alone:
+    the bits of a per-line scipy.linalg.solve_banded loop. dgtsv overwrites
+    the diagonals too. When every line has the same matrix, x may instead be
+    an F-contiguous (n, nrhs) block, one line per column, with one line's
+    bands; each elimination factor is then formed once for all columns.
     """
     _, _, _, out, info = dgtsv(dl, d, du, x, 1, 1, 1, 1)
     if info > 0:
@@ -82,11 +75,9 @@ def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, x: np.ndarray) -
 def _diagonals(ab: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (dl, d, du) diagonals solve_banded takes, as stacks of one row per level.
 
-    ab has shape (3, levels, ...) and holds each line's matrix in the
-    (1, 1) layout of scipy.linalg.solve_banded, with the unused ends
-    ab[0, ..., 0] and ab[2, ..., -1] zero: those are the couplings between
-    stacked lines. The rows are views, so the levels' bands are solved
-    where they were built.
+    ab has shape (3, levels, ...) in the (1, 1) layout, with zero unused
+    ends between stacked lines. The rows are views, so the levels' bands
+    are solved where they were built.
     """
     upper, diag, lower = ab.reshape(ab.shape[:2] + (-1,))
     return lower[:, :-1], diag, upper[:, 1:]
@@ -110,37 +101,33 @@ def _level_moves(dst, src, x, sweeps, scratch):
     ))
 
 
-def _march(moves, fill=None) -> None:
+def _march(moves, explicit=None) -> None:
     """Make the moves of one block of time levels, one after another.
 
     A move (dst, src, x, dl, d, du) is one sweep of one time step: fill dst
     from src, then solve the tridiagonal system with bands dl, d, du in
     place in x, which is dst's memory in the layout solve_banded takes.
-    Implicit Euler fills by a copy; fill(k, dst, src), when given, forms the
-    right-hand side of the block's k-th move instead.
+    Implicit Euler fills by a copy. Crank-Nicolson fills (2I - M) src, M
+    the matrix its implicit half solves with at the level stepped from:
+    explicit holds each sweep axis's unsolved bands, one row per step in
+    march order, and move k sweeps axis k % dim of step k // dim, read in
+    src and dst with that axis last.
     """
-    if fill is None:
+    if explicit is None:
         for dst, src, x, dl, d, du in moves:
             dst[...] = src
             solve_banded(dl, d, du, x)
-    else:
-        for k, (dst, src, x, dl, d, du) in enumerate(moves):
-            fill(k, dst, src)
-            solve_banded(dl, d, du, x)
+        return
+    dim = len(explicit)
+    for k, (dst, src, x, dl, d, du) in enumerate(moves):
+        ax = k % dim - dim  # grid axis a is array axis a - dim
+        s = src.swapaxes(ax, -1)
+        dst.swapaxes(ax, -1)[...] = 2.0 * s - banded_product(explicit[k % dim][:, k // dim], s)
+        solve_banded(dl, d, du, x)
 
 
 # ---------------------------------------------------------------------------
 # backward heat equation with zeroth order coefficient
-
-
-def _diffusion_off_diagonals(ab: np.ndarray, r: float) -> None:
-    """Off-diagonal bands of I - r*dx^2*Lap with ghost-node Neumann rows."""
-    ab[0, ..., 0] = 0.0
-    ab[0, ..., 1:] = -r
-    ab[0, ..., 1] = -2.0 * r  # reflected ghost at the left boundary
-    ab[2, ..., :-1] = -r
-    ab[2, ..., -2] = -2.0 * r
-    ab[2, ..., -1] = 0.0
 
 
 def solve_backward_heat(
@@ -158,12 +145,9 @@ def solve_backward_heat(
 
     In 2D each step is Lie split into line sweeps: the axis-0 sweep carries
     the zeroth order coefficient, the axis-1 sweep is pure diffusion, and
-    each sweep is an M-matrix solve. The bands and the sign check are done
-    for a block of time levels at a time. Every line of the diffusion sweep
-    has the same matrix, so that sweep solves the level's rows as the
-    columns of one multi-right-hand-side call, with its own copy of one
-    line's bands. Each step is thus only a copy of the previous level and
-    one in-place solve per sweep.
+    each sweep is an M-matrix solve. Bands and sign checks are done a block
+    of time levels at a time. All lines of the diffusion sweep share one
+    matrix, so it solves the level's rows as the columns of one call.
     """
     _check_scheme(scheme)
     w_T = np.asarray(terminal, dtype=float)
@@ -183,7 +167,6 @@ def solve_backward_heat(
     theta = 0.5 if half else 1.0
     r = theta * dt / grid.dx**2
     shape = (grid.nx ** (grid.dim - 1), grid.nx)
-    first = -grid.dim  # the axis-0 sweep, which carries the coefficient
     c = c.reshape((grid.nt + 1,) + shape)
     w = np.empty((grid.nt + 1, grid.n_nodes))
     w[-1] = w_T
@@ -194,23 +177,21 @@ def solve_backward_heat(
         # one line's bands of the pure diffusion sweep
         line = np.empty((3, 1, grid.nx))
         line[1] = 1.0 + 2.0 * r
-        _diffusion_off_diagonals(line, r)
-
-    def explicit_half(top: int, k: int, dst: np.ndarray, src: np.ndarray) -> None:
-        """Crank-Nicolson right-hand side of move k of the block below level top."""
-        j = top - 1 - k // grid.dim  # the level stepped onto
-        ax = k % grid.dim - grid.dim  # grid axis a is array axis a - dim
-        if ax == first:
-            dst[...] = src + r * second_difference(src, ax) + 0.5 * dt * c[j + 1] * src
-        else:
-            dst[...] = src + r * second_difference(src, ax)
+        neumann_off_diagonals(line, r)
 
     for lo, hi in reversed(list(_level_blocks(grid.nt, grid.n_nodes))):
-        # bands of the coefficient sweep, one set per level
-        bands = np.empty((3, hi - lo) + shape)
-        np.multiply(theta * dt, c[lo:hi].swapaxes(first, -1), out=bands[1])
+        # bands of the axis-0 (coefficient) sweep, one set per level; Crank-
+        # Nicolson also needs level hi's, which the block's first step leaves
+        bands = np.empty((3, hi - lo + half) + shape)
+        np.multiply(theta * dt, c[lo : hi + half].swapaxes(-grid.dim, -1), out=bands[1])
         np.subtract(1.0 + 2.0 * r, bands[1], out=bands[1])
-        _diffusion_off_diagonals(bands, r)
+        neumann_off_diagonals(bands, r)
+        explicit = None
+        if half:
+            # the explicit halves read levels hi .. lo+1 unsolved, and
+            # dgtsv overwrites what it solves, so it gets a copy
+            explicit = [bands[:, :0:-1]]
+            bands = bands[:, :-1].copy()
         sweeps = [[band[::-1] for band in _diagonals(bands)]]
         dst = rows[lo:hi][::-1]
         if grid.dim == 1:
@@ -219,13 +200,16 @@ def solve_backward_heat(
             # each level's diffusion sweep gets its own bands, as dgtsv
             # overwrites them, and solves the level's lines as the columns
             # of its transpose
-            sweeps.append(_diagonals(np.broadcast_to(line, (3, hi - lo, grid.nx)).copy()))
+            diffusion = np.broadcast_to(line, (3, hi - lo, grid.nx))
+            sweeps.append(_diagonals(diffusion.copy()))
+            if half:
+                explicit.append(diffusion)
             x = dst.swapaxes(1, 2)
         moves = _level_moves(dst, rows[lo + 1 : hi + 1][::-1], x, sweeps, scratch)
-        _march(moves, partial(explicit_half, hi) if half else None)
+        _march(moves, explicit)
         # the spent moves still hold the bands; free them before the next
         # block's are built, so one block's bands are alive at a time
-        del bands, sweeps, moves
+        del bands, explicit, sweeps, moves
         _check_positive(w, lo, hi)
     return SpaceTimeField(w, grid)
 
@@ -254,48 +238,6 @@ def _check_positive(w: np.ndarray, lo: int, hi: int) -> None:
 # forward Fokker-Planck march
 
 
-def _fp_bands(b_lines: np.ndarray, grid: Grid, dt: float) -> np.ndarray:
-    """Bands of I + dt*L for every line of b_lines, shape (3, *b_lines.shape).
-
-    L is the fitted flux divergence along the last axis of b_lines, which
-    holds node drifts of shape (..., lines, n).
-
-    The lines are worked on as one flat run of nodes (a copy only when
-    b_lines is a transposed view), so each coefficient is formed by
-    whole-array passes instead of one short loop per line. Flat face k lies
-    between nodes k and k+1; the faces between stacked lines are zeroed
-    before the coefficients are formed, and the line ends, whose scale is
-    the half cell's, are fixed up by strided writes. Every entry gets the
-    floating-point operations of the per-line formulas: diag = (scale*A + 1)
-    + scale*B of the left face, upper = (-scale)*B and lower = (-scale)*A.
-    """
-    n = b_lines.shape[-1]
-    b = b_lines.reshape(-1)
-    p = np.empty(b.size)
-    np.add(b[1:], b[:-1], out=p[:-1])
-    p *= 0.5
-    p *= grid.dx
-    p[n - 1 :: n] = 0.0  # no face between one line's end and the next line's start
-    A, B = face_transport_coefficients(p)
-    scale = dt / (grid.axis_weights * grid.dx)
-    inner, end = scale[1], scale[0]  # interior cells, and the half cells at the ends
-    ab = np.empty((3, b.size))
-    upper, diag, lower = ab
-    np.multiply(A, -inner, out=lower)
-    np.subtract(1.0, lower, out=diag)  # 1 - (-scale*A) is 1 + scale*A, bit for bit
-    np.multiply(A[::n], end, out=diag[::n])
-    diag[::n] += 1.0
-    np.multiply(B[:-1], -inner, out=upper[1:])
-    upper[::n] = 0.0
-    diag -= upper  # adds scale*B of the left face; line starts have none
-    np.multiply(B[n - 2 :: n], end, out=diag[n - 1 :: n])
-    diag[n - 1 :: n] += 1.0
-    np.multiply(B[::n], -end, out=upper[1::n])
-    np.multiply(A[n - 2 :: n], -end, out=lower[n - 2 :: n])
-    lower[n - 1 :: n] = 0.0
-    return ab.reshape((3,) + b_lines.shape)
-
-
 def solve_fokker_planck(
     initial: np.ndarray,
     drift,
@@ -314,9 +256,8 @@ def solve_fokker_planck(
 
     In 2D each step is Lie split into an axis-0 then an axis-1 line sweep;
     each sweep conserves the weighted line mass, so the tensor trapezoid
-    mass telescopes exactly. The bands and the undershoot check are done
-    for a block of time levels at a time, so each step is only a copy of
-    the previous level and one in-place solve per sweep.
+    mass telescopes exactly. Bands and undershoot checks are done a block
+    of time levels at a time.
     """
     _check_scheme(scheme)
     mu0 = np.asarray(initial, dtype=float)
@@ -337,12 +278,6 @@ def solve_fokker_planck(
     rows = mu.reshape((grid.nt + 1,) + shape)
     scratch = np.empty(shape) if grid.dim == 2 else None
 
-    def explicit_half(b: np.ndarray, k: int, dst: np.ndarray, src: np.ndarray) -> None:
-        """Crank-Nicolson right-hand side of move k of a block; b starts at its first level."""
-        a = k % grid.dim
-        flux = _flux_divergence_axis(b[k // grid.dim, a], src, grid, a - grid.dim, diffusion=True)
-        dst[...] = src - dt * flux
-
     for lo, hi in _level_blocks(grid.nt, grid.n_nodes):
         start = lo
         while start < hi:
@@ -352,15 +287,22 @@ def solve_fokker_planck(
             b = np.asarray(drift[first : hi + 1], dtype=float)
             b = b.reshape((hi + 1 - first, grid.dim) + shape)
             # bands for every sweep axis (grid axis a is array axis a - dim)
-            sweeps = [
-                _diagonals(_fp_bands(b[start + 1 - first :, a].swapaxes(a - grid.dim, -1), grid, dt))
+            bands = [
+                fitted_bands(b[:, a].swapaxes(a - grid.dim, -1), grid, dt)
                 for a in range(grid.dim)
             ]
+            explicit = None
+            if half:
+                # the explicit halves read levels start .. hi-1 unsolved,
+                # and dgtsv overwrites what it solves, so it gets a copy
+                explicit = [ab[:, :-1] for ab in bands]
+                bands = [ab[:, 1:].copy() for ab in bands]
+            sweeps = [_diagonals(ab) for ab in bands]
             levels = slice(start + 1, hi + 1)
             moves = _level_moves(rows[levels], rows[start:hi], mu[levels], sweeps, scratch)
-            _march(moves, partial(explicit_half, b) if half else None)
+            _march(moves, explicit)
             # one block's bands and drift alive at a time, as in the heat march
-            del b, sweeps, moves
+            del b, bands, explicit, sweeps, moves
             start = _clamp_undershoot(mu, start, hi)
     return SpaceTimeField(mu, grid)
 

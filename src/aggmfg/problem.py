@@ -75,6 +75,15 @@ def _centered(center: tuple[float, ...], points: np.ndarray) -> np.ndarray:
     return points - c[:, None]
 
 
+def _gaussian_bump(scale: float, center, width: float, points: np.ndarray,
+                   gradient: bool = False) -> np.ndarray:
+    """value = scale * exp(-|z|^2 / (2 width^2)) at z = points - center, or,
+    with gradient set, its gradient -z / width^2 * value."""
+    z = _centered(center, points)
+    value = scale * np.exp(-np.sum(z**2, axis=0) / (2.0 * width**2))
+    return -z / width**2 * value if gradient else value
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """Spatial potential V. Families: zero, gaussian_well, cosine_bump, user_table."""
@@ -102,10 +111,9 @@ class PotentialSpec:
             return np.zeros(points.shape[1])
         if self.family == "user_table":
             return np.asarray(self.table["values"], dtype=float)
-        z = _centered(self.center, points)
         if self.family == "gaussian_well":
-            return self.amplitude * np.exp(-np.sum(z**2, axis=0) / (2.0 * self.width**2))
-        return self.amplitude * np.prod(self._hann(z), axis=0)
+            return _gaussian_bump(self.amplitude, self.center, self.width, points)
+        return self.amplitude * np.prod(self._hann(_centered(self.center, points)), axis=0)
 
     def gradient(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -114,10 +122,9 @@ class PotentialSpec:
             return np.zeros((dim, n))
         if self.family == "user_table":
             return np.asarray(self.table["gradient"], dtype=float).reshape(dim, n)
-        z = _centered(self.center, points)
         if self.family == "gaussian_well":
-            v = self.value(points)
-            return -z / self.width**2 * v
+            return _gaussian_bump(self.amplitude, self.center, self.width, points, gradient=True)
+        z = _centered(self.center, points)
         phi = self._hann(z)
         dphi = self._hann_prime(z)
         grad = np.empty((dim, n))
@@ -162,8 +169,7 @@ class TerminalCostSpec:
         if self.family == "log_quadratic":
             r2 = np.sum(points**2, axis=0)
             return self.amplitude * np.log1p(r2)
-        z = _centered(self.center, points)
-        return self.amplitude * np.exp(-np.sum(z**2, axis=0) / (2.0 * self.width**2))
+        return _gaussian_bump(self.amplitude, self.center, self.width, points)
 
     def gradient(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -172,9 +178,7 @@ class TerminalCostSpec:
         if self.family == "log_quadratic":
             r2 = np.sum(points**2, axis=0)
             return 2.0 * self.amplitude * points / (1.0 + r2)
-        z = _centered(self.center, points)
-        v = self.value(points)
-        return -z / self.width**2 * v
+        return _gaussian_bump(self.amplitude, self.center, self.width, points, gradient=True)
 
 
 @dataclass(frozen=True)
@@ -208,9 +212,8 @@ class GaussianMixture:
         dim = points.shape[0]
         out = np.zeros(points.shape[1])
         for w, c, s in zip(self.weights, self.means, self.stds):
-            z = points - np.asarray(c)[:, None]
             norm = (2.0 * np.pi * s**2) ** (-0.5 * dim)
-            out += w * norm * np.exp(-np.sum(z**2, axis=0) / (2.0 * s**2))
+            out += _gaussian_bump(w * norm, c, s, points)
         return out
 
     def gradient(self, points: np.ndarray) -> np.ndarray:
@@ -218,10 +221,8 @@ class GaussianMixture:
         dim = points.shape[0]
         out = np.zeros_like(points)
         for w, c, s in zip(self.weights, self.means, self.stds):
-            z = points - np.asarray(c)[:, None]
             norm = (2.0 * np.pi * s**2) ** (-0.5 * dim)
-            g = w * norm * np.exp(-np.sum(z**2, axis=0) / (2.0 * s**2))
-            out += -z / s**2 * g
+            out += _gaussian_bump(w * norm, c, s, points, gradient=True)
         return out
 
 
@@ -340,23 +341,10 @@ class ConditionReport:
 
     @property
     def all_hold(self) -> bool:
-        return (
-            self.coercive_coupling.holds
-            and self.confining_potential.holds
-            and self.monotone_terminal.holds
-            and self.unit_mass.holds
-        )
+        return all(check.holds for check in vars(self).values())
 
     def as_dict(self) -> dict:
-        out = {
-            name: getattr(self, name).as_dict()
-            for name in (
-                "coercive_coupling",
-                "confining_potential",
-                "monotone_terminal",
-                "unit_mass",
-            )
-        }
+        out = {name: check.as_dict() for name, check in vars(self).items()}
         out["all_hold"] = self.all_hold
         return out
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -25,7 +26,6 @@ from .diagnostics import (
     compute_energy,
     compute_nonexistence_certificate,
     compute_planning_certificate,
-    e0_terms,
 )
 from .discretization import Grid, write_field_csv, write_grid_json
 from .errors import ConfigError, KernelNormDivergenceError
@@ -83,11 +83,13 @@ def _write_json(path, payload) -> None:
 
 
 def prepare_out_dir(cfg: dict, command: str, out_dir=None) -> str:
-    """Timestamped directory under output.directory unless one is given."""
+    """Timestamped directory under output.directory unless one is given.
+    A non-string output.directory or output.label is a ConfigError."""
+    chk = cfgmod._Checker(cfg)
+    root = chk.string("output.directory", "runs")
+    label = chk.string("output.label", "")
+    chk.raise_if_bad()
     if out_dir is None:
-        section = cfg.get("output", {})
-        root = section.get("directory", "runs") if isinstance(section, dict) else "runs"
-        label = section.get("label", "") if isinstance(section, dict) else ""
         stem = f"{command}-{label}" if label else command
         stamp = time.strftime("%Y%m%d-%H%M%S")
         candidate = os.path.join(root, f"{stem}-{stamp}")
@@ -234,7 +236,10 @@ def run_single(cfg: dict, out_dir=None) -> dict:
 
 def _horizon_section(chk, section: str, horizons_key: str, nx: int, nt_per_unit: float):
     """Positive ascending horizons and the grid rule (half_width, nx, nt_per_unit)
-    of a sweep or long-time section; nx and nt_per_unit are the defaults."""
+    of a sweep or long-time section; nx and nt_per_unit are the defaults.
+    The problem section, which both commands set keys of, must be an object."""
+    if not isinstance(chk.get("problem", {}), dict):
+        chk.bad.append("problem")
     horizons = chk.number_list(f"{section}.{horizons_key}", required=True, ascending=True)
     if horizons is not None and any(t <= 0 for t in horizons):
         chk.bad.append(f"{section}.{horizons_key}")
@@ -244,6 +249,13 @@ def _horizon_section(chk, section: str, horizons_key: str, nx: int, nt_per_unit:
     nt_per_unit = chk.number(f"{section}.nt_per_unit", default=nt_per_unit, strict_min=0.0)
     half_width = chk.number("grid.half_width", default=12.0, strict_min=0.0)
     return horizons, (half_width, nx, nt_per_unit)
+
+
+def _set_problem(cfg: dict, **values):
+    """The ProblemSpec of cfg's problem section with the given keys set, in a copy."""
+    cell_cfg = copy.deepcopy(cfg)
+    cell_cfg.setdefault("problem", {}).update(values)
+    return cfgmod.build_problem(cell_cfg)
 
 
 def _horizon_grid(dim: int, rule: tuple, horizon: float) -> Grid:
@@ -275,12 +287,10 @@ def _sweep_cell(job: dict) -> dict:
     refined grids, and a converged run under a certificate is confirmed the
     same way before the contradiction is written.
     """
-    cfg = copy.deepcopy(job["config"])
-    cfg.setdefault("problem", {})
-    cfg["problem"]["sigma"] = job["sigma"]
-    cfg["problem"]["horizon"] = job["horizon"]
-    problem = cfgmod.build_problem(cfg)
-    solver_cfg = cfgmod.build_solver(cfg)
+    template = job["problem"]
+    coupling = dataclasses.replace(template.coupling, sigma=job["sigma"])
+    problem = dataclasses.replace(template, coupling=coupling, horizon=job["horizon"])
+    solver_cfg = job["solver"]
 
     base = _horizon_grid(problem.dim, job["rule"], job["horizon"])
     fields = sample_on_grid(problem, base)
@@ -325,18 +335,14 @@ def _sweep_cell(job: dict) -> dict:
 def run_sweep(cfg: dict, out_dir=None) -> dict:
     """Phase table over a (sigma, horizon) grid, cells independent."""
     sigma_grid, horizon_grid, rule, confirm_rounds, workers = _sweep_sections(cfg)
-    # validate the problem template once before paying for any cell
-    template = copy.deepcopy(cfg)
-    template.setdefault("problem", {})
-    template["problem"]["sigma"] = sigma_grid[0]
-    template["problem"]["horizon"] = horizon_grid[0]
-    cfgmod.build_problem(template)
-    cfgmod.build_solver(template)
+    # build the problem once, before paying for any cell; each cell sets its sigma and horizon
+    problem = _set_problem(cfg, sigma=sigma_grid[0], horizon=horizon_grid[0])
+    solver_cfg = cfgmod.build_solver(cfg)
     out_dir = prepare_out_dir(cfg, "sweep", out_dir)
 
     jobs = [
         {
-            "config": cfg, "sigma": s, "horizon": t, "rule": rule,
+            "problem": problem, "solver": solver_cfg, "sigma": s, "horizon": t, "rule": rule,
             "confirm_rounds": confirm_rounds,
         }
         for s in sigma_grid
@@ -401,14 +407,14 @@ def run_longtime(cfg: dict, out_dir=None) -> dict:
     if family != "zero":
         chk.bad.append("problem.potential.family")
     chk.raise_if_bad()
+    # build the problem once, before any solve; each solve sets its horizon
+    template = _set_problem(cfg, horizon=horizons[0])
+    solver_cfg = cfgmod.build_solver(cfg)
+    out_dir = prepare_out_dir(cfg, "longtime", out_dir)
 
     rows = []
     for horizon in horizons:
-        cell_cfg = copy.deepcopy(cfg)
-        cell_cfg.setdefault("problem", {})
-        cell_cfg["problem"]["horizon"] = horizon
-        problem = cfgmod.build_problem(cell_cfg)
-        solver_cfg = cfgmod.build_solver(cell_cfg)
+        problem = dataclasses.replace(template, horizon=horizon)
         outcome = solve(problem, _horizon_grid(problem.dim, rule, horizon), solver_cfg)
         rows.append({
             "horizon": horizon,
@@ -418,7 +424,6 @@ def run_longtime(cfg: dict, out_dir=None) -> dict:
             "iterations": outcome.iterations,
         })
 
-    out_dir = prepare_out_dir(cfg, "longtime", out_dir)
     _write_csv(
         os.path.join(out_dir, "series.csv"),
         ["T", "verdict", "D_final", "rescaled", "iterations"],
@@ -456,12 +461,11 @@ def run_certify(cfg: dict, out_dir=None) -> dict:
     certificate = compute_nonexistence_certificate(
         problem, grid, optimize_shift=optimize_shift, fields=fields
     )
-    fisher, coupling_term, potential_term = e0_terms(problem, grid, fields=fields)
     planning = None
     if has_terminal:
         terminal = cfgmod.build_mixture(cfg, "certify.terminal_density", problem.dim)
         planning = compute_planning_certificate(
-            problem, grid, terminal, fields=fields, structural=certificate.conditions
+            problem, grid, terminal, fields=fields, certificate=certificate
         )
 
     out_dir = prepare_out_dir(cfg, "certify", out_dir)
@@ -471,11 +475,7 @@ def run_certify(cfg: dict, out_dir=None) -> dict:
         "conditions": certificate.conditions.as_dict(),
         "certificate": certificate.as_dict(),
         "certificate_applies": certificate.applies_at(problem.horizon),
-        "e0_terms": {
-            "fisher": fisher,
-            "coupling": coupling_term,
-            "potential": potential_term,
-        },
+        "e0_terms": dict(zip(("fisher", "coupling", "potential"), certificate.terms)),
         "planning": planning.as_dict() if planning is not None else None,
     }
     _write_json(os.path.join(out_dir, "certificate.json"), payload)

@@ -292,7 +292,7 @@ def self_consistency_residual(
         # density residual at levels lo+1 .. hi, driven by -grad u
         b = gradient(u1, grid)
         np.negative(b, out=b)
-        r = (m1 - m0) / dt - laplacian(m1, grid) + flux_divergence(b, m1, grid)
+        r = (m1 - m0) / dt + flux_divergence(b, m1, grid)
         for norm in np.vecdot(np.abs(r, out=r), w_int).tolist():
             fp_total += norm * dt
     return hjb_total, fp_total

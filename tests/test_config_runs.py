@@ -413,6 +413,30 @@ def test_run_certify_builds_one_condition_report(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_run_certify_evaluates_e0_terms_once(tmp_path, monkeypatch):
+    terms = diagnostics_module.e0_terms
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return terms(*args, **kwargs)
+
+    for module in (diagnostics_module, runs_module):
+        monkeypatch.setattr(module, "e0_terms", counting, raising=False)
+    cfg = _solve_cfg(sigma=20.0, horizon=8.0, nt=64)
+    cfg["certify"] = {
+        "optimize_shift": True,
+        "terminal_density": {"weights": [1.0], "means": [[0.0]], "stds": [1.0]},
+    }
+    out = run_certify(cfg, out_dir=str(tmp_path / "cert"))
+    assert len(calls) == 1
+    # the report's terms and both certificates' e0 come from that one call
+    e0_terms = out["e0_terms"]
+    e0 = -0.5 * e0_terms["fisher"] + e0_terms["coupling"] - e0_terms["potential"]
+    assert out["certificate"]["e0"] == out["planning"]["e0"] == e0
+    assert "terms" not in out["certificate"]
+
+
 def test_run_kernelcheck_default_queries(tmp_path):
     out = run_kernelcheck({}, out_dir=str(tmp_path / "kc"))
     by_key = {(r["dim"], r["exponent"], r["kind"]): r for r in out["rows"]}
@@ -491,6 +515,42 @@ def test_cli_density_off_grid_exits_two(tmp_path, capsys, command, density):
     code = main([command, str(cfg_path), "--output", str(tmp_path / "out")])
     assert code == 2
     assert "nonpositive mass" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,section,key,value", [
+    ("sweep", "problem", None, []),
+    ("longtime", "problem", None, "x"),
+    ("longtime", "output", "directory", 5),
+    ("solve", "output", "directory", 5),
+    ("solve", "output", "label", ["a"]),
+    ("sweep", "output", "label", ["a"]),
+])
+def test_cli_bad_section_shape_exits_two_before_any_solve(
+    tmp_path, monkeypatch, capsys, command, section, key, value
+):
+    cfg = _solve_cfg(nx=17, nt=8)
+    cfg["problem"].pop("horizon")
+    if command == "sweep":
+        cfg["sweep"] = {"sigma_grid": [0.0], "horizon_grid": [1.0], "nx": 17, "nt_per_unit": 8}
+    elif command == "longtime":
+        cfg["longtime"] = {"horizons": [1.0, 2.0], "nx": 17, "nt_per_unit": 8}
+    else:
+        cfg["problem"]["horizon"] = 1.0
+    if key is None:
+        cfg[section] = value
+    else:
+        cfg[section][key] = value
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the config error")
+
+    monkeypatch.setattr(runs_module, "solve", no_solve)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main([command, "cfg.json"]) == 2
+    name = section if key is None else f"{section}.{key}"
+    assert name in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 def test_cli_kernelcheck_no_config(tmp_path, capsys):

@@ -184,26 +184,30 @@ def test_flux_divergence_conserves_weighted_sum(rng):
         b = rng.standard_normal((dim, g.n_nodes))
         m = rng.random(g.n_nodes) + 0.1
         out = flux_divergence(b, m, g)
-        # no-flux walls: the weighted divergence telescopes to zero exactly
+        # no-flux walls: the weighted divergence telescopes to zero, up to
+        # the roundoff of taking the identity off the fitted diagonal
         assert abs(np.dot(g.weights, out)) < 1e-13 * np.dot(g.weights, np.abs(out))
 
 
-def test_flux_divergence_zero_drift():
-    g = Grid(dim=1, half_width=5.0, nx=65, nt=1, horizon=1.0)
-    m = np.exp(-g.axis**2)
-    out = flux_divergence(np.zeros((1, 65)), m, g)
-    assert np.allclose(out, 0.0)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_flux_divergence_without_drift_is_minus_the_laplacian(dim):
+    g = Grid(dim=dim, half_width=5.0, nx=65 if dim == 1 else 33, nt=1, horizon=1.0)
+    m = np.exp(-g.radius_sq)
+    out = flux_divergence(np.zeros((dim, g.n_nodes)), m, g)
+    lap = laplacian(m, g)
+    assert np.allclose(out, -lap, rtol=0.0, atol=1e-13 * np.abs(lap).max())
 
 
-def test_flux_divergence_matches_analytic_transport():
-    # smooth b and m compactly supported away from the walls
+def test_flux_divergence_matches_analytic_operator():
+    # smooth b and m compactly supported away from the walls; the fitted
+    # operator is -m'' + (b m)'
     errs = []
     for nx in (129, 257, 513):
         g = Grid(dim=1, half_width=8.0, nx=nx, nt=1, horizon=1.0)
         x = g.axis
         m = np.exp(-x**2)
         b = np.sin(0.5 * x)
-        exact = 0.5 * np.cos(0.5 * x) * m + b * (-2.0 * x) * m
+        exact = -(4.0 * x**2 - 2.0) * m + 0.5 * np.cos(0.5 * x) * m + b * (-2.0 * x) * m
         out = flux_divergence(b[None, :], m, g)
         errs.append(np.max(np.abs(out - exact)))
     slope = np.polyfit(np.log([16.0 / (n - 1) for n in (129, 257, 513)]), np.log(errs), 1)[0]

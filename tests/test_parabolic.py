@@ -24,11 +24,11 @@ from aggmfg import (
 from aggmfg.discretization import (
     _BLOCK_ROWS,
     Grid,
-    _flux_divergence_axis,
     _level_blocks,
+    banded_product,
     face_transport_coefficients,
+    fitted_bands,
     integrate,
-    second_difference,
 )
 from tests.conftest import three_block_levels
 
@@ -182,6 +182,16 @@ def _solve_each_line(f, axis, band_of_line):
     return out
 
 
+def _explicit_each_line(f, axis, band_of_line):
+    """(2I - M) f along axis, each line with its own bands M: Crank-Nicolson's explicit half."""
+    out = f.copy()
+    lines = np.moveaxis(out, axis, 0)
+    for line in np.ndindex(lines.shape[1:]):
+        idx = (slice(None),) + line
+        lines[idx] = 2.0 * lines[idx] - banded_product(band_of_line(idx), lines[idx])
+    return out
+
+
 def _heat_band(nx, r, coefficient=0.0):
     """(1, 1) bands of I - r*dx^2*Lap - coefficient on one line, Neumann ghost rows."""
     ab = np.zeros((3, nx))
@@ -235,7 +245,7 @@ def test_fp_bands_match_per_line_bands(dim, axis, rng):
             # the axis-0 sweep sees its lines through a transposed view of the level
             b = np.ascontiguousarray(b.swapaxes(-2, -1)).swapaxes(-2, -1)
         with np.errstate(over="raise", invalid="raise"):
-            ab = parabolic._fp_bands(b, g, g.dt)
+            ab = fitted_bands(b, g, g.dt)
         expected = np.empty_like(ab)
         for idx in np.ndindex(b.shape[:-1]):
             expected[(slice(None),) + idx] = _fp_band(b[idx], g, g.dt)
@@ -252,12 +262,13 @@ def _per_line_heat(w_T, c, g, scheme):
     for j in range(g.nt - 1, -1, -1):
         cur = w[j + 1].reshape(shape)
         if half:
-            cur = cur + r * second_difference(cur) + 0.5 * g.dt * c[j + 1].reshape(shape) * cur
+            ck = theta * g.dt * c[j + 1].reshape(shape)
+            cur = _explicit_each_line(cur, 0, lambda idx: _heat_band(g.nx, r, ck[idx]))
         cj = theta * g.dt * c[j].reshape(shape)
         cur = _solve_each_line(cur, 0, lambda idx: _heat_band(g.nx, r, cj[idx]))
         if g.dim == 2:
             if half:
-                cur = cur + r * second_difference(cur, 1)
+                cur = _explicit_each_line(cur, 1, lambda idx: _heat_band(g.nx, r))
             cur = _solve_each_line(cur, 1, lambda idx: _heat_band(g.nx, r))
         w[j] = cur.ravel()
     return w
@@ -274,7 +285,8 @@ def _per_line_fokker_planck(mu0, b, g, scheme):
         cur = mu[n - 1].reshape(shape)
         for axis in range(g.dim):
             if half:
-                cur = cur - dt * _flux_divergence_axis(b[n - 1, axis], cur, g, axis, diffusion=True)
+                b_old = np.moveaxis(b[n - 1, axis], axis, 0)
+                cur = _explicit_each_line(cur, axis, lambda idx: _fp_band(b_old[idx], g, dt))
             b_new = np.moveaxis(b[n, axis], axis, 0)
             cur = _solve_each_line(cur, axis, lambda idx: _fp_band(b_new[idx], g, dt))
         mu[n] = np.maximum(cur.ravel(), 0.0)
@@ -391,6 +403,51 @@ def test_line_sweep_kernel_solves_many_right_hand_sides_with_one_lines_bands(rng
     assert x.flags.f_contiguous
     assert parabolic.solve_banded(ab[2, :-1].copy(), ab[1].copy(), ab[0, 1:].copy(), x) is x
     assert np.array_equal(rows, expected)
+
+
+def _dense(ab_line):
+    """The dense matrix of one line's (1, 1) bands."""
+    return np.diag(ab_line[1]) + np.diag(ab_line[0, 1:], 1) + np.diag(ab_line[2, :-1], -1)
+
+
+def _dominant_bands(rng, shape):
+    ab = rng.random((3,) + shape)
+    ab[1] += 3.0
+    ab[0, ..., 0] = ab[2, ..., -1] = 0.0  # no coupling between stacked lines
+    return ab
+
+
+def test_banded_product_inverts_the_kernel_and_matches_dense_products(rng):
+    n = 9
+    # one 1D line
+    ab = _dominant_bands(rng, (n,))
+    x = rng.standard_normal(n)
+    y = parabolic.solve_banded(ab[2, :-1].copy(), ab[1].copy(), ab[0, 1:].copy(), x.copy())
+    assert np.allclose(banded_product(ab, y), x, rtol=1e-14, atol=1e-14)
+    assert np.allclose(banded_product(ab, x), _dense(ab) @ x, rtol=1e-14, atol=1e-14)
+
+    # stacked lines of a 2D level, seen through a transposed view as the
+    # axis-0 sweep sees them
+    ab = _dominant_bands(rng, (n, n))
+    level = rng.standard_normal((n, n))
+    x = level.T
+    assert not x.flags.c_contiguous
+    y = x.copy()
+    parabolic.solve_banded(*_stacked_diagonals(ab), y.reshape(-1))
+    assert np.allclose(banded_product(ab, y), x, rtol=1e-14, atol=1e-14)
+    dense = np.stack([_dense(ab[:, i]) @ x[i] for i in range(n)])
+    assert np.allclose(banded_product(ab, x), dense, rtol=1e-14, atol=1e-14)
+
+    # one diffusion line broadcast over every line of a level
+    line = np.empty((3, 1, n))
+    line[1] = 1.0 + 2.0 * 0.7
+    discretization.neumann_off_diagonals(line, 0.7)
+    rows = rng.standard_normal((5, n))
+    y = rows.T.copy(order="F")  # one line per column
+    parabolic.solve_banded(line[2, 0, :-1].copy(), line[1, 0].copy(), line[0, 0, 1:].copy(), y)
+    assert np.allclose(banded_product(line, y.T), rows, rtol=1e-14, atol=1e-14)
+    dense = rows @ _dense(line[:, 0]).T
+    assert np.allclose(banded_product(line, rows), dense, rtol=1e-14, atol=1e-14)
 
 
 def test_line_sweep_kernel_rejects_singular_line():

@@ -276,7 +276,7 @@ def _per_level_residual(uv, mv, p, g):
         hjb += float(np.dot(w_int, np.abs(r))) * g.dt
     for j in range(1, g.nt + 1):
         b = -gradient(uv[j], g)
-        r = (mv[j] - mv[j - 1]) / g.dt - laplacian(mv[j], g) + flux_divergence(b, mv[j], g)
+        r = (mv[j] - mv[j - 1]) / g.dt + flux_divergence(b, mv[j], g)
         fp += float(np.dot(w_int, np.abs(r))) * g.dt
     return hjb, fp
 
