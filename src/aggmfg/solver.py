@@ -263,12 +263,12 @@ def self_consistency_residual(
 
     The value residual applies -d_t - Lap + |grad|^2/2 + f(m) - V to u with
     the scheme's backward time difference; the density residual applies the
-    forward flux-form march with drift -grad u. Both are reported as
-    quadrature-weighted L1 norms over interior space-time nodes, so the
-    density residual sits at linear-solve roundoff on the solver's own
-    output. The stencils run over blocks of time levels; one np.vecdot per
-    block gives each level's weighted norm (the bits of a per-level np.dot),
-    and the norms are added in level order.
+    march's implicit step, (m1 - m0)/dt + L m1 with L = flux_divergence for
+    the drift -grad u. Both are quadrature-weighted L1 norms over interior
+    space-time nodes; on a 1D implicit Euler solve the density residual
+    sits near the Picard tolerance. The stencils run over blocks of time
+    levels; one np.vecdot per block gives each level's weighted norm (the
+    bits of a per-level np.dot), and the norms are added in level order.
     """
     if fields is None:
         fields = sample_on_grid(p, grid)
