@@ -47,13 +47,19 @@ class _Checker:
         self.bad: list[str] = []
 
     def get(self, path: str, default=None, required: bool = False):
+        """The value at path, or default when a key on the way is absent or
+        null. A node on the way that is present but not an object is a bad path."""
         node: Any = self.root
-        for part in path.split("."):
-            if not isinstance(node, dict) or part not in node:
+        parts = path.split(".")
+        for i, part in enumerate(parts):
+            if not isinstance(node, dict):
+                self.bad.append(".".join(parts[:i]) or path)
+                return default
+            node = node.get(part)
+            if node is None:
                 if required:
                     self.bad.append(path)
                 return default
-            node = node[part]
         return node
 
     def number(self, path: str, default=None, minimum=None, strict_min=None, required=False):
@@ -87,7 +93,7 @@ class _Checker:
         val = self.get(path, default, required)
         if val is None:
             return default
-        if val not in options:
+        if not any(type(val) is type(o) and val == o for o in options):  # True and 1.0 are not 1
             self.bad.append(path)
             return default
         return val

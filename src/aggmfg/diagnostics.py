@@ -104,8 +104,9 @@ class MomentReport:
     mass_step_drift: float
 
     @property
-    def min_hsecond(self) -> float:
-        return float(self.hsecond.min())
+    def min_hsecond(self) -> float | None:
+        """None when nt = 1 leaves no interior time node."""
+        return float(self.hsecond.min()) if self.hsecond.size else None
 
 
 def check_moment_identity(

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
+from numpy.linalg import LinAlgError
 
 from .discretization import (
     Grid,
@@ -48,6 +47,19 @@ def _check_scheme(scheme: str) -> None:
 # (array axis a - dim), which is a line layout of shape (lines, n). For the
 # last axis that layout is the level's own row of the space-time array; for
 # the other axis of a 2D grid it is a transposed copy in a scratch buffer.
+
+
+def dgtsv(*args):
+    """LAPACK's dgtsv, which replaces this loader in the module on its first call.
+
+    Importing scipy.linalg takes about 0.2 s, so the commands that solve no
+    tridiagonal system (certify, kernelcheck and every config error) never
+    load scipy. Later calls find the LAPACK routine itself under this name.
+    """
+    global dgtsv
+    from scipy.linalg.lapack import dgtsv
+
+    return dgtsv(*args)
 
 
 def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, x: np.ndarray) -> np.ndarray:

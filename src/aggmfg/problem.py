@@ -80,8 +80,9 @@ def _gaussian_bump(scale: float, center, width: float, points: np.ndarray,
     """value = scale * exp(-|z|^2 / (2 width^2)) at z = points - center, or,
     with gradient set, its gradient -z / width^2 * value."""
     z = _centered(center, points)
-    value = scale * np.exp(-np.sum(z**2, axis=0) / (2.0 * width**2))
-    return -z / width**2 * value if gradient else value
+    width2 = np.float64(width) ** 2  # inf, not OverflowError, for a huge width
+    value = scale * np.exp(-np.sum(z**2, axis=0) / (2.0 * width2))
+    return -z / width2 * value if gradient else value
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -103,10 +102,9 @@ def prepare_out_dir(cfg: dict, command: str, out_dir=None) -> str:
 
 
 def _snapshot_indices(cfg: dict, nt: int) -> list[int]:
-    section = cfg.get("output", {})
-    count = section.get("snapshots", 5) if isinstance(section, dict) else 5
-    if isinstance(count, bool) or not isinstance(count, int) or count < 2:
-        raise ConfigError(["output.snapshots"])
+    chk = cfgmod._Checker(cfg)
+    count = chk.integer("output.snapshots", default=5, minimum=2)
+    chk.raise_if_bad()
     return sorted(set(np.linspace(0, nt, min(count, nt + 1)).round().astype(int).tolist()))
 
 
@@ -254,7 +252,7 @@ def _horizon_section(chk, section: str, horizons_key: str, nx: int, nt_per_unit:
 def _set_problem(cfg: dict, **values):
     """The ProblemSpec of cfg's problem section with the given keys set, in a copy."""
     cell_cfg = copy.deepcopy(cfg)
-    cell_cfg.setdefault("problem", {}).update(values)
+    cell_cfg["problem"] = {**(cell_cfg.get("problem") or {}), **values}
     return cfgmod.build_problem(cell_cfg)
 
 
@@ -349,6 +347,8 @@ def run_sweep(cfg: dict, out_dir=None) -> dict:
         for t in horizon_grid
     ]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_sweep_cell, jobs))
     else:
@@ -487,8 +487,9 @@ def run_certify(cfg: dict, out_dir=None) -> dict:
 # --- heat-kernel exponent table --------------------------------------------
 
 def _kernel_queries(cfg: dict) -> list[HeatKernelQuery]:
-    section = cfg.get("kernel", {}) if isinstance(cfg, dict) else {}
-    raw = section.get("queries") if isinstance(section, dict) else None
+    chk = cfgmod._Checker(cfg)
+    raw = chk.get("kernel.queries")
+    chk.raise_if_bad()
     if raw is None:
         raw = [dict(q) for q in DEFAULT_KERNEL_QUERIES]
     if not isinstance(raw, list) or not raw:

@@ -1,0 +1,112 @@
+"""Any JSON config either runs or exits 2, never with a traceback.
+
+Small valid 1D configs (nx <= 17, nt <= 8) have some of their keys
+replaced by values of wrong types, signs and shapes, or removed, and are
+run through the command line entry point.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import math
+import os
+import tempfile
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from aggmfg.cli import main
+
+PATHS = (
+    "problem", "problem.dim", "problem.horizon", "problem.sigma", "problem.alpha",
+    "problem.initial_density", "problem.initial_density.weights",
+    "problem.initial_density.means", "problem.initial_density.stds",
+    "problem.potential", "problem.potential.family", "problem.potential.amplitude",
+    "problem.potential.width", "problem.potential.center", "problem.potential.table",
+    "problem.terminal_cost", "problem.terminal_cost.family", "problem.terminal_cost.width",
+    "grid", "grid.half_width", "grid.nx", "grid.nt",
+    "solver", "solver.damping", "solver.tol", "solver.max_iter", "solver.d_cap",
+    "solver.time_scheme", "solver.initial_guess",
+    "output", "output.snapshots", "output.label",
+    "certify", "certify.optimize_shift", "certify.terminal_density",
+)
+REMOVE = object()
+
+# integers stay at most 17, so a mutated nx or nt keeps the config small
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 17),
+    st.floats(-40.0, 40.0),
+    st.sampled_from([0.0, -0.0, 1e-300, 1e300, math.nan, math.inf, -math.inf]),
+    st.sampled_from(["", "x", "zero", "gaussian_well", "cosine_bump", "user_table",
+                     "log_quadratic", "gaussian", "crank_nicolson", "frozen"]),
+)
+values = st.recursive(
+    scalars,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(
+        st.sampled_from(["family", "weights", "means", "stds", "values", "gradient", "width"]),
+        kids, max_size=3,
+    ),
+    max_leaves=6,
+)
+mutations = st.lists(
+    st.tuples(st.sampled_from(PATHS), st.one_of(st.just(REMOVE), values)),
+    min_size=1, max_size=3,
+)
+
+
+def _small_config(nx: int, nt: int) -> dict:
+    return {
+        "problem": {
+            "dim": 1, "horizon": 1.0, "sigma": 5.0, "alpha": 2.0,
+            "initial_density": {"weights": [1.0], "means": [[0.0]], "stds": [1.0]},
+            "potential": {"family": "gaussian_well", "amplitude": 1.0, "width": 2.0},
+        },
+        "grid": {"half_width": 8.0, "nx": nx, "nt": nt},
+        "solver": {"damping": 0.5, "tol": 1e-6, "max_iter": 20},
+        "output": {"snapshots": 3},
+        "certify": {"terminal_density": {"weights": [1.0], "means": [[1.0]], "stds": [1.0]}},
+    }
+
+
+def _mutated(cfg: dict, changes) -> dict:
+    cfg = copy.deepcopy(cfg)
+    for path, value in changes:
+        *parents, key = path.split(".")
+        node = cfg
+        for part in parents:
+            node = node.get(part) if isinstance(node, dict) else None
+        if not isinstance(node, dict):
+            continue
+        if value is REMOVE:
+            node.pop(key, None)
+        else:
+            node[key] = value
+    return cfg
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    command=st.sampled_from(["solve", "certify"]),
+    nx=st.sampled_from([3, 5, 9, 17]),
+    nt=st.integers(1, 8),
+    changes=mutations,
+)
+# configs that once ended in a traceback
+@example(command="solve", nx=3, nt=1, changes=[])  # no interior time level
+@example(command="solve", nx=9, nt=4, changes=[("problem.dim", True)])
+@example(command="certify", nx=9, nt=4, changes=[("problem.alpha", None)])
+@example(command="solve", nx=9, nt=4, changes=[("problem.potential.width", 1e300)])
+def test_any_config_runs_or_exits_two(command, nx, nt, changes):
+    cfg = _mutated(_small_config(nx, nt), changes)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, path, "--output", os.path.join(tmp, "out")])
+    assert code in (0, 2), err.getvalue()

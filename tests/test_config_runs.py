@@ -524,6 +524,14 @@ def test_cli_density_off_grid_exits_two(tmp_path, capsys, command, density):
     ("solve", "output", "directory", 5),
     ("solve", "output", "label", ["a"]),
     ("sweep", "output", "label", ["a"]),
+    ("sweep", "problem", None, None),
+    # a section read as an object is named when it holds anything else
+    ("solve", "solver", None, 5),
+    ("certify", "certify", None, []),
+    ("solve", "output", None, []),
+    ("kernelcheck", "kernel", None, []),
+    ("solve", "problem", "potential", []),
+    ("certify", "problem", "potential", []),
 ])
 def test_cli_bad_section_shape_exits_two_before_any_solve(
     tmp_path, monkeypatch, capsys, command, section, key, value
