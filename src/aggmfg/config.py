@@ -173,10 +173,13 @@ def _spec_from(chk: _Checker, base: str, spec, dim: int):
     if len(center) != dim:
         chk.bad.append(f"{base}.center")
         center = [0.0] * dim
+    width = chk.number(f"{base}.width", default=1.0, strict_min=0.0)
+    if family in ("gaussian_well", "gaussian") and not width * width > 0:
+        chk.bad.append(f"{base}.width")  # exp(-0/0) at the center: NaN
     return spec(
         family=family,
         amplitude=chk.number(f"{base}.amplitude", default=0.0),
-        width=chk.number(f"{base}.width", default=1.0, strict_min=0.0),
+        width=width,
         center=tuple(center),
     )
 

@@ -9,6 +9,7 @@ conditions rules out classical solutions past an explicit horizon.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -287,11 +288,7 @@ def _optimal_shift(p: ProblemSpec, grid: Grid, first: np.ndarray, h0: float):
     stride = max(1, (grid.nx - 1) // 32)
     candidates = grid.axis[::stride]
     best_y, best_val = None, np.inf
-    if p.dim == 1:
-        cand_vectors = [np.array([c]) for c in candidates]
-    else:
-        cand_vectors = [np.array([a, b]) for a in candidates for b in candidates]
-    for y in cand_vectors:
+    for y in map(np.array, product(candidates, repeat=p.dim)):
         if _shift_feasible(p, grid, y):
             val = moment(y)
             if val < best_val:

@@ -76,9 +76,7 @@ class Grid:
     @cached_property
     def weights(self) -> np.ndarray:
         """Flattened tensor quadrature weights, shape (n_nodes,)."""
-        if self.dim == 1:
-            return self.axis_weights.copy()
-        return np.outer(self.axis_weights, self.axis_weights).ravel()
+        return np.prod(np.meshgrid(*[self.axis_weights] * self.dim, indexing="ij"), axis=0).ravel()
 
     @cached_property
     def time_weights(self) -> np.ndarray:
@@ -90,10 +88,7 @@ class Grid:
     @cached_property
     def coordinates(self) -> np.ndarray:
         """Node coordinates, shape (dim, n_nodes)."""
-        if self.dim == 1:
-            return self.axis[None, :].copy()
-        xx, yy = np.meshgrid(self.axis, self.axis, indexing="ij")
-        return np.stack([xx.ravel(), yy.ravel()])
+        return np.reshape(np.meshgrid(*[self.axis] * self.dim, indexing="ij"), (self.dim, -1))
 
     @cached_property
     def radius_sq(self) -> np.ndarray:

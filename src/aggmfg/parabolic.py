@@ -10,6 +10,7 @@ keeps the iteration matrix an M-matrix, hence mu >= 0 unconditionally.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, repeat
 
 import numpy as np
@@ -138,6 +139,39 @@ def _march(moves, explicit=None) -> None:
         solve_banded(dl, d, du, x)
 
 
+def _march_blocks(rows, half, bands_of, check) -> None:
+    """March rows forward from level 0, a block of levels at a time.
+
+    rows holds the levels in march order, shape (levels, lines, n), and the
+    step onto a level solves with that level's bands. bands_of(first, end)
+    returns the unsolved bands of each sweep axis for levels first .. end-1,
+    each of shape (3, end - first, ..., n). Crank-Nicolson asks for one
+    level more in front, the level a block's first step leaves, which only
+    the explicit halves read; dgtsv overwrites what it solves, so it gets a
+    copy of the rest. When the last sweep's bands are one line wide, shape
+    (3, levels, n), every line of the level shares them and that sweep
+    solves the level's lines as the columns of one call. check(start, hi)
+    checks levels start+1 .. hi after they are solved and returns the level
+    to re-solve from, or hi. One block's bands are alive at a time.
+    """
+    levels, lines, n = rows.shape
+    scratch = np.empty((lines, n))
+    for lo, hi in _level_blocks(levels - 1, lines * n):
+        start = lo
+        while start < hi:
+            bands = bands_of(start if half else start + 1, hi + 1)
+            explicit = None
+            if half:
+                explicit = [ab[:, :-1] for ab in bands]
+                bands = [ab[:, 1:].copy() for ab in bands]
+            sweeps = [_diagonals(ab) for ab in bands]
+            dst = rows[start + 1 : hi + 1]
+            x = dst.swapaxes(1, 2) if bands[-1].ndim == 3 else dst.reshape(hi - start, -1)
+            _march(_level_moves(dst, rows[start:hi], x, sweeps, scratch), explicit)
+            del bands, explicit, sweeps  # before the next block's are built
+            start = check(start, hi)
+
+
 # ---------------------------------------------------------------------------
 # backward heat equation with zeroth order coefficient
 
@@ -155,11 +189,13 @@ def solve_backward_heat(
     strictly positive whenever the terminal slice is; a sign crossing raises
     PositivityError, which signals that dt is too large for the coefficient.
 
-    In 2D each step is Lie split into line sweeps: the axis-0 sweep carries
-    the zeroth order coefficient, the axis-1 sweep is pure diffusion, and
-    each sweep is an M-matrix solve. Bands and sign checks are done a block
-    of time levels at a time. All lines of the diffusion sweep share one
-    matrix, so it solves the level's rows as the columns of one call.
+    The march runs forward on w and c reversed in time: march level k is
+    time level nt - k. In 2D each step is Lie split into line sweeps: the
+    axis-0 sweep carries the zeroth order coefficient, the axis-1 sweep is
+    pure diffusion, and each sweep is an M-matrix solve. Bands and sign
+    checks are done a block of time levels at a time. All lines of the
+    diffusion sweep share one matrix, so it solves the level's rows as the
+    columns of one call.
     """
     _check_scheme(scheme)
     w_T = np.asarray(terminal, dtype=float)
@@ -179,50 +215,29 @@ def solve_backward_heat(
     theta = 0.5 if half else 1.0
     r = theta * dt / grid.dx**2
     shape = (grid.nx ** (grid.dim - 1), grid.nx)
-    c = c.reshape((grid.nt + 1,) + shape)
+    c = c.reshape((grid.nt + 1,) + shape)[::-1]
     w = np.empty((grid.nt + 1, grid.n_nodes))
     w[-1] = w_T
-    rows = w.reshape((grid.nt + 1,) + shape)
-    scratch = None
-    if grid.dim == 2:
-        scratch = np.empty(shape)
-        # one line's bands of the pure diffusion sweep
-        line = np.empty((3, 1, grid.nx))
-        line[1] = 1.0 + 2.0 * r
-        neumann_off_diagonals(line, r)
 
-    for lo, hi in reversed(list(_level_blocks(grid.nt, grid.n_nodes))):
-        # bands of the axis-0 (coefficient) sweep, one set per level; Crank-
-        # Nicolson also needs level hi's, which the block's first step leaves
-        bands = np.empty((3, hi - lo + half) + shape)
-        np.multiply(theta * dt, c[lo : hi + half].swapaxes(-grid.dim, -1), out=bands[1])
-        np.subtract(1.0 + 2.0 * r, bands[1], out=bands[1])
-        neumann_off_diagonals(bands, r)
-        explicit = None
-        if half:
-            # the explicit halves read levels hi .. lo+1 unsolved, and
-            # dgtsv overwrites what it solves, so it gets a copy
-            explicit = [bands[:, :0:-1]]
-            bands = bands[:, :-1].copy()
-        sweeps = [[band[::-1] for band in _diagonals(bands)]]
-        dst = rows[lo:hi][::-1]
-        if grid.dim == 1:
-            x = w[lo:hi][::-1]
-        else:
-            # each level's diffusion sweep gets its own bands, as dgtsv
-            # overwrites them, and solves the level's lines as the columns
-            # of its transpose
-            diffusion = np.broadcast_to(line, (3, hi - lo, grid.nx))
-            sweeps.append(_diagonals(diffusion.copy()))
-            if half:
-                explicit.append(diffusion)
-            x = dst.swapaxes(1, 2)
-        moves = _level_moves(dst, rows[lo + 1 : hi + 1][::-1], x, sweeps, scratch)
-        _march(moves, explicit)
-        # the spent moves still hold the bands; free them before the next
-        # block's are built, so one block's bands are alive at a time
-        del bands, explicit, sweeps, moves
-        _check_positive(w, lo, hi)
+    def bands_of(first, end):
+        # the axis-0 (coefficient) sweep's bands per level, and in 2D one
+        # line's bands of the diffusion sweep per level
+        ab = np.empty((3, end - first) + shape)
+        np.multiply(theta * dt, c[first:end].swapaxes(-grid.dim, -1), out=ab[1])
+        np.subtract(1.0 + 2.0 * r, ab[1], out=ab[1])
+        bands = [ab]
+        if grid.dim == 2:
+            bands.append(np.empty((3, end - first, grid.nx)))
+            bands[1][1] = 1.0 + 2.0 * r
+        for band in bands:
+            neumann_off_diagonals(band, r)
+        return bands
+
+    def check(start, hi):
+        _check_positive(w, grid.nt - hi, grid.nt - start)
+        return hi
+
+    _march_blocks(w[::-1].reshape((grid.nt + 1,) + shape), half, bands_of, check)
     return SpaceTimeField(w, grid)
 
 
@@ -287,35 +302,16 @@ def solve_fokker_planck(
     shape = (grid.nx ** (grid.dim - 1), grid.nx)
     mu = np.empty((grid.nt + 1, grid.n_nodes))
     mu[0] = mu0
-    rows = mu.reshape((grid.nt + 1,) + shape)
-    scratch = np.empty(shape) if grid.dim == 2 else None
 
-    for lo, hi in _level_blocks(grid.nt, grid.n_nodes):
-        start = lo
-        while start < hi:
-            # the drift of levels start+1 .. hi, which the steps onto them
-            # solve with; Crank-Nicolson's explicit half also reads level start
-            first = start if half else start + 1
-            b = np.asarray(drift[first : hi + 1], dtype=float)
-            b = b.reshape((hi + 1 - first, grid.dim) + shape)
-            # bands for every sweep axis (grid axis a is array axis a - dim)
-            bands = [
-                fitted_bands(b[:, a].swapaxes(a - grid.dim, -1), grid, dt)
-                for a in range(grid.dim)
-            ]
-            explicit = None
-            if half:
-                # the explicit halves read levels start .. hi-1 unsolved,
-                # and dgtsv overwrites what it solves, so it gets a copy
-                explicit = [ab[:, :-1] for ab in bands]
-                bands = [ab[:, 1:].copy() for ab in bands]
-            sweeps = [_diagonals(ab) for ab in bands]
-            levels = slice(start + 1, hi + 1)
-            moves = _level_moves(rows[levels], rows[start:hi], mu[levels], sweeps, scratch)
-            _march(moves, explicit)
-            # one block's bands and drift alive at a time, as in the heat march
-            del b, bands, explicit, sweeps, moves
-            start = _clamp_undershoot(mu, start, hi)
+    def bands_of(first, end):
+        # bands for every sweep axis (grid axis a is array axis a - dim)
+        b = np.asarray(drift[first:end], dtype=float).reshape((end - first, grid.dim) + shape)
+        return [
+            fitted_bands(b[:, a].swapaxes(a - grid.dim, -1), grid, dt) for a in range(grid.dim)
+        ]
+
+    rows = mu.reshape((grid.nt + 1,) + shape)
+    _march_blocks(rows, half, bands_of, partial(_clamp_undershoot, mu))
     return SpaceTimeField(mu, grid)
 
 

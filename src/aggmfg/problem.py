@@ -209,21 +209,19 @@ class GaussianMixture:
         return len(self.means[0])
 
     def value(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        dim = points.shape[0]
-        out = np.zeros(points.shape[1])
-        for w, c, s in zip(self.weights, self.means, self.stds):
-            norm = (2.0 * np.pi * s**2) ** (-0.5 * dim)
-            out += _gaussian_bump(w * norm, c, s, points)
-        return out
+        return self._sum(points, gradient=False)
 
     def gradient(self, points: np.ndarray) -> np.ndarray:
+        return self._sum(points, gradient=True)
+
+    def _sum(self, points: np.ndarray, gradient: bool) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        dim = points.shape[0]
-        out = np.zeros_like(points)
+        out = np.zeros(points.shape if gradient else points.shape[1])
         for w, c, s in zip(self.weights, self.means, self.stds):
-            norm = (2.0 * np.pi * s**2) ** (-0.5 * dim)
-            out += _gaussian_bump(w * norm, c, s, points, gradient=True)
+            # a std whose square underflows makes norm inf and the mass NaN,
+            # which _unit_mass rejects
+            norm = (2.0 * np.pi * np.float64(s) ** 2) ** (-0.5 * points.shape[0])
+            out += _gaussian_bump(w * norm, c, s, points, gradient)
         return out
 
 

@@ -497,15 +497,16 @@ def _kernel_queries(cfg: dict) -> list[HeatKernelQuery]:
     queries = []
     bad = []
     for i, item in enumerate(raw):
-        try:
-            queries.append(HeatKernelQuery(
-                dim=item["dim"],
-                exponent=float(item["exponent"]),
-                t=float(item.get("t", 1.0)),
-                kind=item.get("kind", "kernel"),
-            ))
-        except (KeyError, TypeError, ValueError):
+        # each query is read with the checker's type rules: true and 1.0 are not 1
+        q = cfgmod._Checker(item)
+        dim = q.choice("dim", (1, 2), required=True)
+        exponent = q.number("exponent", required=True, minimum=1.0)
+        t = q.number("t", default=1.0, strict_min=0.0)
+        kind = q.choice("kind", ("kernel", "gradient"), default="kernel")
+        if q.bad:
             bad.append(f"kernel.queries[{i}]")
+        else:
+            queries.append(HeatKernelQuery(dim=dim, exponent=exponent, t=t, kind=kind))
     if bad:
         raise ConfigError(bad)
     return queries

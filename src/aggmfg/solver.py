@@ -299,10 +299,6 @@ def self_consistency_residual(
 
 
 def _interior_mask(grid: Grid) -> np.ndarray:
-    if grid.dim == 1:
-        mask = np.ones(grid.nx)
-        mask[0] = mask[-1] = 0.0
-        return mask
-    m1 = np.ones(grid.nx)
-    m1[0] = m1[-1] = 0.0
-    return np.outer(m1, m1).ravel()
+    mask = np.zeros((grid.nx,) * grid.dim)
+    mask[(slice(1, -1),) * grid.dim] = 1.0
+    return mask.ravel()

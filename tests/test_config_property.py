@@ -2,7 +2,8 @@
 
 Small valid 1D configs (nx <= 17, nt <= 8) have some of their keys
 replaced by values of wrong types, signs and shapes, or removed, and are
-run through the command line entry point.
+run through the command line entry point: solve and certify, and the
+sweep, long-time and kernel commands on tiny grids and one query.
 """
 
 import contextlib
@@ -31,6 +32,15 @@ PATHS = (
     "output", "output.snapshots", "output.label",
     "certify", "certify.optimize_shift", "certify.terminal_density",
 )
+# sweep.workers and sweep.confirm_rounds stay as set: an integer there
+# starts that many processes or refines the grid 2**k times
+SERIES_PATHS = (
+    "problem", "problem.sigma", "problem.potential.family", "grid.half_width",
+    "sweep", "sweep.sigma_grid", "sweep.horizon_grid", "sweep.nx", "sweep.nt_per_unit",
+    "longtime", "longtime.horizons", "longtime.nx", "longtime.nt_per_unit",
+    "kernel.queries", "kernel.queries.0.dim", "kernel.queries.0.exponent",
+    "kernel.queries.0.t", "kernel.queries.0.kind",
+)
 REMOVE = object()
 
 # integers stay at most 17, so a mutated nx or nt keeps the config small
@@ -46,15 +56,19 @@ scalars = st.one_of(
 values = st.recursive(
     scalars,
     lambda kids: st.lists(kids, max_size=3) | st.dictionaries(
-        st.sampled_from(["family", "weights", "means", "stds", "values", "gradient", "width"]),
+        st.sampled_from(["family", "weights", "means", "stds", "values", "gradient", "width",
+                         "dim", "exponent", "t", "kind"]),
         kids, max_size=3,
     ),
     max_leaves=6,
 )
-mutations = st.lists(
-    st.tuples(st.sampled_from(PATHS), st.one_of(st.just(REMOVE), values)),
-    min_size=1, max_size=3,
-)
+
+
+def mutations(paths):
+    return st.lists(
+        st.tuples(st.sampled_from(paths), st.one_of(st.just(REMOVE), values)),
+        min_size=1, max_size=3,
+    )
 
 
 def _small_config(nx: int, nt: int) -> dict:
@@ -71,12 +85,25 @@ def _small_config(nx: int, nt: int) -> dict:
     }
 
 
+def _series_config() -> dict:
+    cfg = _small_config(9, 4)
+    del cfg["problem"]["potential"]  # longtime takes no potential
+    cfg["solver"]["max_iter"] = 8
+    cfg["sweep"] = {"sigma_grid": [0.5, 30.0], "horizon_grid": [0.5], "nx": 9,
+                    "nt_per_unit": 8, "confirm_rounds": 1, "workers": 1}
+    cfg["longtime"] = {"horizons": [0.5, 1.0], "nx": 9, "nt_per_unit": 8}
+    cfg["kernel"] = {"queries": [{"dim": 1, "exponent": 2.0, "t": 1.0, "kind": "kernel"}]}
+    return cfg
+
+
 def _mutated(cfg: dict, changes) -> dict:
     cfg = copy.deepcopy(cfg)
     for path, value in changes:
         *parents, key = path.split(".")
         node = cfg
         for part in parents:
+            if isinstance(node, list):  # "queries.0" is the first query
+                node = dict(zip(map(str, range(len(node))), node))
             node = node.get(part) if isinstance(node, dict) else None
         if not isinstance(node, dict):
             continue
@@ -87,21 +114,7 @@ def _mutated(cfg: dict, changes) -> dict:
     return cfg
 
 
-@settings(max_examples=60, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(
-    command=st.sampled_from(["solve", "certify"]),
-    nx=st.sampled_from([3, 5, 9, 17]),
-    nt=st.integers(1, 8),
-    changes=mutations,
-)
-# configs that once ended in a traceback
-@example(command="solve", nx=3, nt=1, changes=[])  # no interior time level
-@example(command="solve", nx=9, nt=4, changes=[("problem.dim", True)])
-@example(command="certify", nx=9, nt=4, changes=[("problem.alpha", None)])
-@example(command="solve", nx=9, nt=4, changes=[("problem.potential.width", 1e300)])
-def test_any_config_runs_or_exits_two(command, nx, nt, changes):
-    cfg = _mutated(_small_config(nx, nt), changes)
+def _exit_code(command: str, cfg: dict) -> tuple[int, str]:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w") as fh:
@@ -109,4 +122,39 @@ def test_any_config_runs_or_exits_two(command, nx, nt, changes):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command, path, "--output", os.path.join(tmp, "out")])
-    assert code in (0, 2), err.getvalue()
+    return code, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    command=st.sampled_from(["solve", "certify"]),
+    nx=st.sampled_from([3, 5, 9, 17]),
+    nt=st.integers(1, 8),
+    changes=mutations(PATHS),
+    exits=st.just((0, 2)),
+)
+# configs that once ended in a traceback or ran on NaN data
+@example(command="solve", nx=3, nt=1, changes=[], exits=(0, 2))  # no interior time level
+@example(command="solve", nx=9, nt=4, changes=[("problem.dim", True)], exits=(0, 2))
+@example(command="certify", nx=9, nt=4, changes=[("problem.alpha", None)], exits=(0, 2))
+@example(command="solve", nx=9, nt=4, changes=[("problem.potential.width", 1e300)], exits=(0, 2))
+# a Gaussian width whose square underflows: NaN at the center node
+@example(command="solve", nx=9, nt=4, changes=[("problem.potential.width", 1e-300)], exits=(2,))
+@example(command="solve", nx=9, nt=4, exits=(2,), changes=[
+    ("problem.terminal_cost", {"family": "gaussian", "amplitude": 1.0, "width": 1e-300}),
+])
+def test_any_config_runs_or_exits_two(command, nx, nt, changes, exits):
+    code, err = _exit_code(command, _mutated(_small_config(nx, nt), changes))
+    assert code in exits, err
+
+
+@settings(max_examples=90, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    command=st.sampled_from(["sweep", "longtime", "kernelcheck"]),
+    changes=mutations(SERIES_PATHS),
+)
+def test_any_series_or_kernel_config_runs_or_exits_two(command, changes):
+    code, err = _exit_code(command, _mutated(_series_config(), changes))
+    assert code in (0, 2), err

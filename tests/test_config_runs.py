@@ -500,16 +500,26 @@ def test_cli_user_table_needs_no_laplacian(tmp_path, capsys, laplacian):
     assert "verdict: converged" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command,density", [
-    ("solve", "problem.initial_density"),
-    ("certify", "certify.terminal_density"),
+OFF_GRID = {"weights": [1.0], "means": [[100.0]], "stds": [1.0]}
+# a std whose square underflows: the sampled Gaussian has no finite mass
+NARROW = {"weights": [1.0], "means": [[0.0]], "stds": [1e-300]}
+
+
+@pytest.mark.parametrize("command,density,mixture", [
+    pytest.param("solve", "problem.initial_density", OFF_GRID,
+                 id="solve-problem.initial_density"),
+    pytest.param("certify", "certify.terminal_density", OFF_GRID,
+                 id="certify-certify.terminal_density"),
+    pytest.param("solve", "problem.initial_density", NARROW,
+                 id="solve-problem.initial_density-narrow"),
+    pytest.param("certify", "certify.terminal_density", NARROW,
+                 id="certify-certify.terminal_density-narrow"),
 ])
-def test_cli_density_off_grid_exits_two(tmp_path, capsys, command, density):
+def test_cli_density_off_grid_exits_two(tmp_path, capsys, command, density, mixture):
     cfg = _solve_cfg(nx=17, nt=8)
     cfg["grid"]["half_width"] = 6.0
-    off_grid = {"weights": [1.0], "means": [[100.0]], "stds": [1.0]}
     section, key = density.split(".")
-    cfg.setdefault(section, {})[key] = off_grid
+    cfg.setdefault(section, {})[key] = mixture
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     code = main([command, str(cfg_path), "--output", str(tmp_path / "out")])
@@ -532,6 +542,9 @@ def test_cli_density_off_grid_exits_two(tmp_path, capsys, command, density):
     ("kernelcheck", "kernel", None, []),
     ("solve", "problem", "potential", []),
     ("certify", "problem", "potential", []),
+    # a query's dim is compared by type: true and 1.0 are not 1
+    ("kernelcheck", "kernel", "queries", [{"dim": True, "exponent": 2.0}]),
+    ("kernelcheck", "kernel", "queries", [{"dim": 1, "exponent": 2}, {"dim": 1.0, "exponent": 2}]),
 ])
 def test_cli_bad_section_shape_exits_two_before_any_solve(
     tmp_path, monkeypatch, capsys, command, section, key, value
@@ -547,7 +560,7 @@ def test_cli_bad_section_shape_exits_two_before_any_solve(
     if key is None:
         cfg[section] = value
     else:
-        cfg[section][key] = value
+        cfg.setdefault(section, {})[key] = value
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve ran before the config error")
