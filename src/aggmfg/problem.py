@@ -78,11 +78,17 @@ def _centered(center: tuple[float, ...], points: np.ndarray) -> np.ndarray:
 def _gaussian_bump(scale: float, center, width: float, points: np.ndarray,
                    gradient: bool = False) -> np.ndarray:
     """value = scale * exp(-|z|^2 / (2 width^2)) at z = points - center, or,
-    with gradient set, its gradient -z / width^2 * value."""
+    with gradient set, its gradient -z / width^2 * value.
+
+    A width whose square overflows gives the flat limit; one too narrow for
+    the float range gives inf or NaN, which sample_on_grid rejects. Neither
+    warns.
+    """
     z = _centered(center, points)
-    width2 = np.float64(width) ** 2  # inf, not OverflowError, for a huge width
-    value = scale * np.exp(-np.sum(z**2, axis=0) / (2.0 * width2))
-    return -z / width2 * value if gradient else value
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        width2 = np.float64(width) ** 2  # inf, not OverflowError, for a huge width
+        value = scale * np.exp(-np.sum(z**2, axis=0) / (2.0 * width2))
+        return -z / width2 * value if gradient else value
 
 
 @dataclass(frozen=True)
@@ -220,7 +226,8 @@ class GaussianMixture:
         for w, c, s in zip(self.weights, self.means, self.stds):
             # a std whose square underflows makes norm inf and the mass NaN,
             # which _unit_mass rejects
-            norm = (2.0 * np.pi * np.float64(s) ** 2) ** (-0.5 * points.shape[0])
+            with np.errstate(over="ignore", divide="ignore"):
+                norm = (2.0 * np.pi * np.float64(s) ** 2) ** (-0.5 * points.shape[0])
             out += _gaussian_bump(w * norm, c, s, points, gradient)
         return out
 
@@ -275,7 +282,12 @@ def _unit_mass(values: np.ndarray, grid: Grid, key: str, name: str):
 
 
 def sample_on_grid(p: ProblemSpec, grid: Grid) -> ProblemFields:
-    """Sample all problem data on grid nodes, with m0 at unit trapezoid mass."""
+    """Sample all problem data on grid nodes, with m0 at unit trapezoid mass.
+
+    A value or gradient that is not finite at a node, such as the gradient
+    of a Gaussian too narrow for the float range, is a config error at the
+    section that holds it.
+    """
     if grid.dim != p.dim:
         raise ValueError("grid dimension does not match problem dimension")
     if p.potential.family == "user_table":
@@ -284,7 +296,7 @@ def sample_on_grid(p: ProblemSpec, grid: Grid) -> ProblemFields:
     m0, mass = _unit_mass(
         p.data.m0.value(pts), grid, "problem.initial_density", "initial density"
     )
-    return ProblemFields(
+    fields = ProblemFields(
         m0=m0,
         grad_m0=p.data.m0.gradient(pts) / mass,
         u_terminal=p.data.terminal_cost.value(pts),
@@ -292,6 +304,17 @@ def sample_on_grid(p: ProblemSpec, grid: Grid) -> ProblemFields:
         grad_v=p.potential.gradient(pts),
         grad_u_terminal=p.data.terminal_cost.gradient(pts),
     )
+    sections = {
+        "problem.initial_density": (fields.m0, fields.grad_m0),
+        "problem.potential": (fields.v, fields.grad_v),
+        "problem.terminal_cost": (fields.u_terminal, fields.grad_u_terminal),
+    }
+    bad = [key for key, data in sections.items() if not all(np.isfinite(a).all() for a in data)]
+    if bad:
+        raise ConfigError(
+            bad, "values or gradients not finite on the grid nodes: " + ", ".join(bad)
+        )
+    return fields
 
 
 def _check_table(table: dict, grid: Grid) -> None:

@@ -177,6 +177,8 @@ def solve(
     verdict 'diverged' when the monitor integral of m^(2 alpha + 1) exceeds
     d_cap, when non-finite values appear, or when a linear march loses
     positivity (which only happens under blow-up scale coefficients).
+    Every stop records its verdict, note and d_final inside the loop and
+    leaves it by break; the one SolveOutcome is built after the loop.
     fields, when given, is the problem data already sampled on grid.
     """
     if cfg is None:
@@ -190,66 +192,40 @@ def solve(
 
     residuals: list[float] = []
     d_history: list[float] = []
+    verdict, note = VERDICT_MAX_ITERATIONS, "iteration budget exhausted"
     for it in range(1, cfg.max_iter + 1):
         w = None  # the last map's value field is dead; free it before the next map
         try:
             w, mu = picard_map(m, p, grid, fields=fields, scheme=cfg.time_scheme)
         except SolverError as exc:
-            return SolveOutcome(
-                verdict=VERDICT_DIVERGED,
-                iterations=it,
-                residual_history=residuals,
-                d_history=d_history,
-                d_final=np.inf,
-                note=f"linear march failed: {exc}",
-            )
-        m_new, res, d_val, next_den = _damped_update(m, mu.values, cfg.damping, den, p, grid)
-        mu = None  # the update's scratch: free it before the next map and _finalize
+            verdict, note, d_final = VERDICT_DIVERGED, f"linear march failed: {exc}", np.inf
+            break
+        m_new, res, d_final, next_den = _damped_update(m, mu.values, cfg.damping, den, p, grid)
+        mu = None  # the update's scratch: free it before the next map and the residuals
         residuals.append(res)
-        d_history.append(d_val)
-        if not np.isfinite(res) or not np.isfinite(d_val) or d_val > cfg.d_cap:
-            return SolveOutcome(
-                verdict=VERDICT_DIVERGED,
-                iterations=it,
-                residual_history=residuals,
-                d_history=d_history,
-                d_final=d_val,
-                note="blow-up monitor exceeded" if np.isfinite(d_val) else "non-finite iterate",
-            )
+        d_history.append(d_final)
+        if not np.isfinite(res) or not np.isfinite(d_final) or d_final > cfg.d_cap:
+            verdict = VERDICT_DIVERGED
+            note = "blow-up monitor exceeded" if np.isfinite(d_final) else "non-finite iterate"
+            break
         m, prev_den, den = m_new, den, next_den  # the previous iterate is freed here
         if res <= cfg.tol:
-            # the last map's density mu = m_prev + (m - m_prev)/damping gives
-            # mu - m = (1 - damping)(mu - m_prev), so the relative L1 distance
-            # of mu from m follows from the update's own integrals
-            resolve = (1.0 - cfg.damping) / cfg.damping * res * prev_den / den
-            return _finalize(p, grid, fields, m, w, resolve, it, residuals, d_history)
-    return SolveOutcome(
-        verdict=VERDICT_MAX_ITERATIONS,
-        iterations=cfg.max_iter,
-        residual_history=residuals,
-        d_history=d_history,
-        d_final=d_history[-1],
-        note="iteration budget exhausted",
-    )
+            verdict, note = VERDICT_CONVERGED, ""
+            break
 
-
-def _finalize(p, grid, fields, m, w, resolve, iterations, residuals, d_history) -> SolveOutcome:
-    m_field = SpaceTimeField(m, grid)
-    u_field = SpaceTimeField(inverse_hopf_cole(w.values), grid)
-    hjb_res, fp_res = self_consistency_residual(u_field, m_field, p, grid, fields=fields)
-    return SolveOutcome(
-        verdict=VERDICT_CONVERGED,
-        iterations=iterations,
-        residual_history=residuals,
-        d_history=d_history,
-        d_final=d_history[-1],
-        u=u_field,
-        m=m_field,
-        w=w,
-        hjb_residual=hjb_res,
-        fp_residual=fp_res,
-        resolve_residual=resolve,
-    )
+    out = SolveOutcome(verdict, it, residuals, d_history, d_final, note=note)
+    if out.converged:
+        # the last map's density mu = m_prev + (m - m_prev)/damping gives
+        # mu - m = (1 - damping)(mu - m_prev), so the relative L1 distance
+        # of mu from m follows from the update's own integrals
+        out.resolve_residual = (1.0 - cfg.damping) / cfg.damping * res * prev_den / den
+        out.m = SpaceTimeField(m, grid)
+        out.u = SpaceTimeField(inverse_hopf_cole(w.values), grid)
+        out.w = w
+        out.hjb_residual, out.fp_residual = self_consistency_residual(
+            out.u, out.m, p, grid, fields=fields
+        )
+    return out
 
 
 def self_consistency_residual(

@@ -144,6 +144,13 @@ def _exit_code(command: str, cfg: dict) -> tuple[int, str]:
 @example(command="solve", nx=9, nt=4, exits=(2,), changes=[
     ("problem.terminal_cost", {"family": "gaussian", "amplitude": 1.0, "width": 1e-300}),
 ])
+# a Gaussian width or std whose square is subnormal: NaN in the gradient
+@example(command="solve", nx=9, nt=4, changes=[("problem.potential.width", 1e-155)], exits=(2,))
+@example(command="solve", nx=9, nt=4, exits=(2,), changes=[
+    ("problem.terminal_cost", {"family": "gaussian", "amplitude": 1.0, "width": 1e-155}),
+])
+@example(command="certify", nx=9, nt=4, exits=(2,),
+         changes=[("problem.initial_density.stds", [1e-160])])
 def test_any_config_runs_or_exits_two(command, nx, nt, changes, exits):
     code, err = _exit_code(command, _mutated(_small_config(nx, nt), changes))
     assert code in exits, err

@@ -503,19 +503,27 @@ def test_cli_user_table_needs_no_laplacian(tmp_path, capsys, laplacian):
 OFF_GRID = {"weights": [1.0], "means": [[100.0]], "stds": [1.0]}
 # a std whose square underflows: the sampled Gaussian has no finite mass
 NARROW = {"weights": [1.0], "means": [[0.0]], "stds": [1e-300]}
+# a std whose square is subnormal: a finite mass, but a NaN gradient
+SPIKE = {"weights": [1.0], "means": [[0.0]], "stds": [1e-160]}
+NO_MASS = "nonpositive mass"
+NOT_FINITE = "not finite on the grid nodes: problem.initial_density"
 
 
-@pytest.mark.parametrize("command,density,mixture", [
-    pytest.param("solve", "problem.initial_density", OFF_GRID,
+@pytest.mark.parametrize("command,density,mixture,message", [
+    pytest.param("solve", "problem.initial_density", OFF_GRID, NO_MASS,
                  id="solve-problem.initial_density"),
-    pytest.param("certify", "certify.terminal_density", OFF_GRID,
+    pytest.param("certify", "certify.terminal_density", OFF_GRID, NO_MASS,
                  id="certify-certify.terminal_density"),
-    pytest.param("solve", "problem.initial_density", NARROW,
+    pytest.param("solve", "problem.initial_density", NARROW, NO_MASS,
                  id="solve-problem.initial_density-narrow"),
-    pytest.param("certify", "certify.terminal_density", NARROW,
+    pytest.param("certify", "certify.terminal_density", NARROW, NO_MASS,
                  id="certify-certify.terminal_density-narrow"),
+    pytest.param("solve", "problem.initial_density", SPIKE, NOT_FINITE,
+                 id="solve-problem.initial_density-spike"),
+    pytest.param("certify", "problem.initial_density", SPIKE, NOT_FINITE,
+                 id="certify-problem.initial_density-spike"),
 ])
-def test_cli_density_off_grid_exits_two(tmp_path, capsys, command, density, mixture):
+def test_cli_density_off_grid_exits_two(tmp_path, capsys, command, density, mixture, message):
     cfg = _solve_cfg(nx=17, nt=8)
     cfg["grid"]["half_width"] = 6.0
     section, key = density.split(".")
@@ -524,7 +532,7 @@ def test_cli_density_off_grid_exits_two(tmp_path, capsys, command, density, mixt
     cfg_path.write_text(json.dumps(cfg))
     code = main([command, str(cfg_path), "--output", str(tmp_path / "out")])
     assert code == 2
-    assert "nonpositive mass" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,section,key,value", [

@@ -7,6 +7,7 @@ from aggmfg import solver as solver_module
 from aggmfg import (
     SolverConfig,
     SpaceTimeField,
+    TerminalCostSpec,
     hopf_cole,
     inverse_hopf_cole,
     nonexistence_horizon,
@@ -108,7 +109,7 @@ def test_picard_map_forms_the_drift_one_block_at_a_time(dim, nx, scheme, monkeyp
 
 def test_solve_frees_each_maps_dead_fields(grid_1d, monkeypatch):
     mapping, heat = solver_module.picard_map, solver_module.solve_backward_heat
-    finalize = solver_module._finalize
+    residual = solver_module.self_consistency_residual
     maps = []
     alive = []
 
@@ -122,14 +123,14 @@ def test_solve_frees_each_maps_dead_fields(grid_1d, monkeypatch):
             alive.append([ref() is not None for ref in maps[-1]])
         return heat(*args, **kwargs)
 
-    def checking_finalize(*args, **kwargs):
+    def checking_residual(*args, **kwargs):
         # the last map's w becomes the outcome's; its mu is dead
         alive.append([ref() is not None for ref in maps[-1]])
-        return finalize(*args, **kwargs)
+        return residual(*args, **kwargs)
 
     monkeypatch.setattr(solver_module, "picard_map", recording_map)
     monkeypatch.setattr(solver_module, "solve_backward_heat", checking_heat)
-    monkeypatch.setattr(solver_module, "_finalize", checking_finalize)
+    monkeypatch.setattr(solver_module, "self_consistency_residual", checking_residual)
     out = solve(gaussian_problem(sigma=0.05), grid_1d, SolverConfig(damping=0.5))
     assert out.converged and out.iterations >= 3
     assert alive == [[False, False]] * (out.iterations - 1) + [[True, False]]
@@ -177,15 +178,28 @@ def test_resolve_residual_matches_a_density_re_solve(dim, nx, nt, sigma, damping
         assert out.resolve_residual == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
+SOLVED = ("u", "m", "w", "hjb_residual", "fp_residual", "resolve_residual")
+
+
+def _assert_stop(out, verdict, iterations, note, d_final):
+    """The outcome of a stop: its verdict, count, note and d_final, and the
+    solution fields, which only a converged solve carries."""
+    assert (out.verdict, out.iterations, out.note) == (verdict, iterations, note)
+    assert len(out.d_history) == len(out.residual_history)
+    if np.isnan(d_final):
+        assert np.isnan(out.d_final)
+    else:
+        assert out.d_final == d_final
+    assert [getattr(out, name) is None for name in SOLVED] == [not out.converged] * len(SOLVED)
+
+
 def test_solve_small_coupling_converges(grid_1d):
     out = solve(gaussian_problem(sigma=0.05), grid_1d, SolverConfig(damping=0.5))
-    assert out.converged
-    assert out.verdict == "converged"
-    assert out.u is not None and out.m is not None and out.w is not None
+    # frozen regression: this configuration has always taken 15 sweeps
+    _assert_stop(out, "converged", 15, "", out.d_history[-1])
+    assert len(out.d_history) == 15 and out.residual_history[-1] <= 1e-8
     assert out.m.values.min() >= 0.0
     assert out.w.values.min() > 0.0
-    # frozen regression: this configuration has always taken 15 sweeps
-    assert out.iterations == 15
 
 
 def test_solve_damping_independent_fixed_point(grid_1d):
@@ -244,9 +258,53 @@ def test_solve_detects_blowup():
 
 def test_solve_iteration_budget_verdict(grid_1d):
     out = solve(gaussian_problem(sigma=0.05), grid_1d, SolverConfig(damping=0.5, tol=1e-15, max_iter=3))
-    assert out.verdict == "max_iterations"
-    assert out.note == "iteration budget exhausted"
-    assert out.u is None
+    _assert_stop(out, "max_iterations", 3, "iteration budget exhausted", out.d_history[-1])
+    assert len(out.d_history) == 3
+
+
+def test_solve_exit_step_limit():
+    # the second map's coupling is too stiff for dt: dt * max(c) >= 1
+    g = Grid(dim=1, half_width=6.0, nx=17, nt=8, horizon=1.0)
+    out = solve(gaussian_problem(sigma=100.0), g, SolverConfig())
+    note = "linear march failed: dt * max(c) >= 1: time step too large for the coefficient"
+    _assert_stop(out, "diverged", 2, note, np.inf)
+    assert len(out.d_history) == 1
+
+
+def test_solve_exit_positivity_error():
+    # Crank-Nicolson's explicit half at dt / dx^2 = 3.6 turns the peak of
+    # w = exp(-u(T)/2) under a narrow negative terminal cost negative
+    g = Grid(dim=1, half_width=6.0, nx=65, nt=8, horizon=1.0)
+    terminal = TerminalCostSpec(family="gaussian", amplitude=-5.0, width=0.05)
+    p = gaussian_problem(sigma=0.5, terminal=terminal)
+    out = solve(p, g, SolverConfig(time_scheme="crank_nicolson"))
+    note = "linear march failed: value field lost positivity at time level 7 (min -2.323e+00)"
+    _assert_stop(out, "diverged", 1, note, np.inf)
+    assert out.d_history == []
+
+
+def test_solve_exit_blow_up_monitor():
+    g = Grid(dim=1, half_width=6.0, nx=17, nt=8, horizon=1.0)
+    out = solve(gaussian_problem(sigma=0.5), g, SolverConfig(d_cap=1e-3))
+    _assert_stop(out, "diverged", 1, "blow-up monitor exceeded", out.d_history[-1])
+    assert 1e-3 < out.d_final < np.inf
+
+
+def test_solve_exit_non_finite_iterate(grid_1d, monkeypatch):
+    mapping = solver_module.picard_map
+    calls = []
+
+    def poisoned_map(*args, **kwargs):
+        w, mu = mapping(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 2:
+            mu.values[3, 40] = np.nan
+        return w, mu
+
+    monkeypatch.setattr(solver_module, "picard_map", poisoned_map)
+    out = solve(gaussian_problem(sigma=0.05), grid_1d, SolverConfig(damping=0.5))
+    _assert_stop(out, "diverged", 2, "non-finite iterate", np.nan)
+    assert np.isfinite(out.d_history[0]) and np.isnan(out.residual_history[-1])
 
 
 def test_solve_horizon_mismatch_raises(grid_1d):
