@@ -25,7 +25,7 @@ from .diagnostics import (
     nonexistence_horizon,
     planning_horizon,
 )
-from .discretization import Grid, SpaceTimeField, integrate, integrate_space_time
+from .discretization import Grid, integrate, integrate_space_time
 from .errors import (
     ConfigError,
     KernelNormDivergenceError,
@@ -87,7 +87,6 @@ __all__ = [
     "SolveOutcome",
     "SolverConfig",
     "SolverError",
-    "SpaceTimeField",
     "TerminalCostSpec",
     "analytic_kernel_exponent",
     "check_moment_identity",

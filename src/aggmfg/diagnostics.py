@@ -13,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from .discretization import Grid, _level_blocks, _values, gradient, integrate
+from .discretization import Grid, _level_blocks, gradient, integrate
 from .problem import (
     ConditionCheck,
     ConditionReport,
@@ -23,7 +23,6 @@ from .problem import (
     _pointwise_checks,
     _unit_mass,
     check_structural_conditions,
-    coupling_mass,
     eval_coupling,
     sample_on_grid,
 )
@@ -56,7 +55,7 @@ def compute_energy(
     per block and integrand gives each level's quadrature, with the bits of
     integrate on that level.
     """
-    uv, mv = _values(u), _values(m)
+    uv, mv = np.asarray(u, dtype=float), np.asarray(m, dtype=float)
     if fields is None:
         fields = sample_on_grid(p, grid)
     nt = grid.nt
@@ -127,7 +126,7 @@ def check_moment_identity(
     Every level's integrals come from one np.vecdot per block and integrand,
     with the bits of integrate on that level.
     """
-    uv, mv = _values(u), _values(m)
+    uv, mv = np.asarray(u, dtype=float), np.asarray(m, dtype=float)
     if fields is None:
         fields = sample_on_grid(p, grid)
     if energy is None:
@@ -452,19 +451,19 @@ class AprioriReport:
     notes: str
 
 
-def compute_apriori(m, p: ProblemSpec, grid: Grid) -> AprioriReport:
-    """Space-time integral of m^(2 alpha + 1) plus the exponent bookkeeping.
+def compute_apriori(d_value: float, p: ProblemSpec) -> AprioriReport:
+    """The space-time integral D of m^(2 alpha + 1) plus the exponent bookkeeping.
 
+    d_value is D itself: the solver's blow-up monitor of the converged
+    iterate, outcome.d_final, is that integral, so it is not formed again.
     The exponents are recorded for reference, not asserted: q is fixed by
     2/q = (alpha+1)/(2 alpha+1), the closure exponent is delta = 4/q in
     (1, 2), beta = alpha*dim/2, and the interpolation growth exponent is
     only defined once beta >= 1. The threshold coupling strength sigma_0
     depends on a non-explicit embedding constant and is not computed;
     sweeps report an empirical threshold instead."""
-    mv = _values(m)
     alpha = p.coupling.alpha
     power = 2.0 * alpha + 1.0
-    d_value = coupling_mass(mv, p.coupling, grid)
     q = 2.0 * power / (alpha + 1.0)
     delta = 4.0 / q
     beta = alpha * p.dim / 2.0

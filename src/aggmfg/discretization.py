@@ -17,7 +17,6 @@ laplacian and flux_divergence apply those bands with banded_product.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -109,22 +108,6 @@ class Grid:
         )
 
 
-@dataclass
-class SpaceTimeField:
-    """Values on every (time node, space node) pair of a grid."""
-
-    values: np.ndarray
-    grid: Grid
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        expected = (self.grid.nt + 1, self.grid.n_nodes)
-        if self.values.shape != expected:
-            raise ValueError(
-                f"field shape {self.values.shape} does not match grid {expected}"
-            )
-
-
 # Time-level blocks hold this many node rows: enough that one set of array
 # calls serves 63 to 252 levels of a 1D grid, few enough that the block
 # temporaries stay small (building for the whole horizon at once added 5 to
@@ -152,10 +135,6 @@ def _level_blocks(levels: int, rows_per_level: int):
         yield lo, min(lo + step, levels)
 
 
-def _values(field) -> np.ndarray:
-    return np.asarray(getattr(field, "values", field), dtype=float)
-
-
 def integrate(field_slice: np.ndarray, grid: Grid, weight: np.ndarray | None = None) -> float:
     """Trapezoid integral of a node field, optionally against a node weight."""
     f = np.asarray(field_slice, dtype=float)
@@ -166,7 +145,7 @@ def integrate(field_slice: np.ndarray, grid: Grid, weight: np.ndarray | None = N
 
 def integrate_space_time(values: np.ndarray, grid: Grid) -> float:
     """Trapezoid integral over space and time of a (nt+1, n_nodes) array."""
-    spatial = _values(values) @ grid.weights
+    spatial = np.asarray(values, dtype=float) @ grid.weights
     return float(np.dot(grid.time_weights, spatial))
 
 
@@ -340,21 +319,6 @@ def flux_divergence(b: np.ndarray, density: np.ndarray, grid: Grid) -> np.ndarra
         return ab
 
     return _along_axes(density, grid, fitted)
-
-
-def write_grid_json(path, grid: Grid) -> None:
-    meta = {
-        "dim": grid.dim,
-        "half_width": grid.half_width,
-        "nx": grid.nx,
-        "nt": grid.nt,
-        "horizon": grid.horizon,
-        "dx": grid.dx,
-        "dt": grid.dt,
-    }
-    with open(path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def write_field_csv(path, grid: Grid, field_slice: np.ndarray) -> None:

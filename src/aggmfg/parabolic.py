@@ -18,7 +18,6 @@ from numpy.linalg import LinAlgError
 
 from .discretization import (
     Grid,
-    SpaceTimeField,
     _level_blocks,
     banded_product,
     fitted_bands,
@@ -181,7 +180,7 @@ def solve_backward_heat(
     coefficient: np.ndarray,
     grid: Grid,
     scheme: str = "implicit_euler",
-) -> SpaceTimeField:
+) -> np.ndarray:
     """March -w_t - Lap w = c(x,t) w backward from w(T) = terminal.
 
     coefficient has shape (nt+1, n_nodes); the step onto time level j uses
@@ -238,7 +237,7 @@ def solve_backward_heat(
         return hi
 
     _march_blocks(w[::-1].reshape((grid.nt + 1,) + shape), half, bands_of, check)
-    return SpaceTimeField(w, grid)
+    return w
 
 
 def _check_positive(w: np.ndarray, lo: int, hi: int) -> None:
@@ -270,7 +269,7 @@ def solve_fokker_planck(
     drift,
     grid: Grid,
     scheme: str = "implicit_euler",
-) -> SpaceTimeField:
+) -> np.ndarray:
     """March mu_t = Lap mu - div(b mu) forward from mu(0) = initial.
 
     drift has shape (nt+1, dim, n_nodes); the step onto level n uses the
@@ -312,7 +311,7 @@ def solve_fokker_planck(
 
     rows = mu.reshape((grid.nt + 1,) + shape)
     _march_blocks(rows, half, bands_of, partial(_clamp_undershoot, mu))
-    return SpaceTimeField(mu, grid)
+    return mu
 
 
 def _clamp_undershoot(mu: np.ndarray, lo: int, hi: int) -> int:

@@ -141,15 +141,20 @@ class PotentialSpec:
         return grad
 
     def _hann(self, z: np.ndarray) -> np.ndarray:
-        # raised-cosine bump on |z| <= width, zero outside, C^1 across the edge
+        # raised-cosine bump on |z| <= width, zero outside, C^1 across the edge.
+        # A subnormal width overflows pi/width: the nodes outside are masked,
+        # and the gradient's inf * 0 at the centre is a NaN that sample_on_grid
+        # rejects, so neither warns
         inside = np.abs(z) <= self.width
-        return np.where(inside, 0.5 * (1.0 + np.cos(np.pi * z / self.width)), 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where(inside, 0.5 * (1.0 + np.cos(np.pi * z / self.width)), 0.0)
 
     def _hann_prime(self, z: np.ndarray) -> np.ndarray:
         inside = np.abs(z) <= self.width
-        return np.where(
-            inside, -0.5 * np.pi / self.width * np.sin(np.pi * z / self.width), 0.0
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.where(
+                inside, -0.5 * np.pi / self.width * np.sin(np.pi * z / self.width), 0.0
+            )
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .diagnostics import (
     compute_nonexistence_certificate,
     compute_planning_certificate,
 )
-from .discretization import Grid, write_field_csv, write_grid_json
+from .discretization import Grid, write_field_csv
 from .errors import ConfigError, KernelNormDivergenceError
 from .parabolic import (
     HeatKernelQuery,
@@ -125,7 +125,8 @@ def run_single(cfg: dict, out_dir=None) -> dict:
     os.makedirs(reports_dir, exist_ok=True)
     os.makedirs(fields_dir, exist_ok=True)
 
-    write_grid_json(os.path.join(fields_dir, "grid.json"), grid)
+    grid_meta = dict(dataclasses.asdict(grid), dx=grid.dx, dt=grid.dt)
+    _write_json(os.path.join(fields_dir, "grid.json"), grid_meta)
     _write_csv(
         os.path.join(reports_dir, "residuals.csv"),
         ["iteration", "residual", "d_value"],
@@ -139,14 +140,14 @@ def run_single(cfg: dict, out_dir=None) -> dict:
     if outcome.converged:
         for idx in snap:
             tag = f"{idx:05d}"
-            write_field_csv(os.path.join(fields_dir, f"m_{tag}.csv"), grid, outcome.m.values[idx])
-            write_field_csv(os.path.join(fields_dir, f"u_{tag}.csv"), grid, outcome.u.values[idx])
-            write_field_csv(os.path.join(fields_dir, f"w_{tag}.csv"), grid, outcome.w.values[idx])
+            write_field_csv(os.path.join(fields_dir, f"m_{tag}.csv"), grid, outcome.m[idx])
+            write_field_csv(os.path.join(fields_dir, f"u_{tag}.csv"), grid, outcome.u[idx])
+            write_field_csv(os.path.join(fields_dir, f"w_{tag}.csv"), grid, outcome.w[idx])
         energy = compute_energy(outcome.u, outcome.m, problem, grid, fields=fields)
         moments = check_moment_identity(
             outcome.u, outcome.m, problem, grid, energy=energy, fields=fields
         )
-        apriori = compute_apriori(outcome.m, problem, grid)
+        apriori = compute_apriori(outcome.d_final, problem)
         _write_csv(
             os.path.join(reports_dir, "energy.csv"),
             ["time", "total", "cross", "kinetic", "coupling", "potential"],

@@ -16,7 +16,6 @@ import numpy as np
 
 from .discretization import (
     Grid,
-    SpaceTimeField,
     _level_blocks,
     flux_divergence,
     gradient,
@@ -65,9 +64,9 @@ class SolveOutcome:
     residual_history: list[float]
     d_history: list[float]
     d_final: float
-    u: SpaceTimeField | None = None
-    m: SpaceTimeField | None = None
-    w: SpaceTimeField | None = None
+    u: np.ndarray | None = None
+    m: np.ndarray | None = None
+    w: np.ndarray | None = None
     hjb_residual: float | None = None
     fp_residual: float | None = None
     resolve_residual: float | None = None
@@ -120,7 +119,7 @@ def picard_map(
     grid: Grid,
     fields: ProblemFields | None = None,
     scheme: str = "implicit_euler",
-) -> tuple[SpaceTimeField, SpaceTimeField]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One sweep of the fixed-point map: density in, (w, new density) out."""
     if fields is None:
         fields = sample_on_grid(p, grid)
@@ -132,7 +131,7 @@ def picard_map(
     c *= 0.5
     w = solve_backward_heat(hopf_cole(fields.u_terminal), c, grid, scheme=scheme)
     del c  # the FP march holds the largest working set; c is not needed there
-    mu = solve_fokker_planck(fields.m0, _BlockDrift(w.values, grid), grid, scheme=scheme)
+    mu = solve_fokker_planck(fields.m0, _BlockDrift(w, grid), grid, scheme=scheme)
     return w, mu
 
 
@@ -162,7 +161,7 @@ def _initial_trajectory(fields: ProblemFields, grid: Grid, cfg: SolverConfig) ->
     if cfg.initial_guess == "frozen":
         return np.tile(fields.m0, (grid.nt + 1, 1))
     zero_drift = np.broadcast_to(0.0, (grid.nt + 1, grid.dim, grid.n_nodes))
-    return solve_fokker_planck(fields.m0, zero_drift, grid, scheme=cfg.time_scheme).values
+    return solve_fokker_planck(fields.m0, zero_drift, grid, scheme=cfg.time_scheme)
 
 
 def solve(
@@ -200,13 +199,14 @@ def solve(
         except SolverError as exc:
             verdict, note, d_final = VERDICT_DIVERGED, f"linear march failed: {exc}", np.inf
             break
-        m_new, res, d_final, next_den = _damped_update(m, mu.values, cfg.damping, den, p, grid)
+        m_new, res, d_final, next_den = _damped_update(m, mu, cfg.damping, den, p, grid)
         mu = None  # the update's scratch: free it before the next map and the residuals
         residuals.append(res)
         d_history.append(d_final)
-        if not np.isfinite(res) or not np.isfinite(d_final) or d_final > cfg.d_cap:
+        finite = np.isfinite(res) and np.isfinite(d_final)
+        if not finite or d_final > cfg.d_cap:
             verdict = VERDICT_DIVERGED
-            note = "blow-up monitor exceeded" if np.isfinite(d_final) else "non-finite iterate"
+            note = "blow-up monitor exceeded" if finite else "non-finite iterate"
             break
         m, prev_den, den = m_new, den, next_den  # the previous iterate is freed here
         if res <= cfg.tol:
@@ -219,9 +219,7 @@ def solve(
         # mu - m = (1 - damping)(mu - m_prev), so the relative L1 distance
         # of mu from m follows from the update's own integrals
         out.resolve_residual = (1.0 - cfg.damping) / cfg.damping * res * prev_den / den
-        out.m = SpaceTimeField(m, grid)
-        out.u = SpaceTimeField(inverse_hopf_cole(w.values), grid)
-        out.w = w
+        out.m, out.u, out.w = m, inverse_hopf_cole(w), w
         out.hjb_residual, out.fp_residual = self_consistency_residual(
             out.u, out.m, p, grid, fields=fields
         )
@@ -229,8 +227,8 @@ def solve(
 
 
 def self_consistency_residual(
-    u: SpaceTimeField,
-    m: SpaceTimeField,
+    u: np.ndarray,
+    m: np.ndarray,
     p: ProblemSpec,
     grid: Grid,
     fields: ProblemFields | None = None,
@@ -248,7 +246,6 @@ def self_consistency_residual(
     """
     if fields is None:
         fields = sample_on_grid(p, grid)
-    uv, mv = u.values, m.values
     dt = grid.dt
     interior = _interior_mask(grid)
     w_int = grid.weights * interior
@@ -257,8 +254,8 @@ def self_consistency_residual(
     fp_total = 0.0
     for lo, hi in _level_blocks(grid.nt, grid.n_nodes):
         # value residual at levels lo .. hi-1
-        u0, u1 = uv[lo:hi], uv[lo + 1 : hi + 1]
-        m0, m1 = mv[lo:hi], mv[lo + 1 : hi + 1]
+        u0, u1 = u[lo:hi], u[lo + 1 : hi + 1]
+        m0, m1 = m[lo:hi], m[lo + 1 : hi + 1]
         du = -(u1 - u0) / dt
         gu = gradient(u0, grid)
         f = p.coupling.f(np.maximum(m0, 0.0))

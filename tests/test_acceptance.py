@@ -124,7 +124,7 @@ def sweep_result(tmp_path_factory):
 
 def test_criterion_1_decoupled_sanity(decoupled_run):
     g, out = decoupled_run["grid"], decoupled_run["out"]
-    mv = out.m.values
+    mv = out.m
     # exact heat flow from unit-variance Gaussian data: variance 1 + 2t
     l1_max = 0.0
     for j in (0, g.nt // 2, g.nt):
@@ -148,9 +148,9 @@ def test_criterion_2_mass_conservation(decoupled_run, refinement_study,
                                         potential_run, convexity_run, rng):
     drifts = []
     for tag, m, g in (
-        ("decoupled", decoupled_run["out"].m.values, decoupled_run["grid"]),
-        ("potential", potential_run["out"].m.values, potential_run["grid"]),
-        ("convexity", convexity_run["out"].m.values, convexity_run["grid"]),
+        ("decoupled", decoupled_run["out"].m, decoupled_run["grid"]),
+        ("potential", potential_run["out"].m, potential_run["grid"]),
+        ("convexity", convexity_run["out"].m, convexity_run["grid"]),
     ):
         masses = np.array([integrate(m[j], g) for j in range(g.nt + 1)])
         drifts.append(np.abs(np.diff(masses)).max() / masses[0])
@@ -162,7 +162,7 @@ def test_criterion_2_mass_conservation(decoupled_run, refinement_study,
         mix = GaussianMixture(weights=(1.0,), means=((0.0,) * dim,), stds=(1.0,))
         mu0 = mix.value(g.coordinates)
         b = 2.0 * rng.standard_normal((g.nt + 1, dim, g.n_nodes))
-        mu = solve_fokker_planck(mu0, b, g).values
+        mu = solve_fokker_planck(mu0, b, g)
         masses = np.array([integrate(mu[j], g) for j in range(g.nt + 1)])
         drifts.append(np.abs(np.diff(masses)).max() / masses[0])
     worst = max(drifts)
@@ -171,15 +171,15 @@ def test_criterion_2_mass_conservation(decoupled_run, refinement_study,
 
 def test_criterion_3_positivity_and_floor(decoupled_run, refinement_study, potential_run):
     min_density = min(
-        decoupled_run["out"].m.values.min(),
-        potential_run["out"].m.values.min(),
-        min(row["out"].m.values.min() for row in refinement_study),
+        decoupled_run["out"].m.min(),
+        potential_run["out"].m.min(),
+        min(row["out"].m.min() for row in refinement_study),
     )
     g, p, out = potential_run["grid"], potential_run["problem"], potential_run["out"]
     fields = sample_on_grid(p, g)
     w_T = hopf_cole(fields.u_terminal)
     floor = math.exp(-g.horizon * float(fields.v.max())) * float(w_T.min()) * (1.0 - 1e-8)
-    w_min = float(out.w.values.min())
+    w_min = float(out.w.min())
     ok = min_density >= 0.0 and w_min >= floor
     _report(3, ok, f"min density {min_density:.1e}, min w {w_min:.4f} >= floor {floor:.4f}")
 

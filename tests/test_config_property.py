@@ -151,6 +151,10 @@ def _exit_code(command: str, cfg: dict) -> tuple[int, str]:
 ])
 @example(command="certify", nx=9, nt=4, exits=(2,),
          changes=[("problem.initial_density.stds", [1e-160])])
+# a subnormal cosine_bump width: pi / width overflows, NaN in the gradient
+@example(command="solve", nx=9, nt=4, exits=(2,), changes=[
+    ("problem.potential", {"family": "cosine_bump", "amplitude": 1.0, "width": 5e-324}),
+])
 def test_any_config_runs_or_exits_two(command, nx, nt, changes, exits):
     code, err = _exit_code(command, _mutated(_small_config(nx, nt), changes))
     assert code in exits, err

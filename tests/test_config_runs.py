@@ -163,6 +163,25 @@ def test_run_single_samples_the_problem_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_run_single_apriori_d_is_the_solvers_blow_up_monitor(tmp_path, monkeypatch):
+    solve = runs_module.solve
+    outcomes = []
+
+    def recording(*args, **kwargs):
+        outcomes.append(solve(*args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(runs_module, "solve", recording)
+    cfg = _solve_cfg(sigma=0.05)
+    out = run_single(cfg, out_dir=str(tmp_path / "run"))
+    meta = json.load(open(os.path.join(out["out_dir"], "metadata.json")))
+    assert meta["verdict"] == "converged"
+    assert meta["apriori"]["d_value"] == meta["d_final"]
+    # the monitor of the converged trajectory, bit for bit
+    problem, grid, _ = build_run(cfg)
+    assert meta["d_final"] == problem_module.coupling_mass(outcomes[0].m, problem.coupling, grid)
+
+
 def test_run_single_decoupled_energy_budget(tmp_path):
     out = run_single(_solve_cfg(sigma=0.0, nx=129, nt=128), out_dir=str(tmp_path / "run"))
     meta = json.load(open(os.path.join(out["out_dir"], "metadata.json")))

@@ -20,8 +20,8 @@ from aggmfg import (
     solve,
 )
 from aggmfg.diagnostics import _shift_feasible
-from aggmfg.discretization import Grid, _level_blocks, gradient, integrate, integrate_space_time
-from aggmfg.problem import PotentialSpec, coupling_mass, eval_coupling, sample_on_grid
+from aggmfg.discretization import Grid, _level_blocks, gradient, integrate
+from aggmfg.problem import PotentialSpec, eval_coupling, sample_on_grid
 from tests.conftest import gaussian_problem, three_block_levels
 
 
@@ -168,36 +168,21 @@ def test_planning_certificate():
 
 
 def test_apriori_exponent_bookkeeping():
-    g1 = Grid(dim=1, half_width=12.0, nx=65, nt=4, horizon=1.0)
     p1 = gaussian_problem(sigma=1.0, alpha=2.0)
-    m = np.tile(sample_on_grid(p1, g1).m0, (g1.nt + 1, 1))
-    rep = compute_apriori(m, p1, g1)
+    rep = compute_apriori(0.25, p1)
+    assert rep.d_value == 0.25
     assert rep.exponent_q == pytest.approx(10.0 / 3.0)
     assert rep.exponent_delta == pytest.approx(1.2)
     assert rep.beta == pytest.approx(1.0)
     assert rep.growth_a == pytest.approx(0.0)
 
-    g2 = Grid(dim=2, half_width=8.0, nx=33, nt=4, horizon=1.0)
-    p2 = gaussian_problem(sigma=1.0, alpha=3.0, dim=2)
-    m2 = np.tile(sample_on_grid(p2, g2).m0, (g2.nt + 1, 1))
-    rep2 = compute_apriori(m2, p2, g2)
+    rep2 = compute_apriori(0.25, gaussian_problem(sigma=1.0, alpha=3.0, dim=2))
     assert rep2.exponent_q == pytest.approx(3.5)
     assert rep2.exponent_delta == pytest.approx(8.0 / 7.0)
     assert rep2.beta == pytest.approx(3.0)
     assert rep2.growth_a == pytest.approx(8.0 / 9.0)
 
-    p3 = gaussian_problem(sigma=1.0, alpha=1.5)
-    m3 = np.tile(sample_on_grid(p3, g1).m0, (g1.nt + 1, 1))
-    assert compute_apriori(m3, p3, g1).growth_a is None
-
-
-def test_apriori_d_is_the_solvers_blow_up_monitor(rng):
-    g = Grid(dim=1, half_width=6.0, nx=33, nt=8, horizon=1.0)
-    p = gaussian_problem(sigma=1.0, alpha=1.3)
-    m = rng.standard_normal((g.nt + 1, g.n_nodes))  # negative nodes are clipped
-    d_value = compute_apriori(m, p, g).d_value
-    assert d_value == coupling_mass(m, p.coupling, g)
-    assert d_value == integrate_space_time(np.maximum(m, 0.0) ** (2.0 * 1.3 + 1.0), g)
+    assert compute_apriori(0.25, gaussian_problem(sigma=1.0, alpha=1.5)).growth_a is None
 
 
 def test_energy_reduces_to_coupling_for_flat_value():

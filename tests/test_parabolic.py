@@ -62,7 +62,7 @@ def test_backward_heat_constant_coefficient_order(scheme, order):
     for nt in (40, 80, 160):
         g = Grid(dim=1, half_width=6.0, nx=17, nt=nt, horizon=1.0)
         c = np.full((g.nt + 1, g.n_nodes), kappa)
-        w = solve_backward_heat(np.ones(g.n_nodes), c, g, scheme=scheme).values
+        w = solve_backward_heat(np.ones(g.n_nodes), c, g, scheme=scheme)
         exact = np.exp(kappa * (1.0 - g.times))
         errs.append(np.abs(w[:, 8] - exact).max())
     slopes = np.diff(np.log(errs)) / np.log(0.5)
@@ -73,7 +73,7 @@ def test_backward_heat_matches_heat_flow():
     g = Grid(dim=1, half_width=12.0, nx=513, nt=1000, horizon=1.0)
     w0 = _gaussian(g, std=1.0)
     c = np.zeros((g.nt + 1, g.n_nodes))
-    w = solve_backward_heat(w0, c, g).values
+    w = solve_backward_heat(w0, c, g)
     exact = heat_kernel_convolve(w0, 1.0, g) * integrate(w0, g)
     # the convolve helper renormalizes mass; rescale to compare shapes
     exact *= integrate(w[0], g) / integrate(exact, g)
@@ -86,7 +86,7 @@ def test_backward_heat_positive_floor():
     v = 2.0 * np.exp(-(g.axis**2))
     c = np.tile(-v, (g.nt + 1, 1))
     w_T = np.exp(-0.1 * g.axis**2)
-    w = solve_backward_heat(w_T, c, g).values
+    w = solve_backward_heat(w_T, c, g)
     floor = math.exp(-1.0 * 2.0) * w_T.min()
     assert w.min() >= floor * (1.0 - 1e-8)
     assert w.min() > 0.0
@@ -103,7 +103,7 @@ def test_backward_heat_2d_smoke():
     g = Grid(dim=2, half_width=6.0, nx=33, nt=20, horizon=0.5)
     w_T = _gaussian(g, std=1.2)
     c = np.zeros((g.nt + 1, g.n_nodes))
-    w = solve_backward_heat(w_T, c, g).values
+    w = solve_backward_heat(w_T, c, g)
     assert w.min() > 0.0
     assert np.all(np.isfinite(w))
 
@@ -116,7 +116,7 @@ def test_fokker_planck_mass_per_step(rng):
     g = Grid(dim=1, half_width=10.0, nx=201, nt=50, horizon=0.5)
     mu0 = _gaussian(g)
     b = rng.standard_normal((g.nt + 1, 1, g.n_nodes))
-    mu = solve_fokker_planck(mu0, b, g).values
+    mu = solve_fokker_planck(mu0, b, g)
     masses = np.array([integrate(mu[n], g) for n in range(g.nt + 1)])
     assert np.abs(np.diff(masses)).max() < 1e-13
 
@@ -125,7 +125,7 @@ def test_fokker_planck_positivity(rng):
     g = Grid(dim=1, half_width=10.0, nx=101, nt=40, horizon=1.0)
     mu0 = _gaussian(g, std=0.5)
     b = 3.0 * rng.standard_normal((g.nt + 1, 1, g.n_nodes))
-    mu = solve_fokker_planck(mu0, b, g).values
+    mu = solve_fokker_planck(mu0, b, g)
     assert mu.min() >= 0.0
 
 
@@ -135,7 +135,7 @@ def test_fokker_planck_constant_drift_mean():
     g = Grid(dim=1, half_width=12.0, nx=385, nt=400, horizon=1.0)
     mu0 = _gaussian(g)
     b = np.full((g.nt + 1, 1, g.n_nodes), kappa)
-    mu = solve_fokker_planck(mu0, b, g).values
+    mu = solve_fokker_planck(mu0, b, g)
     mean_T = integrate(g.axis * mu[-1], g) / integrate(mu[-1], g)
     assert abs(mean_T - kappa * 1.0) < 2e-3
 
@@ -144,7 +144,7 @@ def test_fokker_planck_zero_drift_matches_kernel():
     g = Grid(dim=1, half_width=12.0, nx=257, nt=1500, horizon=0.1)
     mu0 = _gaussian(g, std=1.5)
     b = np.zeros((g.nt + 1, 1, g.n_nodes))
-    mu = solve_fokker_planck(mu0, b, g).values
+    mu = solve_fokker_planck(mu0, b, g)
     exact = heat_kernel_convolve(mu0, 0.1, g)
     assert np.abs(mu[-1] - exact).max() <= 1e-4
 
@@ -154,7 +154,7 @@ def test_fokker_planck_2d_invariants(rng):
     mu0 = _gaussian(g, std=0.8)
     mu0 /= integrate(mu0, g)
     b = 0.5 * rng.standard_normal((g.nt + 1, 2, g.n_nodes))
-    mu = solve_fokker_planck(mu0, b, g).values
+    mu = solve_fokker_planck(mu0, b, g)
     masses = np.array([integrate(mu[n], g) for n in range(g.nt + 1)])
     assert np.abs(np.diff(masses)).max() < 1e-13
     assert mu.min() >= 0.0
@@ -311,12 +311,12 @@ def test_line_sweep_matches_per_line_solves(dim, scheme, monkeypatch, rng):
             assert blocks == [(0, 4), (4, 8), (8, 12), (12, 14)]
         c = 2.0 * rng.standard_normal((g.nt + 1, g.n_nodes))
         w_T = _gaussian(g, std=1.5) + 0.1
-        w = solve_backward_heat(w_T, c, g, scheme=scheme).values
+        w = solve_backward_heat(w_T, c, g, scheme=scheme)
         assert np.array_equal(w, _per_line_heat(w_T, c, g, scheme))
 
         b = 0.5 * rng.standard_normal((g.nt + 1, dim, g.n_nodes))
         mu0 = _gaussian(g)
-        mu = solve_fokker_planck(mu0, b, g, scheme=scheme).values
+        mu = solve_fokker_planck(mu0, b, g, scheme=scheme)
         assert np.array_equal(mu, _per_line_fokker_planck(mu0, b, g, scheme))
 
 
@@ -507,9 +507,9 @@ def test_fokker_planck_clamps_a_small_undershoot_and_resolves_the_block(monkeypa
     g = _one_block_grid()
     b = 0.5 * rng.standard_normal((g.nt + 1, 1, g.n_nodes))
     mu0 = _gaussian(g)
-    clean = solve_fokker_planck(mu0, b, g).values
+    clean = solve_fokker_planck(mu0, b, g)
     calls = _inject_after_kernel(monkeypatch, {9: -1e-14})  # call 9 solves level 10
-    mu = solve_fokker_planck(mu0, b, g).values
+    mu = solve_fokker_planck(mu0, b, g)
     assert np.array_equal(mu[:10], clean[:10])
     assert mu[10, 3] == 0.0
     assert len(calls) == g.nt + (g.nt - 10)  # levels 11 .. 20 solved again
@@ -527,11 +527,11 @@ def test_fokker_planck_2d_clamps_inside_a_block_of_the_minimum_levels(monkeypatc
     assert list(_level_blocks(g.nt, g.n_nodes)) == [(0, 4), (4, 8)]
     b = 0.5 * rng.standard_normal((g.nt + 1, 2, g.n_nodes))
     mu0 = _gaussian(g)
-    clean = solve_fokker_planck(mu0, b, g).values
+    clean = solve_fokker_planck(mu0, b, g)
     # two calls per level, axis 0 into scratch and then axis 1 into the
     # level itself: call 3 is the axis-1 solve of level 2
     calls = _inject_after_kernel(monkeypatch, {3: -1e-14})
-    mu = solve_fokker_planck(mu0, b, g).values
+    mu = solve_fokker_planck(mu0, b, g)
     assert np.array_equal(mu[:2], clean[:2])
     assert mu[2, 3] == 0.0
     assert len(calls) == 2 * g.nt + 2 * 2  # levels 3 and 4 of the first block solved again

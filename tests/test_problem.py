@@ -12,7 +12,8 @@ from aggmfg import (
     eval_coupling,
     sample_on_grid,
 )
-from aggmfg.discretization import Grid, integrate
+from aggmfg.discretization import Grid, integrate, integrate_space_time
+from aggmfg.problem import coupling_mass
 from tests.conftest import gaussian_problem
 
 
@@ -23,6 +24,15 @@ def test_eval_coupling_values():
     assert np.allclose(big_f, [0.0, 1.0, 8.0])
     assert np.allclose(fprime, [0.0, 6.0, 12.0])
     assert np.array_equal(c.f(np.array([0.0, 1.0, 2.0])), f)
+
+
+def test_coupling_mass_clips_negative_nodes(rng):
+    g = Grid(dim=1, half_width=6.0, nx=33, nt=8, horizon=1.0)
+    c = CouplingSpec(sigma=1.0, alpha=1.3)
+    m = rng.standard_normal((g.nt + 1, g.n_nodes))  # negative nodes are clipped
+    d_value = integrate_space_time(np.maximum(m, 0.0) ** (2.0 * 1.3 + 1.0), g)
+    assert coupling_mass(m, c, g) == d_value
+    assert coupling_mass(m, c, g, out=np.empty_like(m)) == d_value  # the solver's form
 
 
 def test_eval_coupling_rejects_negative_density():

@@ -6,7 +6,6 @@ import pytest
 from aggmfg import solver as solver_module
 from aggmfg import (
     SolverConfig,
-    SpaceTimeField,
     TerminalCostSpec,
     hopf_cole,
     inverse_hopf_cole,
@@ -49,9 +48,9 @@ def test_picard_map_is_identity_when_decoupled(grid_1d):
     fields = sample_on_grid(p, grid_1d)
     guess = np.tile(fields.m0, (grid_1d.nt + 1, 1))
     w1, mu1 = picard_map(guess, p, grid_1d, fields=fields)
-    w2, mu2 = picard_map(mu1.values, p, grid_1d, fields=fields)
-    assert np.array_equal(w1.values, w2.values)
-    assert np.array_equal(mu1.values, mu2.values)
+    w2, mu2 = picard_map(mu1, p, grid_1d, fields=fields)
+    assert np.array_equal(w1, w2)
+    assert np.array_equal(mu1, mu2)
 
 
 def test_picard_map_releases_the_heat_coefficient_before_the_density_march(
@@ -103,8 +102,8 @@ def test_picard_map_forms_the_drift_one_block_at_a_time(dim, nx, scheme, monkeyp
     else:
         assert len(formed) == len(blocks) and sorted(set(levels)) == list(range(g.nt + 1))
     # the per-block drifts give the march the bits of the whole trajectory's
-    whole = drift(solver_module._BlockDrift(w.values, g), slice(None))
-    assert np.array_equal(mu.values, solve_fokker_planck(fields.m0, whole, g, scheme=scheme).values)
+    whole = drift(solver_module._BlockDrift(w, g), slice(None))
+    assert np.array_equal(mu, solve_fokker_planck(fields.m0, whole, g, scheme=scheme))
 
 
 def test_solve_frees_each_maps_dead_fields(grid_1d, monkeypatch):
@@ -115,7 +114,7 @@ def test_solve_frees_each_maps_dead_fields(grid_1d, monkeypatch):
 
     def recording_map(*args, **kwargs):
         w, mu = mapping(*args, **kwargs)
-        maps.append((weakref.ref(w.values), weakref.ref(mu.values)))
+        maps.append((weakref.ref(w), weakref.ref(mu)))
         return w, mu
 
     def checking_heat(*args, **kwargs):
@@ -151,10 +150,10 @@ def test_solve_decoupled_self_consistency(grid_1d):
 
 def _resolve_by_march(out, p, g):
     """|mu - m| / |m| for mu the density march driven by -grad u, re-solved."""
-    b = gradient(out.u.values, g)
+    b = gradient(out.u, g)
     np.negative(b, out=b)
-    mu = solve_fokker_planck(sample_on_grid(p, g).m0, b, g).values
-    m = out.m.values
+    mu = solve_fokker_planck(sample_on_grid(p, g).m0, b, g)
+    m = out.m
     return integrate_space_time(np.abs(mu - m), g) / integrate_space_time(np.abs(m), g)
 
 
@@ -198,8 +197,8 @@ def test_solve_small_coupling_converges(grid_1d):
     # frozen regression: this configuration has always taken 15 sweeps
     _assert_stop(out, "converged", 15, "", out.d_history[-1])
     assert len(out.d_history) == 15 and out.residual_history[-1] <= 1e-8
-    assert out.m.values.min() >= 0.0
-    assert out.w.values.min() > 0.0
+    assert out.m.min() >= 0.0
+    assert out.w.min() > 0.0
 
 
 def test_solve_damping_independent_fixed_point(grid_1d):
@@ -207,7 +206,7 @@ def test_solve_damping_independent_fixed_point(grid_1d):
     full = solve(p, grid_1d, SolverConfig(damping=1.0, tol=1e-10))
     half = solve(p, grid_1d, SolverConfig(damping=0.5, tol=1e-10))
     assert full.converged and half.converged
-    gap = integrate(np.abs(full.m.values[-1] - half.m.values[-1]), grid_1d)
+    gap = integrate(np.abs(full.m[-1] - half.m[-1]), grid_1d)
     assert gap < 1e-8
 
 
@@ -222,7 +221,7 @@ def test_solve_initial_guess_policies_agree(grid_1d):
     heat = solve(p, grid_1d, SolverConfig(damping=0.5, initial_guess="heat_flow"))
     frozen = solve(p, grid_1d, SolverConfig(damping=0.5, initial_guess="frozen"))
     assert heat.converged and frozen.converged
-    gap = integrate(np.abs(heat.m.values[-1] - frozen.m.values[-1]), grid_1d)
+    gap = integrate(np.abs(heat.m[-1] - frozen.m[-1]), grid_1d)
     assert gap < 1e-6
 
 
@@ -290,7 +289,8 @@ def test_solve_exit_blow_up_monitor():
     assert 1e-3 < out.d_final < np.inf
 
 
-def test_solve_exit_non_finite_iterate(grid_1d, monkeypatch):
+@pytest.mark.parametrize("poison,residual", [(np.nan, np.nan), (-np.inf, np.inf)])
+def test_solve_exit_non_finite_iterate(poison, residual, grid_1d, monkeypatch):
     mapping = solver_module.picard_map
     calls = []
 
@@ -298,13 +298,18 @@ def test_solve_exit_non_finite_iterate(grid_1d, monkeypatch):
         w, mu = mapping(*args, **kwargs)
         calls.append(None)
         if len(calls) == 2:
-            mu.values[3, 40] = np.nan
+            mu[3, 40] = poison
         return w, mu
 
     monkeypatch.setattr(solver_module, "picard_map", poisoned_map)
-    out = solve(gaussian_problem(sigma=0.05), grid_1d, SolverConfig(damping=0.5))
-    _assert_stop(out, "diverged", 2, "non-finite iterate", np.nan)
-    assert np.isfinite(out.d_history[0]) and np.isnan(out.residual_history[-1])
+    cfg = SolverConfig(damping=0.5)
+    out = solve(gaussian_problem(sigma=0.05), grid_1d, cfg)
+    # a NaN node reaches D; a -inf node is clipped out of D, which stays
+    # finite and below d_cap, while the relative change is inf
+    _assert_stop(out, "diverged", 2, "non-finite iterate", out.d_history[-1])
+    assert np.isnan(out.d_final) == np.isnan(poison) and not out.d_final > cfg.d_cap
+    assert np.isfinite(out.d_history[0])
+    assert np.array_equal(out.residual_history[-1], residual, equal_nan=True)
 
 
 def test_solve_horizon_mismatch_raises(grid_1d):
@@ -346,7 +351,7 @@ def test_blocked_residual_matches_per_level_loop(dim, nx, rng):
     p = gaussian_problem(sigma=3.0, dim=dim)
     u = rng.standard_normal((g.nt + 1, g.n_nodes))
     m = rng.random((g.nt + 1, g.n_nodes)) - 0.1  # some negatives, which the coupling clips
-    got = self_consistency_residual(SpaceTimeField(u, g), SpaceTimeField(m, g), p, g)
+    got = self_consistency_residual(u, m, p, g)
     assert got == _per_level_residual(u, m, p, g)
 
 
@@ -369,7 +374,7 @@ def test_solve_2d_decoupled():
     out = solve(p, g, SolverConfig(damping=1.0))
     assert out.converged
     assert out.iterations <= 2
-    masses = [integrate(out.m.values[n], g) for n in range(g.nt + 1)]
+    masses = [integrate(out.m[n], g) for n in range(g.nt + 1)]
     assert np.abs(np.diff(masses)).max() < 1e-13
 
 
@@ -381,8 +386,8 @@ def test_solve_2d_coupled_with_potential():
     p = gaussian_problem(sigma=0.5, dim=2, horizon=0.5, potential=well)
     out = solve(p, g, SolverConfig(damping=0.5))
     assert out.converged
-    assert out.m.values.min() >= 0.0
-    assert out.w.values.min() > 0.0
+    assert out.m.min() >= 0.0
+    assert out.w.min() > 0.0
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.3, 2.0])
