@@ -145,7 +145,8 @@ def _mixture_from(chk: _Checker, base: str, dim: int) -> GaussianMixture | None:
             means = None
         if means is not None and any(len(m) != dim for m in means):
             means = None
-    if means is None:
+    # an absent means, or a node on its path that is not an object, get names itself
+    if means is None and means_raw is not None:
         chk.bad.append(f"{base}.means")
     if weights is None or stds is None or means is None:
         return None
@@ -255,14 +256,6 @@ def build_solver(cfg: dict, chk: _Checker | None = None) -> SolverConfig | None:
         time_scheme=scheme,
         initial_guess=guess,
     )
-
-
-def build_mixture(cfg: dict, base: str, dim: int) -> GaussianMixture:
-    """Parse a Gaussian mixture out of an arbitrary config path."""
-    chk = _Checker(cfg)
-    mixture = _mixture_from(chk, base, dim)
-    chk.raise_if_bad()
-    return mixture
 
 
 def build_run(cfg: dict) -> tuple[ProblemSpec, Grid, SolverConfig]:

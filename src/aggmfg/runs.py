@@ -8,7 +8,6 @@ digits, JSON with sorted keys, and no wall-clock content inside any file
 
 from __future__ import annotations
 
-import copy
 import csv
 import dataclasses
 import json
@@ -27,7 +26,7 @@ from .diagnostics import (
     compute_planning_certificate,
 )
 from .discretization import Grid, write_field_csv
-from .errors import ConfigError, KernelNormDivergenceError
+from .errors import KernelNormDivergenceError
 from .parabolic import (
     HeatKernelQuery,
     heat_kernel_spacetime_norm,
@@ -45,16 +44,20 @@ DEFAULT_KERNEL_QUERIES = (
 
 
 def _g17(x) -> str:
-    if x is None:
-        return ""
-    return format(float(x), ".17g")
+    """One CSV cell: a float at 17 significant digits, None empty, text and
+    integers as str prints them."""
+    if isinstance(x, float):
+        # numpy's float64 is a float, but formats faster as a built-in one
+        return format(float(x), ".17g")
+    return "" if x is None else str(x)
 
 
-def _write_csv(path, header, rows) -> None:
+def _write_csv(path, header, *columns) -> None:
+    """A CSV of the given columns, one row per position."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(zip(*(map(_g17, column) for column in columns)))
 
 
 def _clean(obj):
@@ -81,13 +84,13 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def prepare_out_dir(cfg: dict, command: str, out_dir=None) -> str:
-    """Timestamped directory under output.directory unless one is given.
-    A non-string output.directory or output.label is a ConfigError."""
-    chk = cfgmod._Checker(cfg)
-    root = chk.string("output.directory", "runs")
-    label = chk.string("output.label", "")
-    chk.raise_if_bad()
+def _output_names(chk) -> tuple[str, str]:
+    """output.directory and output.label; a non-string one is a bad key."""
+    return chk.string("output.directory", "runs"), chk.string("output.label", "")
+
+
+def prepare_out_dir(root: str, label: str, command: str, out_dir=None) -> str:
+    """out_dir, or a new <root>/<command>[-<label>]-<timestamp> directory."""
     if out_dir is None:
         stem = f"{command}-{label}" if label else command
         stamp = time.strftime("%Y%m%d-%H%M%S")
@@ -101,23 +104,23 @@ def prepare_out_dir(cfg: dict, command: str, out_dir=None) -> str:
     return out_dir
 
 
-def _snapshot_indices(cfg: dict, nt: int) -> list[int]:
-    chk = cfgmod._Checker(cfg)
-    count = chk.integer("output.snapshots", default=5, minimum=2)
-    chk.raise_if_bad()
-    return sorted(set(np.linspace(0, nt, min(count, nt + 1)).round().astype(int).tolist()))
-
-
 def run_single(cfg: dict, out_dir=None) -> dict:
     """Solve one problem and write the full diagnostic record."""
-    problem, grid, solver_cfg = cfgmod.build_run(cfg)
-    snap = _snapshot_indices(cfg, grid.nt)
+    chk = cfgmod._Checker(cfg)
+    problem = cfgmod.build_problem(cfg, chk)
+    grid = cfgmod.build_grid(cfg, problem.horizon if problem is not None else 1.0, chk)
+    solver_cfg = cfgmod.build_solver(cfg, chk)
+    count = chk.integer("output.snapshots", default=5, minimum=2)
+    names = _output_names(chk)
+    chk.raise_if_bad()
+    snap = np.linspace(0, grid.nt, min(count, grid.nt + 1)).round().astype(int)
+    snap = sorted(set(snap.tolist()))
 
     # sampling the data on the grid reports the last config errors, before any
     # output; every later step reads these fields instead of sampling again
     fields = sample_on_grid(problem, grid)
     certificate = compute_nonexistence_certificate(problem, grid, fields=fields)
-    out_dir = prepare_out_dir(cfg, "solve", out_dir)
+    out_dir = prepare_out_dir(*names, "solve", out_dir)
     outcome = solve(problem, grid, solver_cfg, fields=fields)
 
     reports_dir = os.path.join(out_dir, "reports")
@@ -127,16 +130,31 @@ def run_single(cfg: dict, out_dir=None) -> dict:
 
     grid_meta = dict(dataclasses.asdict(grid), dx=grid.dx, dt=grid.dt)
     _write_json(os.path.join(fields_dir, "grid.json"), grid_meta)
+    residuals = outcome.residual_history
     _write_csv(
         os.path.join(reports_dir, "residuals.csv"),
         ["iteration", "residual", "d_value"],
-        [
-            [str(i + 1), _g17(r), _g17(d)]
-            for i, (r, d) in enumerate(zip(outcome.residual_history, outcome.d_history))
-        ],
+        range(1, len(residuals) + 1), residuals, outcome.d_history,
     )
 
-    energy = moments = apriori = None
+    metadata = {
+        "command": "solve",
+        "config": cfg,
+        "verdict": outcome.verdict,
+        "iterations": outcome.iterations,
+        "note": outcome.note,
+        "residual_final": residuals[-1] if residuals else None,
+        "d_final": outcome.d_final,
+        "conditions": certificate.conditions.as_dict(),
+        "certificate": certificate.as_dict(),
+        "certificate_applies": certificate.applies_at(problem.horizon),
+        "consistency": None,
+        "energy": None,
+        "moments": None,
+        "apriori": None,
+        "snapshot_indices": snap,
+        "snapshot_times": [grid.times[i] for i in snap],
+    }
     if outcome.converged:
         for idx in snap:
             tag = f"{idx:05d}"
@@ -151,52 +169,20 @@ def run_single(cfg: dict, out_dir=None) -> dict:
         _write_csv(
             os.path.join(reports_dir, "energy.csv"),
             ["time", "total", "cross", "kinetic", "coupling", "potential"],
-            [
-                [_g17(energy.times[j]), _g17(energy.total[j]), _g17(energy.cross[j]),
-                 _g17(energy.kinetic[j]), _g17(energy.coupling[j]), _g17(energy.potential[j])]
-                for j in range(len(energy.times))
-            ],
+            energy.times, energy.total, energy.cross, energy.kinetic, energy.coupling,
+            energy.potential,
         )
         _write_csv(
             os.path.join(reports_dir, "moments.csv"),
             ["time", "mass", "tail_mass", "abs_moment", "h"],
-            [
-                [_g17(moments.times[j]), _g17(moments.mass[j]), _g17(moments.tail_mass[j]),
-                 _g17(moments.abs_moment[j]), _g17(moments.h[j])]
-                for j in range(len(moments.times))
-            ],
+            moments.times, moments.mass, moments.tail_mass, moments.abs_moment, moments.h,
         )
         _write_csv(
             os.path.join(reports_dir, "moment_residuals.csv"),
             ["time", "hprime", "rhs_first", "hsecond", "rhs_second"],
-            [
-                [_g17(t), _g17(h1), _g17(r1), _g17(h2), _g17(r2)]
-                for t, h1, r1, h2, r2 in zip(
-                    moments.times[1:-1], moments.hprime, moments.rhs_first[1:-1],
-                    moments.hsecond, moments.rhs_second[1:-1],
-                )
-            ],
+            moments.times[1:-1], moments.hprime, moments.rhs_first[1:-1],
+            moments.hsecond, moments.rhs_second[1:-1],
         )
-
-    metadata = {
-        "command": "solve",
-        "config": cfg,
-        "verdict": outcome.verdict,
-        "iterations": outcome.iterations,
-        "note": outcome.note,
-        "residual_final": outcome.residual_history[-1] if outcome.residual_history else None,
-        "d_final": outcome.d_final,
-        "conditions": certificate.conditions.as_dict(),
-        "certificate": certificate.as_dict(),
-        "certificate_applies": certificate.applies_at(problem.horizon),
-        "consistency": None,
-        "energy": None,
-        "moments": None,
-        "apriori": None,
-        "snapshot_indices": snap,
-        "snapshot_times": [grid.times[i] for i in snap],
-    }
-    if outcome.converged:
         metadata["consistency"] = {
             "hjb_residual": outcome.hjb_residual,
             "fp_residual": outcome.fp_residual,
@@ -235,13 +221,11 @@ def run_single(cfg: dict, out_dir=None) -> dict:
 
 def _horizon_section(chk, section: str, horizons_key: str, nx: int, nt_per_unit: float):
     """Positive ascending horizons and the grid rule (half_width, nx, nt_per_unit)
-    of a sweep or long-time section; nx and nt_per_unit are the defaults.
-    The problem section, which both commands set keys of, must be an object."""
-    if not isinstance(chk.get("problem", {}), dict):
-        chk.bad.append("problem")
+    of a sweep or long-time section; nx and nt_per_unit are the defaults."""
     horizons = chk.number_list(f"{section}.{horizons_key}", required=True, ascending=True)
     if horizons is not None and any(t <= 0 for t in horizons):
         chk.bad.append(f"{section}.{horizons_key}")
+        horizons = None
     nx = chk.integer(f"{section}.nx", default=nx, minimum=3)
     if nx is not None and nx % 2 == 0:
         chk.bad.append(f"{section}.nx")
@@ -250,11 +234,13 @@ def _horizon_section(chk, section: str, horizons_key: str, nx: int, nt_per_unit:
     return horizons, (half_width, nx, nt_per_unit)
 
 
-def _set_problem(cfg: dict, **values):
-    """The ProblemSpec of cfg's problem section with the given keys set, in a copy."""
-    cell_cfg = copy.deepcopy(cfg)
-    cell_cfg["problem"] = {**(cell_cfg.get("problem") or {}), **values}
-    return cfgmod.build_problem(cell_cfg)
+def _template_problem(chk, **values):
+    """The problem section read on chk with the given keys set, in a shallow copy
+    of the config; a section that is not an object is left for chk to name."""
+    section = chk.get("problem", {})
+    if isinstance(chk.root, dict) and isinstance(section, dict):
+        chk.root = {**chk.root, "problem": {**section, **values}}
+    return cfgmod.build_problem(chk.root, chk)
 
 
 def _horizon_grid(dim: int, rule: tuple, horizon: float) -> Grid:
@@ -265,16 +251,6 @@ def _horizon_grid(dim: int, rule: tuple, horizon: float) -> Grid:
 
 
 # --- phase sweep -----------------------------------------------------------
-
-def _sweep_sections(cfg: dict):
-    chk = cfgmod._Checker(cfg)
-    sigma_grid = chk.number_list("sweep.sigma_grid", required=True, minimum=0.0, ascending=True)
-    horizon_grid, rule = _horizon_section(chk, "sweep", "horizon_grid", 65, 60.0)
-    confirm_rounds = chk.integer("sweep.confirm_rounds", default=2, minimum=0)
-    workers = chk.integer("sweep.workers", default=1, minimum=1)
-    chk.raise_if_bad()
-    return sigma_grid, horizon_grid, rule, confirm_rounds, workers
-
 
 def _sweep_cell(job: dict) -> dict:
     """One (sigma, horizon) cell, including refinement confirmation.
@@ -333,11 +309,18 @@ def _sweep_cell(job: dict) -> dict:
 
 def run_sweep(cfg: dict, out_dir=None) -> dict:
     """Phase table over a (sigma, horizon) grid, cells independent."""
-    sigma_grid, horizon_grid, rule, confirm_rounds, workers = _sweep_sections(cfg)
-    # build the problem once, before paying for any cell; each cell sets its sigma and horizon
-    problem = _set_problem(cfg, sigma=sigma_grid[0], horizon=horizon_grid[0])
-    solver_cfg = cfgmod.build_solver(cfg)
-    out_dir = prepare_out_dir(cfg, "sweep", out_dir)
+    chk = cfgmod._Checker(cfg)
+    sigma_grid = chk.number_list("sweep.sigma_grid", required=True, minimum=0.0, ascending=True)
+    horizon_grid, rule = _horizon_section(chk, "sweep", "horizon_grid", 65, 60.0)
+    confirm_rounds = chk.integer("sweep.confirm_rounds", default=2, minimum=0)
+    workers = chk.integer("sweep.workers", default=1, minimum=1)
+    # the problem is read once, before paying for any cell; each cell sets its sigma and horizon
+    problem = _template_problem(chk, sigma=sigma_grid[0] if sigma_grid else 0.0,
+                                horizon=horizon_grid[0] if horizon_grid else 1.0)
+    solver_cfg = cfgmod.build_solver(cfg, chk)
+    names = _output_names(chk)
+    chk.raise_if_bad()
+    out_dir = prepare_out_dir(*names, "sweep", out_dir)
 
     jobs = [
         {
@@ -347,6 +330,8 @@ def run_sweep(cfg: dict, out_dir=None) -> dict:
         for s in sigma_grid
         for t in horizon_grid
     ]
+    # a fork pool starts all its processes at once: never more than there are cells
+    workers = min(workers, len(jobs))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -359,23 +344,18 @@ def run_sweep(cfg: dict, out_dir=None) -> dict:
     _write_csv(
         os.path.join(out_dir, "table.csv"),
         ["sigma", "T", "verdict", "T_star", "D_final", "iterations"],
-        [
-            [_g17(c["sigma"]), _g17(c["horizon"]), c["verdict"],
-             _g17(c["t_star"]), _g17(c["d_final"]), str(c["iterations"])]
-            for c in cells
-        ],
+        *([c[k] for c in cells]
+          for k in ("sigma", "horizon", "verdict", "t_star", "d_final", "iterations")),
     )
 
     by_sigma = {}
     for c in cells:
         by_sigma.setdefault(c["sigma"], []).append(c)
+    firsts = [group[0] for _, group in sorted(by_sigma.items())]
     _write_csv(
         os.path.join(out_dir, "boundary.csv"),
         ["sigma", "e0", "T_star"],
-        [
-            [_g17(s), _g17(group[0]["e0"]), _g17(group[0]["t_star"])]
-            for s, group in sorted(by_sigma.items())
-        ],
+        *([c[k] for c in firsts] for k in ("sigma", "e0", "t_star")),
     )
 
     converged_columns = [
@@ -407,11 +387,12 @@ def run_longtime(cfg: dict, out_dir=None) -> dict:
     family = chk.get("problem.potential.family", "zero")
     if family != "zero":
         chk.bad.append("problem.potential.family")
+    # the problem is read once, before any solve; each solve sets its horizon
+    template = _template_problem(chk, horizon=horizons[0] if horizons else 1.0)
+    solver_cfg = cfgmod.build_solver(cfg, chk)
+    names = _output_names(chk)
     chk.raise_if_bad()
-    # build the problem once, before any solve; each solve sets its horizon
-    template = _set_problem(cfg, horizon=horizons[0])
-    solver_cfg = cfgmod.build_solver(cfg)
-    out_dir = prepare_out_dir(cfg, "longtime", out_dir)
+    out_dir = prepare_out_dir(*names, "longtime", out_dir)
 
     rows = []
     for horizon in horizons:
@@ -428,11 +409,8 @@ def run_longtime(cfg: dict, out_dir=None) -> dict:
     _write_csv(
         os.path.join(out_dir, "series.csv"),
         ["T", "verdict", "D_final", "rescaled", "iterations"],
-        [
-            [_g17(r["horizon"]), r["verdict"], _g17(r["d_final"]),
-             _g17(r["rescaled"]), str(r["iterations"])]
-            for r in rows
-        ],
+        *([r[k] for r in rows]
+          for k in ("horizon", "verdict", "d_final", "rescaled", "iterations")),
     )
     converged = [r["d_final"] for r in rows if r["verdict"] == "converged"]
     metadata = {
@@ -450,12 +428,18 @@ def run_longtime(cfg: dict, out_dir=None) -> dict:
 
 def run_certify(cfg: dict, out_dir=None) -> dict:
     """Certificates from quadratures alone; no PDE is solved."""
-    problem, grid, _ = cfgmod.build_run(cfg)
     chk = cfgmod._Checker(cfg)
+    problem = cfgmod.build_problem(cfg, chk)
+    grid = cfgmod.build_grid(cfg, problem.horizon if problem is not None else 1.0, chk)
+    cfgmod.build_solver(cfg, chk)
     optimize_shift = chk.get("certify.optimize_shift", False)
     if not isinstance(optimize_shift, bool):
         chk.bad.append("certify.optimize_shift")
-    has_terminal = chk.get("certify.terminal_density") is not None
+    terminal = None
+    if chk.get("certify.terminal_density") is not None:
+        dim = chk.choice("problem.dim", (1, 2), default=1) or 1
+        terminal = cfgmod._mixture_from(chk, "certify.terminal_density", dim)
+    names = _output_names(chk)
     chk.raise_if_bad()
 
     fields = sample_on_grid(problem, grid)
@@ -463,13 +447,12 @@ def run_certify(cfg: dict, out_dir=None) -> dict:
         problem, grid, optimize_shift=optimize_shift, fields=fields
     )
     planning = None
-    if has_terminal:
-        terminal = cfgmod.build_mixture(cfg, "certify.terminal_density", problem.dim)
+    if terminal is not None:
         planning = compute_planning_certificate(
             problem, grid, terminal, fields=fields, certificate=certificate
         )
 
-    out_dir = prepare_out_dir(cfg, "certify", out_dir)
+    out_dir = prepare_out_dir(*names, "certify", out_dir)
     payload = {
         "command": "certify",
         "config": cfg,
@@ -487,69 +470,55 @@ def run_certify(cfg: dict, out_dir=None) -> dict:
 
 # --- heat-kernel exponent table --------------------------------------------
 
-def _kernel_queries(cfg: dict) -> list[HeatKernelQuery]:
-    chk = cfgmod._Checker(cfg)
+def _kernel_queries(chk) -> list[HeatKernelQuery]:
+    """kernel.queries, or the default table when absent; a bad query is named by
+    its index. Each is read with the checker's type rules: true and 1.0 are not 1."""
     raw = chk.get("kernel.queries")
-    chk.raise_if_bad()
     if raw is None:
-        raw = [dict(q) for q in DEFAULT_KERNEL_QUERIES]
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(["kernel.queries"])
+        raw = DEFAULT_KERNEL_QUERIES
+    elif not isinstance(raw, list) or not raw:
+        chk.bad.append("kernel.queries")
+        raw = []
     queries = []
-    bad = []
     for i, item in enumerate(raw):
-        # each query is read with the checker's type rules: true and 1.0 are not 1
         q = cfgmod._Checker(item)
         dim = q.choice("dim", (1, 2), required=True)
         exponent = q.number("exponent", required=True, minimum=1.0)
         t = q.number("t", default=1.0, strict_min=0.0)
         kind = q.choice("kind", ("kernel", "gradient"), default="kernel")
         if q.bad:
-            bad.append(f"kernel.queries[{i}]")
+            chk.bad.append(f"kernel.queries[{i}]")
         else:
             queries.append(HeatKernelQuery(dim=dim, exponent=exponent, t=t, kind=kind))
-    if bad:
-        raise ConfigError(bad)
     return queries
 
 
 def run_kernelcheck(cfg: dict, out_dir=None) -> dict:
     """Fitted versus analytic space-time integrability exponents."""
-    queries = _kernel_queries(cfg)
+    chk = cfgmod._Checker(cfg)
+    queries = _kernel_queries(chk)
+    names = _output_names(chk)
+    chk.raise_if_bad()
     rows = []
     for q in queries:
         try:
             result = heat_kernel_spacetime_norm(q)
-            rows.append({
-                "dim": q.dim, "exponent": q.exponent, "kind": q.kind, "t": q.t,
-                "status": "fit",
-                "analytic_exponent": result.analytic_exponent,
-                "fitted_exponent": result.fitted_exponent,
-                "value": result.value,
-            })
+            status, analytic = "fit", result.analytic_exponent
+            fitted, value = result.fitted_exponent, result.value
         except KernelNormDivergenceError as exc:
-            rows.append({
-                "dim": q.dim, "exponent": q.exponent, "kind": q.kind, "t": q.t,
-                "status": "boundary" if exc.boundary else "divergent",
-                "analytic_exponent": exc.analytic_exponent,
-                "fitted_exponent": None,
-                "value": None,
-            })
+            status = "boundary" if exc.boundary else "divergent"
+            analytic, fitted, value = exc.analytic_exponent, None, None
+        rows.append({
+            "dim": q.dim, "exponent": q.exponent, "kind": q.kind, "t": q.t, "status": status,
+            "analytic_exponent": analytic, "fitted_exponent": fitted, "value": value,
+        })
 
-    out_dir = prepare_out_dir(cfg, "kernelcheck", out_dir)
+    out_dir = prepare_out_dir(*names, "kernelcheck", out_dir)
+    header = ["dim", "exponent", "kind", "t", "status",
+              "analytic_exponent", "fitted_exponent", "value"]
     _write_csv(
-        os.path.join(out_dir, "exponents.csv"),
-        ["dim", "exponent", "kind", "t", "status",
-         "analytic_exponent", "fitted_exponent", "value"],
-        [
-            [str(r["dim"]), _g17(r["exponent"]), r["kind"], _g17(r["t"]), r["status"],
-             _g17(r["analytic_exponent"]), _g17(r["fitted_exponent"]), _g17(r["value"])]
-            for r in rows
-        ],
+        os.path.join(out_dir, "exponents.csv"), header, *([r[k] for r in rows] for k in header)
     )
-    _write_json(os.path.join(out_dir, "metadata.json"), {
-        "command": "kernelcheck",
-        "config": cfg,
-        "rows": rows,
-    })
+    _write_json(os.path.join(out_dir, "metadata.json"),
+                {"command": "kernelcheck", "config": cfg, "rows": rows})
     return {"out_dir": out_dir, "rows": rows}

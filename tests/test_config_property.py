@@ -32,8 +32,9 @@ PATHS = (
     "output", "output.snapshots", "output.label",
     "certify", "certify.optimize_shift", "certify.terminal_density",
 )
-# sweep.workers and sweep.confirm_rounds stay as set: an integer there
-# starts that many processes or refines the grid 2**k times
+# sweep.workers and sweep.confirm_rounds stay as set: a workers value above 1
+# starts a process pool (as many processes as cells, at most), and
+# confirm_rounds k refines the grid up to 2**k times
 SERIES_PATHS = (
     "problem", "problem.sigma", "problem.potential.family", "grid.half_width",
     "sweep", "sweep.sigma_grid", "sweep.horizon_grid", "sweep.nx", "sweep.nt_per_unit",

@@ -307,6 +307,33 @@ def test_sweep_cell_refines_until_the_verdict_agrees_with_the_certificate(
     assert [(r["nx"], r["nt"]) for r in cell["runs"]] == expected
 
 
+def test_run_sweep_caps_the_pool_at_the_cell_count(tmp_path, monkeypatch):
+    # a fork pool starts max_workers processes up front; this one only records the size
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cfg = _sweep_cfg()
+    cfg["sweep"].update(sigma_grid=[0.05], workers=10**6)
+    out = run_sweep(cfg, out_dir=str(tmp_path / "sweep"))
+    assert sizes == [2]
+    assert [c["verdict"] for c in out["cells"]] == ["converged", "converged"]
+
+
 def test_run_sweep_reports_config_error_from_workers(tmp_path):
     cfg = _sweep_cfg()
     cfg["problem"]["initial_density"]["means"] = [[100.0]]
@@ -466,6 +493,114 @@ def test_run_kernelcheck_default_queries(tmp_path):
     assert by_key[(1, 1.2, "gradient")]["status"] == "fit"
     table = _read_csv(os.path.join(out["out_dir"], "exponents.csv"))
     assert len(table) == 6
+
+
+def _csv_text_rows(path):
+    """The rows of a CSV file, after checking that every line ends in CRLF."""
+    text = Path(path).read_bytes().decode()
+    lines = text.split("\r\n")
+    assert lines[-1] == "" and "\n" not in "".join(lines)
+    return [line.split(",") for line in lines[:-1]]
+
+
+def _longtime_cfg():
+    cfg = _sweep_cfg()
+    cfg["problem"]["sigma"] = 0.0
+    cfg["longtime"] = {"horizons": [0.5, 1.0], "nx": 33, "nt_per_unit": 16}
+    del cfg["sweep"]
+    return cfg
+
+
+def test_report_csv_format(tmp_path):
+    # CRLF line ends, an empty cell for None, integers as integer text and
+    # floats that read back to the same value
+    out = run_sweep(_sweep_cfg(), out_dir=str(tmp_path / "sweep"))
+    rows = _csv_text_rows(os.path.join(out["out_dir"], "table.csv"))
+    assert rows[0] == ["sigma", "T", "verdict", "T_star", "D_final", "iterations"]
+    assert len(rows) == 1 + len(out["cells"])
+    for row, cell in zip(rows[1:], out["cells"]):
+        assert float(row[0]) == cell["sigma"]
+        assert float(row[1]) == cell["horizon"]
+        assert row[2] == cell["verdict"]
+        assert cell["t_star"] is None and row[3] == ""
+        assert float(row[4]) == cell["d_final"]
+        assert row[5] == str(cell["iterations"]) and row[5].isdigit()
+
+    out = run_longtime(_longtime_cfg(), out_dir=str(tmp_path / "lt"))
+    rows = _csv_text_rows(os.path.join(out["out_dir"], "series.csv"))
+    assert rows[0] == ["T", "verdict", "D_final", "rescaled", "iterations"]
+    assert len(rows) == 3
+    for row, r in zip(rows[1:], out["series"]):
+        assert float(row[0]) == r["horizon"]
+        assert row[1] == r["verdict"] == "converged"
+        assert float(row[2]) == r["d_final"]
+        assert float(row[3]) == r["rescaled"]
+        assert row[4] == str(r["iterations"]) and row[4].isdigit()
+
+    queries = [{"dim": 1, "exponent": 2.0}, {"dim": 2, "exponent": 3.0, "t": 0.5}]
+    out = run_kernelcheck({"kernel": {"queries": queries}}, out_dir=str(tmp_path / "kc"))
+    rows = _csv_text_rows(os.path.join(out["out_dir"], "exponents.csv"))
+    assert rows[0] == ["dim", "exponent", "kind", "t", "status",
+                       "analytic_exponent", "fitted_exponent", "value"]
+    assert [row[0] for row in rows[1:]] == ["1", "2"]
+    assert [row[4] for row in rows[1:]] == ["fit", "divergent"]
+    fit, divergent = out["rows"]
+    for row, r in zip(rows[1:], out["rows"]):
+        assert float(row[1]) == r["exponent"]
+        assert row[2] == r["kind"] == "kernel"
+        assert float(row[3]) == r["t"]
+        assert float(row[5]) == r["analytic_exponent"]
+    assert float(rows[1][6]) == fit["fitted_exponent"]
+    assert float(rows[1][7]) == fit["value"]
+    assert divergent["fitted_exponent"] is None and rows[2][6:] == ["", ""]
+
+
+@pytest.mark.parametrize("command, cfg, changes, keys", [
+    ("solve", _solve_cfg(nx=17, nt=8),
+     {"problem.sigma": -1.0, "output.snapshots": 1, "output.label": ["a"]},
+     ["output.label", "output.snapshots", "problem.sigma"]),
+    ("certify", _solve_cfg(nx=17, nt=8),
+     {"problem.sigma": -1.0, "certify.optimize_shift": "yes"},
+     ["certify.optimize_shift", "problem.sigma"]),
+    ("sweep", _sweep_cfg(), {"sweep.nx": 32, "solver.damping": 2.0},
+     ["solver.damping", "sweep.nx"]),
+    ("longtime", _longtime_cfg(), {"longtime.nx": 32, "solver.damping": 2.0},
+     ["longtime.nx", "solver.damping"]),
+    ("kernelcheck", {}, {"kernel.queries": [{"dim": 3, "exponent": 2.0}], "output.label": 5},
+     ["kernel.queries[0]", "output.label"]),
+], ids=["solve", "certify", "sweep", "longtime", "kernelcheck"])
+def test_each_command_names_every_bad_key_in_one_error(
+    tmp_path, monkeypatch, command, cfg, changes, keys
+):
+    cfg = json.loads(json.dumps(cfg))
+    for path, value in changes.items():
+        section, key = path.split(".")
+        cfg.setdefault(section, {})[key] = value
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the config error")
+
+    for name in ("sample_on_grid", "solve", "heat_kernel_spacetime_norm"):
+        monkeypatch.setattr(runs_module, name, no_work)
+    monkeypatch.chdir(tmp_path)
+    run = {"solve": run_single, "certify": run_certify, "sweep": run_sweep,
+           "longtime": run_longtime, "kernelcheck": run_kernelcheck}[command]
+    with pytest.raises(ConfigError) as exc:
+        run(cfg)
+    assert exc.value.keys == keys
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["solve", "certify", "sweep", "longtime"])
+@pytest.mark.parametrize("problem", [[], "x"])
+def test_a_problem_section_that_is_not_an_object_is_named_alone(tmp_path, command, problem):
+    cfg = {"sweep": _sweep_cfg(), "longtime": _longtime_cfg()}.get(command, _solve_cfg())
+    cfg["problem"] = problem
+    run = {"solve": run_single, "certify": run_certify, "sweep": run_sweep,
+           "longtime": run_longtime}[command]
+    with pytest.raises(ConfigError) as exc:
+        run(cfg, out_dir=str(tmp_path / "out"))
+    assert exc.value.keys == ["problem"]
 
 
 # ---------------------------------------------------------------------------
