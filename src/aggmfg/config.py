@@ -39,6 +39,18 @@ def load_config(path) -> dict:
         raise ConfigError([str(path)], f"config file is not valid JSON: {exc}")
 
 
+def _finite_float(val) -> float | None:
+    """val as a finite float, or None for a bool, a non-number, or a number
+    with no finite float value (an integer past the float range included)."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return None
+    try:
+        x = float(val)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None
+
+
 class _Checker:
     """Accumulates offending key paths while reading a nested dict."""
 
@@ -66,7 +78,8 @@ class _Checker:
         val = self.get(path, default, required)
         if val is None:
             return default
-        if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
+        val = _finite_float(val)
+        if val is None:
             self.bad.append(path)
             return default
         if minimum is not None and val < minimum:
@@ -75,7 +88,7 @@ class _Checker:
         if strict_min is not None and val <= strict_min:
             self.bad.append(path)
             return default
-        return float(val)
+        return val
 
     def integer(self, path: str, default=None, minimum=None, required=False):
         val = self.get(path, default, required)
@@ -109,21 +122,16 @@ class _Checker:
         val = self.get(path, None, required)
         if val is None:
             return None
-        ok = isinstance(val, list) and len(val) > 0
-        if ok:
-            for x in val:
-                if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
-                    ok = False
-                    break
-                if minimum is not None and x < minimum:
-                    ok = False
-                    break
-        if ok and ascending and any(b <= a for a, b in zip(val, val[1:])):
+        xs = [_finite_float(x) for x in val] if isinstance(val, list) else []
+        ok = len(xs) > 0 and None not in xs
+        if ok and minimum is not None and min(xs) < minimum:
+            ok = False
+        if ok and ascending and any(b <= a for a, b in zip(xs, xs[1:])):
             ok = False
         if not ok:
             self.bad.append(path)
             return None
-        return [float(x) for x in val]
+        return xs
 
     def raise_if_bad(self):
         if self.bad:
@@ -136,14 +144,11 @@ def _mixture_from(chk: _Checker, base: str, dim: int) -> GaussianMixture | None:
     means_raw = chk.get(f"{base}.means", required=True)
     means = None
     if isinstance(means_raw, list) and means_raw:
-        try:
-            means = [
-                tuple(float(c) for c in (m if isinstance(m, list) else [m]))
-                for m in means_raw
-            ]
-        except (TypeError, ValueError):
-            means = None
-        if means is not None and any(len(m) != dim for m in means):
+        means = [
+            tuple(_finite_float(c) for c in (m if isinstance(m, list) else [m]))
+            for m in means_raw
+        ]
+        if any(len(m) != dim or None in m for m in means):
             means = None
     # an absent means, or a node on its path that is not an object, get names itself
     if means is None and means_raw is not None:

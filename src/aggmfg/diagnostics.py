@@ -274,8 +274,9 @@ def _shift_feasible(p: ProblemSpec, grid: Grid, y: np.ndarray) -> bool:
 
 def _optimal_shift(p: ProblemSpec, grid: Grid, first: np.ndarray, h0: float):
     """Minimize the shifted second moment h0 - 2 y.first + |y|^2 over the
-    feasible shift set: coarse scan on axis nodes, then golden-section per
-    coordinate. The objective is quadratic, so local refinement is global."""
+    feasible shift set: y = first when feasible, else a coarse scan on axis
+    nodes, then golden-section per coordinate. The objective is quadratic,
+    so local refinement is global."""
 
     if p.potential.family == "user_table":
         # a table holds values on the grid nodes only; it has no translate
@@ -283,6 +284,9 @@ def _optimal_shift(p: ProblemSpec, grid: Grid, first: np.ndarray, h0: float):
 
     def moment(y: np.ndarray) -> float:
         return h0 - 2.0 * float(np.dot(y, first)) + float(np.dot(y, y))
+
+    if _shift_feasible(p, grid, first):
+        return tuple(float(c) for c in first), moment(first)
 
     stride = max(1, (grid.nx - 1) // 32)
     candidates = grid.axis[::stride]

@@ -30,9 +30,14 @@ class CouplingSpec:
         if not (self.alpha > 0 and np.isfinite(self.alpha)):
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
 
-    def f(self, m: np.ndarray) -> np.ndarray:
-        """The law f(m) = sigma * m**alpha at nonnegative densities m, unchecked."""
-        return self.sigma * m**self.alpha
+    def f(self, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The law f(m) = sigma * m**alpha at nonnegative densities m, unchecked.
+
+        out, when given, receives the values and may be m itself."""
+        out = np.positive(m, out=out)
+        out **= self.alpha
+        out *= self.sigma
+        return out
 
 
 def eval_coupling(coupling: CouplingSpec, m: np.ndarray):

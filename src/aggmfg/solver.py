@@ -126,7 +126,8 @@ def picard_map(
     m = np.asarray(m_values, dtype=float)
     # half the source: -w_t - Lap w = ((f - V)/2) w is what w = e^(-u/2)
     # turns the value equation into when the kinetic term is |grad u|^2/2
-    c = p.coupling.f(np.maximum(m, 0.0))
+    c = np.maximum(m, 0.0)  # one buffer: the clipped density, then f of it in place
+    p.coupling.f(c, out=c)
     c -= fields.v
     c *= 0.5
     w = solve_backward_heat(hopf_cole(fields.u_terminal), c, grid, scheme=scheme)
@@ -138,23 +139,25 @@ def picard_map(
 def _damped_update(
     m: np.ndarray, mu: np.ndarray, damping: float, den: float, p: ProblemSpec, grid: Grid
 ) -> tuple[np.ndarray, float, float, float]:
-    """The damped Picard update and its monitors, worked out in mu's buffer.
+    """The damped Picard update and its monitors, formed in mu's buffer.
 
-    den is the integral of |m|. Returns m_new = (1 - damping) m + damping mu,
-    the relative change (integral of |m_new - m|) / den, the blow-up monitor
-    D of m_new, and the integral of |m_new|, which is the next update's den.
-    mu is overwritten. Every value has the bits of the plain expressions,
-    which would allocate a trajectory apiece.
+    den is the integral of |m|. Returns m_new = (1 - damping) m + damping mu
+    (mu itself), the relative change (integral of |m_new - m|) / den, the
+    blow-up monitor D of m_new, and the integral of |m_new|, the next
+    update's den. m is overwritten as the integrals' scratch, so solve, the
+    only caller, must not read it again. (1 - damping) m is formed a block
+    of levels at a time: the update allocates one block, not a trajectory.
+    Every value has the bits of the plain expressions.
     """
     mu *= damping
-    m_new = (1.0 - damping) * m
-    m_new += mu
-    np.subtract(m_new, m, out=mu)
-    np.abs(mu, out=mu)
-    res = integrate_space_time(mu, grid) / den if den > 0 else np.inf
-    d_val = coupling_mass(m_new, p.coupling, grid, out=mu)
-    np.abs(m_new, out=mu)
-    return m_new, res, d_val, integrate_space_time(mu, grid)
+    for lo, hi in _level_blocks(grid.nt + 1, grid.n_nodes):
+        mu[lo:hi] += (1.0 - damping) * m[lo:hi]
+    np.subtract(mu, m, out=m)
+    np.abs(m, out=m)
+    res = integrate_space_time(m, grid) / den if den > 0 else np.inf
+    d_val = coupling_mass(mu, p.coupling, grid, out=m)
+    np.abs(mu, out=m)
+    return mu, res, d_val, integrate_space_time(m, grid)
 
 
 def _initial_trajectory(fields: ProblemFields, grid: Grid, cfg: SolverConfig) -> np.ndarray:
@@ -199,8 +202,8 @@ def solve(
         except SolverError as exc:
             verdict, note, d_final = VERDICT_DIVERGED, f"linear march failed: {exc}", np.inf
             break
-        m_new, res, d_final, next_den = _damped_update(m, mu, cfg.damping, den, p, grid)
-        mu = None  # the update's scratch: free it before the next map and the residuals
+        # the update overwrites m and returns the next iterate in mu's buffer
+        mu, res, d_final, next_den = _damped_update(m, mu, cfg.damping, den, p, grid)
         residuals.append(res)
         d_history.append(d_final)
         finite = np.isfinite(res) and np.isfinite(d_final)
@@ -208,7 +211,7 @@ def solve(
             verdict = VERDICT_DIVERGED
             note = "blow-up monitor exceeded" if finite else "non-finite iterate"
             break
-        m, prev_den, den = m_new, den, next_den  # the previous iterate is freed here
+        m, prev_den, den = mu, den, next_den  # the spent iterate is freed here
         if res <= cfg.tol:
             verdict, note = VERDICT_CONVERGED, ""
             break

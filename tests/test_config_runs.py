@@ -736,6 +736,35 @@ def test_cli_bad_section_shape_exits_two_before_any_solve(
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
+# an integer past the float range: float() of it raises OverflowError
+HUGE = 10**400
+
+
+@pytest.mark.parametrize("command,key,value", [
+    pytest.param(command, key, value, id=f"{command}-{key}")
+    for command, key, value in [
+        ("solve", "problem.sigma", HUGE),  # _Checker.number
+        ("solve", "grid.half_width", HUGE),
+        ("certify", "problem.horizon", HUGE),
+        ("solve", "problem.initial_density.stds", [HUGE]),  # _Checker.number_list
+        ("solve", "problem.initial_density.means", [[HUGE]]),  # _mixture_from
+        ("certify", "problem.initial_density.means", [HUGE]),
+    ]
+])
+def test_cli_huge_integer_in_a_float_key_exits_two(tmp_path, capsys, command, key, value):
+    cfg = _solve_cfg(nx=17, nt=8)
+    *parents, last = key.split(".")
+    node = cfg
+    for part in parents:
+        node = node[part]
+    node[last] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main([command, str(cfg_path), "--output", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_kernelcheck_no_config(tmp_path, capsys):
     code = main(["kernelcheck", "--output", str(tmp_path / "kc")])
     assert code == 0

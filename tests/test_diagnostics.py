@@ -110,17 +110,31 @@ def test_certificate_supercritical_horizon_value():
 
 
 def test_certificate_shift_recovers_center():
-    # off-center data with no potential: the optimal translation is the mean
-    # and the shifted second moment is the centered variance
+    # off-center data with no potential: every shift is feasible, so the
+    # optimal translation is the mean and the shifted second moment is the
+    # centered variance, both to the trapezoid rule's accuracy
     p = gaussian_problem(sigma=20.0, mean=3.0)
     g = Grid(dim=1, half_width=12.0, nx=257, nt=4, horizon=1.0)
     plain = compute_nonexistence_certificate(p, g)
     shifted = compute_nonexistence_certificate(p, g, optimize_shift=True)
     assert plain.h0 == pytest.approx(10.0, abs=1e-6)
     assert shifted.shift is not None
-    assert shifted.shift[0] == pytest.approx(3.0, abs=g.dx)
-    assert shifted.h0 == pytest.approx(1.0, abs=1e-2)
+    assert shifted.shift[0] == pytest.approx(3.0, abs=1e-12)
+    assert shifted.h0 == pytest.approx(1.0, abs=1e-12)
     assert shifted.t_star < plain.t_star
+
+
+def test_certificate_shift_scans_when_the_center_of_mass_is_infeasible():
+    # grad u(T)(x + y) . x >= 0 at every x holds for the log-quadratic cost
+    # only at y = 0, so the mean is no feasible shift and the scan keeps 0
+    p = gaussian_problem(
+        sigma=20.0, mean=3.0, terminal=TerminalCostSpec(family="log_quadratic", amplitude=1.0)
+    )
+    g = Grid(dim=1, half_width=12.0, nx=257, nt=4, horizon=1.0)
+    plain = compute_nonexistence_certificate(p, g)
+    shifted = compute_nonexistence_certificate(p, g, optimize_shift=True)
+    assert shifted.shift == (0.0,)
+    assert shifted.h0 == plain.h0 and shifted.t_star == plain.t_star
 
 
 def test_certificate_does_not_shift_a_tabulated_potential():

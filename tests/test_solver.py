@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -107,23 +108,25 @@ def test_picard_map_forms_the_drift_one_block_at_a_time(dim, nx, scheme, monkeyp
 
 
 def test_solve_frees_each_maps_dead_fields(grid_1d, monkeypatch):
+    # each map's mu lives on as the next iterate; its w and the spent
+    # iterate it was fed must be dead before the next map starts
     mapping, heat = solver_module.picard_map, solver_module.solve_backward_heat
     residual = solver_module.self_consistency_residual
     maps = []
     alive = []
 
-    def recording_map(*args, **kwargs):
-        w, mu = mapping(*args, **kwargs)
-        maps.append((weakref.ref(w), weakref.ref(mu)))
+    def recording_map(m, *args, **kwargs):
+        w, mu = mapping(m, *args, **kwargs)
+        maps.append([weakref.ref(m), weakref.ref(w), weakref.ref(mu)])
         return w, mu
 
     def checking_heat(*args, **kwargs):
-        if maps:  # the last map's w and mu, as the next map's heat march starts
+        if maps:  # the last map's m, w and mu, as the next map's heat march starts
             alive.append([ref() is not None for ref in maps[-1]])
         return heat(*args, **kwargs)
 
     def checking_residual(*args, **kwargs):
-        # the last map's w becomes the outcome's; its mu is dead
+        # the last map's w and mu become the outcome's; its m is dead
         alive.append([ref() is not None for ref in maps[-1]])
         return residual(*args, **kwargs)
 
@@ -132,7 +135,8 @@ def test_solve_frees_each_maps_dead_fields(grid_1d, monkeypatch):
     monkeypatch.setattr(solver_module, "self_consistency_residual", checking_residual)
     out = solve(gaussian_problem(sigma=0.05), grid_1d, SolverConfig(damping=0.5))
     assert out.converged and out.iterations >= 3
-    assert alive == [[False, False]] * (out.iterations - 1) + [[True, False]]
+    assert alive == [[False, False, True]] * (out.iterations - 1) + [[False, True, True]]
+    assert maps[-1][2]() is out.m
 
 
 def test_solve_decoupled_single_iteration(grid_1d):
@@ -392,17 +396,37 @@ def test_solve_2d_coupled_with_potential():
 
 @pytest.mark.parametrize("alpha", [0.5, 1.3, 2.0])
 def test_damped_update_matches_the_plain_expressions(alpha, rng):
-    # the update and its monitors are formed in the fresh density's buffer
-    # and must keep the bits of the expressions that allocate (alpha 0.5
-    # gives the power 2, which numpy computes as a square)
+    # the update and its monitors are formed in the fresh density's buffer,
+    # with the spent iterate as scratch, and must keep the bits of the
+    # expressions that allocate (alpha 0.5 gives the power 2, which numpy
+    # computes as a square)
     g = Grid(dim=1, half_width=6.0, nx=33, nt=12, horizon=0.5)
     p = gaussian_problem(sigma=1.0, alpha=alpha, horizon=0.5)
     m = rng.standard_normal((g.nt + 1, g.n_nodes))  # negative nodes are clipped
     mu = rng.random((g.nt + 1, g.n_nodes))
     den = integrate_space_time(np.abs(m), g)
-    m_new, res, d_val, next_den = solver_module._damped_update(m, mu.copy(), 0.8, den, p, g)
+    m_new, res, d_val, next_den = solver_module._damped_update(m.copy(), mu.copy(), 0.8, den, p, g)
     expected = (1.0 - 0.8) * m + 0.8 * mu
     assert np.array_equal(m_new, expected)
     assert res == integrate_space_time(np.abs(expected - m), g) / den
     assert d_val == integrate_space_time(np.maximum(expected, 0.0) ** (2.0 * alpha + 1.0), g)
     assert next_den == integrate_space_time(np.abs(expected), g)
+
+
+def test_damped_update_allocates_less_than_half_a_trajectory(rng):
+    # the next iterate is built in mu and the spent iterate is the scratch,
+    # so the update's own allocations are one block of levels, not a trajectory
+    g = Grid(dim=1, half_width=6.0, nx=257, nt=8 * 64 + 9, horizon=1.0)
+    assert len(list(_level_blocks(g.nt + 1, g.n_nodes))) >= 8
+    p = gaussian_problem(sigma=1.0, alpha=1.3)
+    m = rng.random((g.nt + 1, g.n_nodes))
+    mu = rng.random((g.nt + 1, g.n_nodes))
+    den = integrate_space_time(np.abs(m), g)
+    tracemalloc.start()
+    try:
+        m_new, *_ = solver_module._damped_update(m, mu, 0.5, den, p, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m_new is mu
+    assert peak < 0.5 * mu.nbytes
