@@ -399,8 +399,9 @@ def test_damped_update_matches_the_plain_expressions(alpha, rng):
     # the update and its monitors are formed in the fresh density's buffer,
     # with the spent iterate as scratch, and must keep the bits of the
     # expressions that allocate (alpha 0.5 gives the power 2, which numpy
-    # computes as a square)
-    g = Grid(dim=1, half_width=6.0, nx=33, nt=12, horizon=0.5)
+    # computes as a square); the (1 - damping) m term is added per block
+    g = Grid(dim=1, half_width=6.0, nx=33, nt=three_block_levels(33), horizon=0.5)
+    assert len(list(_level_blocks(g.nt + 1, g.n_nodes))) == 3
     p = gaussian_problem(sigma=1.0, alpha=alpha, horizon=0.5)
     m = rng.standard_normal((g.nt + 1, g.n_nodes))  # negative nodes are clipped
     mu = rng.random((g.nt + 1, g.n_nodes))
