@@ -13,6 +13,8 @@ import json
 import math
 from typing import Any
 
+import numpy as np
+
 from .discretization import Grid
 from .errors import ConfigError
 from .parabolic import SCHEMES
@@ -27,6 +29,9 @@ from .problem import (
 from .solver import INITIAL_GUESSES, SolverConfig
 
 _SOLVER_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
+
+# numpy counts an array's bytes in an intp: the most floats one array can hold
+_MAX_FLOATS = np.iinfo(np.intp).max // 8
 
 
 def load_config(path) -> dict:
@@ -138,6 +143,11 @@ class _Checker:
             raise ConfigError(sorted(set(self.bad)))
 
 
+def _trajectory_too_large(nx: int, nt: int, dim: int) -> bool:
+    """Whether an (nt+1, nx**dim) float trajectory is more than numpy can index."""
+    return (nt + 1) * nx**dim > _MAX_FLOATS
+
+
 def _mixture_from(chk: _Checker, base: str, dim: int) -> GaussianMixture | None:
     weights = chk.number_list(f"{base}.weights", required=True, minimum=0.0)
     stds = chk.number_list(f"{base}.stds", required=True)
@@ -225,6 +235,10 @@ def build_grid(cfg: dict, horizon: float, chk: _Checker | None = None) -> Grid |
     if nx is not None and nx % 2 == 0:
         chk.bad.append("grid.nx")
         nx = None
+    if nx is not None and _trajectory_too_large(nx, 1, dim or 1):
+        chk.bad.append("grid.nx")
+    elif nx is not None and nt is not None and _trajectory_too_large(nx, nt, dim or 1):
+        chk.bad.append("grid.nt")
     if own:
         chk.raise_if_bad()
     if chk.bad or nx is None or nt is None:

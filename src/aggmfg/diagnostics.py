@@ -46,9 +46,7 @@ class EnergyReport:
         return float(np.max(np.abs(self.total - self.total[0])))
 
 
-def compute_energy(
-    u, m, p: ProblemSpec, grid: Grid, fields: ProblemFields | None = None
-) -> EnergyReport:
+def compute_energy(u, m, p: ProblemSpec, grid: Grid, fields: ProblemFields) -> EnergyReport:
     """Time series of the conserved energy and its four components.
 
     The integrands are formed over blocks of time levels, and one np.vecdot
@@ -56,8 +54,6 @@ def compute_energy(
     integrate on that level.
     """
     uv, mv = np.asarray(u, dtype=float), np.asarray(m, dtype=float)
-    if fields is None:
-        fields = sample_on_grid(p, grid)
     nt = grid.nt
     cross = np.empty(nt + 1)
     kinetic = np.empty(nt + 1)
@@ -110,12 +106,7 @@ class MomentReport:
 
 
 def check_moment_identity(
-    u,
-    m,
-    p: ProblemSpec,
-    grid: Grid,
-    energy: EnergyReport | None = None,
-    fields: ProblemFields | None = None,
+    u, m, p: ProblemSpec, grid: Grid, energy: EnergyReport, fields: ProblemFields
 ) -> MomentReport:
     """Compare discrete moment derivatives against their identity right sides.
 
@@ -127,10 +118,6 @@ def check_moment_identity(
     with the bits of integrate on that level.
     """
     uv, mv = np.asarray(u, dtype=float), np.asarray(m, dtype=float)
-    if fields is None:
-        fields = sample_on_grid(p, grid)
-    if energy is None:
-        energy = compute_energy(uv, mv, p, grid, fields=fields)
     nt, dt, n = grid.nt, grid.dt, grid.dim
     pts = grid.coordinates
     r_sq = grid.radius_sq
@@ -190,23 +177,18 @@ def check_moment_identity(
 # blow-up certificates
 
 
-def compute_e0(p: ProblemSpec, grid: Grid, fields: ProblemFields | None = None,
-               terms: tuple[float, float, float] | None = None) -> float:
-    """e0 from e0_terms' (Fisher, coupling, potential), or from terms when given."""
-    fisher, coup, pot = e0_terms(p, grid, fields=fields) if terms is None else terms
+def compute_e0(terms: tuple[float, float, float]) -> float:
+    """e0 from e0_terms' (Fisher, coupling, potential)."""
+    fisher, coup, pot = terms
     return -0.5 * fisher + coup - pot
 
 
-def e0_terms(
-    p: ProblemSpec, grid: Grid, fields: ProblemFields | None = None
-) -> tuple[float, float, float]:
+def e0_terms(p: ProblemSpec, grid: Grid, fields: ProblemFields) -> tuple[float, float, float]:
     """(Fisher information, coupling term, potential gap term) of m0.
 
     The density gradient is analytic, not a finite difference; the ratio
     |grad m0|^2 / m0 is set to zero wherever m0 underflows.
     """
-    if fields is None:
-        fields = sample_on_grid(p, grid)
     m0, v = fields.m0, fields.v
     dens = np.maximum(m0, 1e-300)
     ratio = np.where(m0 > 1e-300, np.sum(fields.grad_m0**2, axis=0) / dens, 0.0)
@@ -338,7 +320,7 @@ def compute_nonexistence_certificate(
         fields = sample_on_grid(p, grid)
     conditions = check_structural_conditions(p, grid, fields=fields)
     terms = e0_terms(p, grid, fields=fields)
-    e0 = compute_e0(p, grid, terms=terms)
+    e0 = compute_e0(terms)
     pts = grid.coordinates
     m0 = fields.m0
     h0 = integrate(m0, grid, weight=grid.radius_sq)
@@ -400,20 +382,16 @@ def compute_planning_certificate(
     p: ProblemSpec,
     grid: Grid,
     terminal_density: GaussianMixture,
-    fields: ProblemFields | None = None,
-    certificate: Certificate | None = None,
+    fields: ProblemFields,
+    certificate: Certificate,
 ) -> PlanningCertificate:
     """Certificate for the prescribed initial and terminal density problem.
 
     No terminal cost enters here, so the monotone terminal condition is not
     required; both endpoint densities must be unit mass and nonnegative.
-    certificate, when given, is compute_nonexistence_certificate's result on
-    grid, whose condition report and e0 are reused; h0 is always the
-    unshifted second moment of m0, since the certificate's may be shifted."""
-    if fields is None:
-        fields = sample_on_grid(p, grid)
-    if certificate is None:
-        certificate = compute_nonexistence_certificate(p, grid, fields=fields)
+    certificate is compute_nonexistence_certificate's result on grid, whose
+    condition report and e0 are reused; h0 is always the unshifted second
+    moment of m0, since the certificate's may be shifted."""
     mT, _ = _unit_mass(
         terminal_density.value(grid.coordinates), grid,
         "certify.terminal_density", "terminal density",

@@ -399,10 +399,8 @@ def _pointwise_checks(x, v, grad_v, u_terminal, grad_u_terminal):
 
 
 def check_structural_conditions(
-    p: ProblemSpec, grid: Grid, fields: ProblemFields | None = None
+    p: ProblemSpec, grid: Grid, fields: ProblemFields
 ) -> ConditionReport:
-    if fields is None:
-        fields = sample_on_grid(p, grid)
     n = p.dim
 
     # algebraic margin of the coupling inequality; sign matches alpha - 2/N

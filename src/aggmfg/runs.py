@@ -32,7 +32,7 @@ from .parabolic import (
     heat_kernel_spacetime_norm,
 )
 from .problem import sample_on_grid
-from .solver import solve
+from .solver import inverse_hopf_cole, self_consistency_residual, solve
 
 DEFAULT_KERNEL_QUERIES = (
     {"dim": 1, "exponent": 2.0, "t": 1.0, "kind": "kernel"},
@@ -156,15 +156,15 @@ def run_single(cfg: dict, out_dir=None) -> dict:
         "snapshot_times": [grid.times[i] for i in snap],
     }
     if outcome.converged:
+        u = inverse_hopf_cole(outcome.w)
         for idx in snap:
             tag = f"{idx:05d}"
             write_field_csv(os.path.join(fields_dir, f"m_{tag}.csv"), grid, outcome.m[idx])
-            write_field_csv(os.path.join(fields_dir, f"u_{tag}.csv"), grid, outcome.u[idx])
+            write_field_csv(os.path.join(fields_dir, f"u_{tag}.csv"), grid, u[idx])
             write_field_csv(os.path.join(fields_dir, f"w_{tag}.csv"), grid, outcome.w[idx])
-        energy = compute_energy(outcome.u, outcome.m, problem, grid, fields=fields)
-        moments = check_moment_identity(
-            outcome.u, outcome.m, problem, grid, energy=energy, fields=fields
-        )
+        hjb_residual, fp_residual = self_consistency_residual(u, outcome.m, problem, grid, fields)
+        energy = compute_energy(u, outcome.m, problem, grid, fields)
+        moments = check_moment_identity(u, outcome.m, problem, grid, energy, fields)
         apriori = compute_apriori(outcome.d_final, problem)
         _write_csv(
             os.path.join(reports_dir, "energy.csv"),
@@ -184,8 +184,8 @@ def run_single(cfg: dict, out_dir=None) -> dict:
             moments.hsecond, moments.rhs_second[1:-1],
         )
         metadata["consistency"] = {
-            "hjb_residual": outcome.hjb_residual,
-            "fp_residual": outcome.fp_residual,
+            "hjb_residual": hjb_residual,
+            "fp_residual": fp_residual,
             "resolve_residual": outcome.resolve_residual,
         }
         metadata["energy"] = {
@@ -230,6 +230,14 @@ def _horizon_section(chk, section: str, horizons_key: str, nx: int, nt_per_unit:
     if nx is not None and nx % 2 == 0:
         chk.bad.append(f"{section}.nx")
     nt_per_unit = chk.number(f"{section}.nt_per_unit", default=nt_per_unit, strict_min=0.0)
+    if None not in (horizons, nx, nt_per_unit):
+        # the longest horizon's grid is the largest; its steps may not even be finite
+        dim = chk.choice("problem.dim", (1, 2), default=1) or 1
+        steps = nt_per_unit * horizons[-1]
+        if cfgmod._trajectory_too_large(nx, 1, dim):
+            chk.bad.append(f"{section}.nx")
+        elif not math.isfinite(steps) or cfgmod._trajectory_too_large(nx, math.ceil(steps), dim):
+            chk.bad.append(f"{section}.nt_per_unit")
     half_width = chk.number("grid.half_width", default=12.0, strict_min=0.0)
     return horizons, (half_width, nx, nt_per_unit)
 

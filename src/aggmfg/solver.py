@@ -23,7 +23,7 @@ from .discretization import (
     laplacian,
 )
 from .errors import SolverError
-from .parabolic import solve_backward_heat, solve_fokker_planck
+from .parabolic import SCHEMES, solve_backward_heat, solve_fokker_planck
 from .problem import ProblemFields, ProblemSpec, coupling_mass, sample_on_grid
 
 VERDICT_CONVERGED = "converged"
@@ -49,10 +49,14 @@ class SolverConfig:
             raise ValueError(f"damping must be in (0, 1], got {self.damping}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, int):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if not self.d_cap > 0:
             raise ValueError(f"d_cap must be positive, got {self.d_cap}")
+        if self.time_scheme not in SCHEMES:
+            raise ValueError(f"unknown time scheme {self.time_scheme!r}")
         if self.initial_guess not in INITIAL_GUESSES:
             raise ValueError(f"unknown initial guess policy {self.initial_guess!r}")
 
@@ -64,11 +68,8 @@ class SolveOutcome:
     residual_history: list[float]
     d_history: list[float]
     d_final: float
-    u: np.ndarray | None = None
     m: np.ndarray | None = None
     w: np.ndarray | None = None
-    hjb_residual: float | None = None
-    fp_residual: float | None = None
     resolve_residual: float | None = None
     note: str = ""
 
@@ -117,12 +118,10 @@ def picard_map(
     m_values: np.ndarray,
     p: ProblemSpec,
     grid: Grid,
-    fields: ProblemFields | None = None,
+    fields: ProblemFields,
     scheme: str = "implicit_euler",
 ) -> tuple[np.ndarray, np.ndarray]:
     """One sweep of the fixed-point map: density in, (w, new density) out."""
-    if fields is None:
-        fields = sample_on_grid(p, grid)
     m = np.asarray(m_values, dtype=float)
     # half the source: -w_t - Lap w = ((f - V)/2) w is what w = e^(-u/2)
     # turns the value equation into when the kinetic term is |grad u|^2/2
@@ -181,7 +180,9 @@ def solve(
     positivity (which only happens under blow-up scale coefficients).
     Every stop records its verdict, note and d_final inside the loop and
     leaves it by break; the one SolveOutcome is built after the loop.
-    fields, when given, is the problem data already sampled on grid.
+    A converged outcome carries the last iterate m, the last map's w and
+    resolve_residual; u is inverse_hopf_cole(w). fields, when given, is the
+    problem data already sampled on grid.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -222,19 +223,12 @@ def solve(
         # mu - m = (1 - damping)(mu - m_prev), so the relative L1 distance
         # of mu from m follows from the update's own integrals
         out.resolve_residual = (1.0 - cfg.damping) / cfg.damping * res * prev_den / den
-        out.m, out.u, out.w = m, inverse_hopf_cole(w), w
-        out.hjb_residual, out.fp_residual = self_consistency_residual(
-            out.u, out.m, p, grid, fields=fields
-        )
+        out.m, out.w = m, w
     return out
 
 
 def self_consistency_residual(
-    u: np.ndarray,
-    m: np.ndarray,
-    p: ProblemSpec,
-    grid: Grid,
-    fields: ProblemFields | None = None,
+    u: np.ndarray, m: np.ndarray, p: ProblemSpec, grid: Grid, fields: ProblemFields
 ) -> tuple[float, float]:
     """Discrete residuals of the original coupled system.
 
@@ -247,8 +241,6 @@ def self_consistency_residual(
     levels; one np.vecdot per block gives each level's weighted norm (the
     bits of a per-level np.dot), and the norms are added in level order.
     """
-    if fields is None:
-        fields = sample_on_grid(p, grid)
     dt = grid.dt
     interior = _interior_mask(grid)
     w_int = grid.weights * interior

@@ -24,8 +24,10 @@ from aggmfg import (
     check_moment_identity,
     compute_e0,
     compute_energy,
+    e0_terms,
     heat_kernel_spacetime_norm,
     hopf_cole,
+    inverse_hopf_cole,
     nonexistence_horizon,
     planning_horizon,
     sample_on_grid,
@@ -64,8 +66,9 @@ def refinement_study():
         g = Grid(dim=1, half_width=12.0, nx=nx, nt=nx - 1, horizon=1.0)
         out = solve(p, g, SolverConfig(damping=0.5, tol=1e-10))
         assert out.converged, f"refinement solve did not converge at nx={nx}"
-        energy = compute_energy(out.u, out.m, p, g)
-        moments = check_moment_identity(out.u, out.m, p, g, energy=energy)
+        fields, u = sample_on_grid(p, g), inverse_hopf_cole(out.w)
+        energy = compute_energy(u, out.m, p, g, fields)
+        moments = check_moment_identity(u, out.m, p, g, energy, fields)
         rows.append({"nx": nx, "energy": energy, "moments": moments, "out": out})
     return rows
 
@@ -207,7 +210,8 @@ def test_criterion_6_certificate_formulas():
     g = Grid(dim=1, half_width=12.0, nx=257, nt=4, horizon=1.0)
     worst = 0.0
     for sigma in (0.0, 5.0, 20.0, 30.0):
-        measured = compute_e0(gaussian_problem(sigma=sigma), g)
+        p = gaussian_problem(sigma=sigma)
+        measured = compute_e0(e0_terms(p, g, sample_on_grid(p, g)))
         closed = -0.5 + sigma / (6.0 * math.pi * math.sqrt(3.0))
         worst = max(worst, abs(measured - closed))
     t_star = nonexistence_horizon(0.5, 1.0, dim=1)
@@ -295,11 +299,12 @@ def test_criterion_8_phase_diagram(sweep_result):
 
 def test_criterion_9_convexity_bound(convexity_run):
     g, p, out = convexity_run["grid"], convexity_run["problem"], convexity_run["out"]
-    e0 = compute_e0(p, g)
+    fields, u = sample_on_grid(p, g), inverse_hopf_cole(out.w)
+    e0 = compute_e0(e0_terms(p, g, fields))
     assert e0 > 0
     t_star = nonexistence_horizon(e0, 1.0, dim=1)
     assert g.horizon < t_star
-    rep = check_moment_identity(out.u, out.m, p, g)
+    rep = check_moment_identity(u, out.m, p, g, compute_energy(u, out.m, p, g, fields), fields)
     bound = 4.0 * e0 * 0.95
     ok = out.converged and rep.min_hsecond >= bound
     _report(9, ok, f"min h'' {rep.min_hsecond:.3f} >= 0.95 * 4 e0 = {bound:.3f} "

@@ -167,6 +167,8 @@ def test_any_config_runs_or_exits_two(command, nx, nt, changes, exits):
     command=st.sampled_from(["sweep", "longtime", "kernelcheck"]),
     changes=mutations(SERIES_PATHS),
 )
+# a step count numpy cannot index, once a traceback after the output directory was made
+@example(command="sweep", changes=[("sweep.nt_per_unit", 1e300)])
 def test_any_series_or_kernel_config_runs_or_exits_two(command, changes):
     code, err = _exit_code(command, _mutated(_series_config(), changes))
     assert code in (0, 2), err

@@ -8,7 +8,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from aggmfg import ConfigError, Grid, SolveOutcome, SolverConfig
+from aggmfg import (
+    ConfigError,
+    Grid,
+    SolveOutcome,
+    SolverConfig,
+    inverse_hopf_cole,
+    self_consistency_residual,
+)
 from aggmfg import diagnostics as diagnostics_module
 from aggmfg import problem as problem_module
 from aggmfg import runs as runs_module
@@ -180,6 +187,28 @@ def test_run_single_apriori_d_is_the_solvers_blow_up_monitor(tmp_path, monkeypat
     # the monitor of the converged trajectory, bit for bit
     problem, grid, _ = build_run(cfg)
     assert meta["d_final"] == problem_module.coupling_mass(outcomes[0].m, problem.coupling, grid)
+
+
+def test_run_single_records_the_residuals_of_its_solve(tmp_path, monkeypatch):
+    solve = runs_module.solve
+    outcomes = []
+
+    def recording(*args, **kwargs):
+        outcomes.append(solve(*args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(runs_module, "solve", recording)
+    cfg = _solve_cfg(sigma=0.05)
+    out = run_single(cfg, out_dir=str(tmp_path / "run"))
+    meta = json.load(open(os.path.join(out["out_dir"], "metadata.json")))
+    assert meta["verdict"] == "converged"
+    problem, grid, _ = build_run(cfg)
+    u = inverse_hopf_cole(outcomes[0].w)
+    fields = problem_module.sample_on_grid(problem, grid)
+    hjb, fp = self_consistency_residual(u, outcomes[0].m, problem, grid, fields)
+    assert meta["consistency"]["hjb_residual"] == hjb
+    assert meta["consistency"]["fp_residual"] == fp
+    assert fp < 1e-6  # damped iterate: the march residual sits near tol
 
 
 def test_run_single_decoupled_energy_budget(tmp_path):
@@ -758,6 +787,34 @@ def test_cli_huge_integer_in_a_float_key_exits_two(tmp_path, capsys, command, ke
     for part in parents:
         node = node[part]
     node[last] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main([command, str(cfg_path), "--output", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# grids whose (nt+1) x nx**dim trajectory numpy rejects before it allocates
+SERIES = {
+    "sweep": {"sigma_grid": [0.0], "horizon_grid": [1.0], "nx": 17, "nt_per_unit": 8},
+    "longtime": {"horizons": [1.0], "nx": 17, "nt_per_unit": 8},
+}
+
+
+@pytest.mark.parametrize("command,changes,key", [
+    ("solve", {"grid": {"nt": 10**30}}, "grid.nt"),  # linspace cannot cast the count
+    ("solve", {"grid": {"nt": 2**62}}, "grid.nt"),  # iterator is too large
+    ("certify", {"grid": {"nx": 10**30 + 1}}, "grid.nx"),  # maximum allowed size exceeded
+    ("sweep", {"sweep": {"nt_per_unit": 1e300}}, "sweep.nt_per_unit"),
+    ("longtime", {"longtime": {"nt_per_unit": 1e300}}, "longtime.nt_per_unit"),
+    # 1e300 steps per unit over 1e10 units: math.ceil of inf overflows
+    ("longtime", {"longtime": {"horizons": [1e10], "nt_per_unit": 1e300}}, "longtime.nt_per_unit"),
+], ids=["nt-1e30", "nt-2**62", "nx-1e30", "sweep-steps", "longtime-steps", "longtime-inf-steps"])
+def test_cli_grid_too_large_for_numpy_exits_two(tmp_path, capsys, command, changes, key):
+    cfg = _solve_cfg(nx=17, nt=8)
+    cfg.update({name: dict(section) for name, section in SERIES.items()})
+    for section, values in changes.items():
+        cfg[section].update(values)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main([command, str(cfg_path), "--output", str(tmp_path / "out")]) == 2

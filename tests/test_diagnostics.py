@@ -17,6 +17,7 @@ from aggmfg import (
     e0_terms,
     nonexistence_horizon,
     planning_horizon,
+    inverse_hopf_cole,
     solve,
 )
 from aggmfg.diagnostics import _shift_feasible
@@ -35,15 +36,17 @@ def _e0_closed_form(sigma, std=1.0):
 def test_e0_closed_form(sigma):
     p = gaussian_problem(sigma=sigma, alpha=2.0)
     g = Grid(dim=1, half_width=12.0, nx=257, nt=4, horizon=1.0)
-    assert compute_e0(p, g) == pytest.approx(_e0_closed_form(sigma), abs=1e-6)
+    e0 = compute_e0(e0_terms(p, g, sample_on_grid(p, g)))
+    assert e0 == pytest.approx(_e0_closed_form(sigma), abs=1e-6)
 
 
 def test_e0_terms_dilation_scaling():
     # shrinking the data by 2 scales both the Fisher information and the
     # cubic coupling integral by 4
     g = Grid(dim=1, half_width=12.0, nx=513, nt=4, horizon=1.0)
-    f1, c1, v1 = e0_terms(gaussian_problem(sigma=10.0, std=1.0), g)
-    f2, c2, v2 = e0_terms(gaussian_problem(sigma=10.0, std=0.5), g)
+    p1, p2 = gaussian_problem(sigma=10.0, std=1.0), gaussian_problem(sigma=10.0, std=0.5)
+    f1, c1, v1 = e0_terms(p1, g, sample_on_grid(p1, g))
+    f2, c2, v2 = e0_terms(p2, g, sample_on_grid(p2, g))
     assert f2 / f1 == pytest.approx(4.0, rel=1e-8)
     assert c2 / c1 == pytest.approx(4.0, rel=1e-8)
     assert v1 == 0.0 and v2 == 0.0
@@ -57,9 +60,10 @@ def test_e0_reads_the_sampled_fields():
     narrow = gaussian_problem(sigma=10.0, std=0.5, mean=0.3, potential=PotentialSpec(
         family="cosine_bump", amplitude=0.4, width=3.0, center=(-1.0,)))
     fields = sample_on_grid(narrow, g)
-    assert e0_terms(wide, g, fields=fields) == e0_terms(narrow, g)
-    assert compute_e0(wide, g, fields=fields) == compute_e0(narrow, g)
-    assert compute_e0(wide, g) != compute_e0(narrow, g)
+    own = e0_terms(narrow, g, sample_on_grid(narrow, g))
+    assert e0_terms(wide, g, fields=fields) == own
+    assert compute_e0(e0_terms(wide, g, fields=fields)) == compute_e0(own)
+    assert compute_e0(e0_terms(wide, g, sample_on_grid(wide, g))) != compute_e0(own)
 
 
 @pytest.mark.parametrize("potential, terminal", [
@@ -71,7 +75,7 @@ def test_e0_reads_the_sampled_fields():
 def test_unshifted_feasibility_is_the_structural_check(potential, terminal):
     g = Grid(dim=1, half_width=12.0, nx=65, nt=4, horizon=1.0)
     p = gaussian_problem(sigma=20.0, potential=potential, terminal=terminal)
-    report = check_structural_conditions(p, g)
+    report = check_structural_conditions(p, g, sample_on_grid(p, g))
     expected = report.confining_potential.holds and report.monotone_terminal.holds
     assert _shift_feasible(p, g, np.zeros(1)) == expected
 
@@ -171,7 +175,9 @@ def test_planning_certificate():
     p = gaussian_problem(sigma=20.0)
     g = Grid(dim=1, half_width=12.0, nx=257, nt=4, horizon=1.0)
     terminal = GaussianMixture(weights=(1.0,), means=((0.0,),), stds=(2.0,))
-    cert = compute_planning_certificate(p, g, terminal)
+    fields = sample_on_grid(p, g)
+    certificate = compute_nonexistence_certificate(p, g, fields=fields)
+    cert = compute_planning_certificate(p, g, terminal, fields, certificate)
     e0 = _e0_closed_form(20.0)
     assert cert.h_terminal == pytest.approx(4.0, abs=1e-6)
     assert cert.t_hat == pytest.approx(math.sqrt(2.0 * 4.0 / e0), abs=1e-4)
@@ -207,7 +213,7 @@ def test_energy_reduces_to_coupling_for_flat_value():
     g = Grid(dim=1, half_width=12.0, nx=513, nt=8, horizon=1.0)
     m = np.tile(sample_on_grid(p, g).m0, (g.nt + 1, 1))
     u = np.zeros_like(m)
-    rep = compute_energy(u, m, p, g)
+    rep = compute_energy(u, m, p, g, sample_on_grid(p, g))
     expected = sigma / (6.0 * math.pi * math.sqrt(3.0))
     assert np.allclose(rep.cross, 0.0) and np.allclose(rep.kinetic, 0.0)
     assert np.allclose(rep.potential, 0.0)
@@ -229,8 +235,8 @@ def test_blocked_energy_and_moments_match_per_level_loop(dim, nx, rng):
     band = np.max(np.abs(pts), axis=0) >= 0.9 * g.half_width
     n = g.dim
 
-    rep = compute_energy(u, m, p, g)
-    moments = check_moment_identity(u, m, p, g, energy=rep)
+    rep = compute_energy(u, m, p, g, fields)
+    moments = check_moment_identity(u, m, p, g, rep, fields)
     for j in range(g.nt + 1):
         assert moments.mass[j] == integrate(m[j], g)
         assert moments.tail_mass[j] == integrate(m[j] * band, g)
@@ -257,7 +263,8 @@ def test_moment_identities_on_decoupled_solve():
     g = Grid(dim=1, half_width=12.0, nx=257, nt=256, horizon=1.0)
     p = gaussian_problem(sigma=0.0)
     out = solve(p, g, SolverConfig(damping=1.0))
-    rep = check_moment_identity(out.u, out.m, p, g)
+    fields, u = sample_on_grid(p, g), inverse_hopf_cole(out.w)
+    rep = check_moment_identity(u, out.m, p, g, compute_energy(u, out.m, p, g, fields), fields)
     assert rep.mass_step_drift < 1e-13
     # pure heat flow: h(t) = h(0) + 2t exactly in the continuum
     assert np.abs(rep.h - (rep.h[0] + 2.0 * rep.times)).max() < 1e-4
@@ -269,7 +276,8 @@ def test_moment_identities_on_coupled_solve():
     g = Grid(dim=1, half_width=12.0, nx=257, nt=256, horizon=1.0)
     p = gaussian_problem(sigma=0.05)
     out = solve(p, g, SolverConfig(damping=0.5, tol=1e-10))
-    rep = check_moment_identity(out.u, out.m, p, g)
+    fields, u = sample_on_grid(p, g), inverse_hopf_cole(out.w)
+    rep = check_moment_identity(u, out.m, p, g, compute_energy(u, out.m, p, g, fields), fields)
     assert rep.mass_step_drift < 1e-13
     assert rep.r1 < 1e-3
     assert rep.r2 < 1e-2

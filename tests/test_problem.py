@@ -140,7 +140,7 @@ def test_log_quadratic_terminal_gradient():
 def test_coercive_coupling_margin(dim, alpha, holds):
     p = gaussian_problem(sigma=1.0, alpha=alpha, dim=dim, horizon=0.5)
     g = Grid(dim=dim, half_width=6.0, nx=33, nt=4, horizon=0.5)
-    report = check_structural_conditions(p, g)
+    report = check_structural_conditions(p, g, sample_on_grid(p, g))
     assert report.coercive_coupling.holds == holds
     expected_margin = dim - (dim + 2.0) / (alpha + 1.0)
     assert report.coercive_coupling.margin == pytest.approx(expected_margin)
@@ -149,28 +149,32 @@ def test_coercive_coupling_margin(dim, alpha, holds):
 def test_coercive_coupling_vacuous_at_sigma_zero():
     p = gaussian_problem(sigma=0.0, alpha=1.0)
     g = Grid(dim=1, half_width=6.0, nx=33, nt=4, horizon=1.0)
-    assert check_structural_conditions(p, g).coercive_coupling.holds
+    assert check_structural_conditions(p, g, sample_on_grid(p, g)).coercive_coupling.holds
+
+
+def _conditions(p, g):
+    return check_structural_conditions(p, g, sample_on_grid(p, g))
 
 
 def test_confining_potential_condition():
     well = PotentialSpec(family="gaussian_well", amplitude=-1.0, width=1.0, center=(0.0,))
     bump = PotentialSpec(family="gaussian_well", amplitude=1.0, width=1.0, center=(0.0,))
     g = Grid(dim=1, half_width=12.0, nx=129, nt=4, horizon=1.0)
-    assert check_structural_conditions(gaussian_problem(potential=well), g).confining_potential.holds
-    assert not check_structural_conditions(gaussian_problem(potential=bump), g).confining_potential.holds
+    assert _conditions(gaussian_problem(potential=well), g).confining_potential.holds
+    assert not _conditions(gaussian_problem(potential=bump), g).confining_potential.holds
 
 
 def test_monotone_terminal_condition():
     grow = TerminalCostSpec(family="log_quadratic", amplitude=0.5)
     shrink = TerminalCostSpec(family="log_quadratic", amplitude=-0.5)
     g = Grid(dim=1, half_width=12.0, nx=129, nt=4, horizon=1.0)
-    assert check_structural_conditions(gaussian_problem(terminal=grow), g).monotone_terminal.holds
-    assert not check_structural_conditions(gaussian_problem(terminal=shrink), g).monotone_terminal.holds
+    assert _conditions(gaussian_problem(terminal=grow), g).monotone_terminal.holds
+    assert not _conditions(gaussian_problem(terminal=shrink), g).monotone_terminal.holds
 
 
 def test_condition_report_all_hold():
     g = Grid(dim=1, half_width=12.0, nx=129, nt=4, horizon=1.0)
-    report = check_structural_conditions(gaussian_problem(), g)
+    report = _conditions(gaussian_problem(), g)
     assert report.all_hold
     assert report.unit_mass.holds
     d = report.as_dict()

@@ -16,7 +16,7 @@ from aggmfg import (
     solve,
     solve_fokker_planck,
 )
-from aggmfg.diagnostics import compute_e0
+from aggmfg.diagnostics import compute_e0, e0_terms
 from aggmfg.discretization import (
     Grid,
     _level_blocks,
@@ -111,7 +111,6 @@ def test_solve_frees_each_maps_dead_fields(grid_1d, monkeypatch):
     # each map's mu lives on as the next iterate; its w and the spent
     # iterate it was fed must be dead before the next map starts
     mapping, heat = solver_module.picard_map, solver_module.solve_backward_heat
-    residual = solver_module.self_consistency_residual
     maps = []
     alive = []
 
@@ -125,18 +124,15 @@ def test_solve_frees_each_maps_dead_fields(grid_1d, monkeypatch):
             alive.append([ref() is not None for ref in maps[-1]])
         return heat(*args, **kwargs)
 
-    def checking_residual(*args, **kwargs):
-        # the last map's w and mu become the outcome's; its m is dead
-        alive.append([ref() is not None for ref in maps[-1]])
-        return residual(*args, **kwargs)
-
     monkeypatch.setattr(solver_module, "picard_map", recording_map)
     monkeypatch.setattr(solver_module, "solve_backward_heat", checking_heat)
-    monkeypatch.setattr(solver_module, "self_consistency_residual", checking_residual)
     out = solve(gaussian_problem(sigma=0.05), grid_1d, SolverConfig(damping=0.5))
     assert out.converged and out.iterations >= 3
-    assert alive == [[False, False, True]] * (out.iterations - 1) + [[False, True, True]]
+    assert alive == [[False, False, True]] * (out.iterations - 1)
+    # the last map's w and mu become the outcome's; its m is dead
+    assert [ref() is not None for ref in maps[-1]] == [False, True, True]
     assert maps[-1][2]() is out.m
+    assert maps[-1][1]() is out.w
 
 
 def test_solve_decoupled_single_iteration(grid_1d):
@@ -154,7 +150,7 @@ def test_solve_decoupled_self_consistency(grid_1d):
 
 def _resolve_by_march(out, p, g):
     """|mu - m| / |m| for mu the density march driven by -grad u, re-solved."""
-    b = gradient(out.u, g)
+    b = gradient(inverse_hopf_cole(out.w), g)
     np.negative(b, out=b)
     mu = solve_fokker_planck(sample_on_grid(p, g).m0, b, g)
     m = out.m
@@ -181,7 +177,7 @@ def test_resolve_residual_matches_a_density_re_solve(dim, nx, nt, sigma, damping
         assert out.resolve_residual == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
-SOLVED = ("u", "m", "w", "hjb_residual", "fp_residual", "resolve_residual")
+SOLVED = ("m", "w", "resolve_residual")
 
 
 def _assert_stop(out, verdict, iterations, note, d_final):
@@ -236,7 +232,9 @@ def test_solve_pde_residuals_shrink_under_refinement():
         g = Grid(dim=1, half_width=12.0, nx=nx, nt=nx - 1, horizon=1.0)
         out = solve(p, g, SolverConfig(damping=0.5, tol=1e-10))
         assert out.converged
-        res.append(max(out.hjb_residual, out.fp_residual))
+        res.append(max(self_consistency_residual(
+            inverse_hopf_cole(out.w), out.m, p, g, sample_on_grid(p, g)
+        )))
     assert res[2] < res[0]
     slope = np.polyfit(np.log([65, 129, 257]), np.log(res), 1)[0]
     assert slope < -0.8
@@ -247,7 +245,7 @@ def test_solve_detects_blowup():
     sigma = 49.0
     p = gaussian_problem(sigma=sigma, alpha=2.0, horizon=1.0)
     g = Grid(dim=1, half_width=12.0, nx=129, nt=128, horizon=1.0)
-    e0 = compute_e0(p, g)
+    e0 = compute_e0(e0_terms(p, g, sample_on_grid(p, g)))
     t_star = nonexistence_horizon(e0, 1.0, dim=1)
     horizon = 2.0 * t_star
     p2 = gaussian_problem(sigma=sigma, alpha=2.0, horizon=horizon)
@@ -321,15 +319,6 @@ def test_solve_horizon_mismatch_raises(grid_1d):
         solve(gaussian_problem(horizon=2.0), grid_1d)
 
 
-def test_self_consistency_residual_matches_outcome(grid_1d):
-    p = gaussian_problem(sigma=0.05)
-    out = solve(p, grid_1d, SolverConfig(damping=0.5))
-    hjb, fp = self_consistency_residual(out.u, out.m, p, grid_1d)
-    assert hjb == out.hjb_residual
-    assert fp == out.fp_residual
-    assert fp < 1e-6  # damped iterate: the march residual sits near tol
-
-
 def _per_level_residual(uv, mv, p, g):
     """Both self-consistency residuals, one time level per stencil call."""
     v = sample_on_grid(p, g).v
@@ -355,7 +344,7 @@ def test_blocked_residual_matches_per_level_loop(dim, nx, rng):
     p = gaussian_problem(sigma=3.0, dim=dim)
     u = rng.standard_normal((g.nt + 1, g.n_nodes))
     m = rng.random((g.nt + 1, g.n_nodes)) - 0.1  # some negatives, which the coupling clips
-    got = self_consistency_residual(u, m, p, g)
+    got = self_consistency_residual(u, m, p, g, sample_on_grid(p, g))
     assert got == _per_level_residual(u, m, p, g)
 
 
@@ -368,6 +357,10 @@ def test_solver_config_validation():
         SolverConfig(tol=-1e-8)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
+    with pytest.raises(ValueError):
+        SolverConfig(max_iter=2.5)
+    with pytest.raises(ValueError):
+        SolverConfig(time_scheme="rk4")
     with pytest.raises(ValueError):
         SolverConfig(initial_guess="random")
 
