@@ -8,7 +8,6 @@ collects every offending key path and reports them in a single error.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from typing import Any
@@ -17,7 +16,6 @@ import numpy as np
 
 from .discretization import Grid
 from .errors import ConfigError
-from .parabolic import SCHEMES
 from .problem import (
     CouplingSpec,
     DataSpec,
@@ -26,9 +24,7 @@ from .problem import (
     ProblemSpec,
     TerminalCostSpec,
 )
-from .solver import INITIAL_GUESSES, SolverConfig
-
-_SOLVER_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
+from .solver import SolverConfig
 
 # numpy counts an array's bytes in an intp: the most floats one array can hold
 _MAX_FLOATS = np.iinfo(np.intp).max // 8
@@ -57,7 +53,9 @@ def _finite_float(val) -> float | None:
 
 
 class _Checker:
-    """Accumulates offending key paths while reading a nested dict."""
+    """Accumulates offending key paths while reading a nested dict. Each reader
+    checks a value's JSON type, then judges it by rule: for a key that holds a
+    class field, the class's own rule. A bad value is named and read as default."""
 
     def __init__(self, root: dict):
         self.root = root
@@ -79,68 +77,51 @@ class _Checker:
                 return default
         return node
 
-    def number(self, path: str, default=None, minimum=None, strict_min=None, required=False):
-        val = self.get(path, default, required)
-        if val is None:
-            return default
-        val = _finite_float(val)
-        if val is None:
-            self.bad.append(path)
-            return default
-        if minimum is not None and val < minimum:
-            self.bad.append(path)
-            return default
-        if strict_min is not None and val <= strict_min:
-            self.bad.append(path)
-            return default
-        return val
+    def _judged(self, path: str, val, rule, default):
+        """val when it is not None and passes rule; otherwise path is bad."""
+        if val is not None and (rule is None or rule(val)):
+            return val
+        self.bad.append(path)
+        return default
 
-    def integer(self, path: str, default=None, minimum=None, required=False):
-        val = self.get(path, default, required)
+    def number(self, path: str, default=None, rule=None, required=False):
+        val = self.get(path, None, required)
+        if val is None:
+            return default
+        return self._judged(path, _finite_float(val), rule, default)
+
+    def integer(self, path: str, default=None, rule=None, required=False):
+        val = self.get(path, None, required)
         if val is None:
             return default
         if isinstance(val, bool) or not isinstance(val, int):
-            self.bad.append(path)
-            return default
-        if minimum is not None and val < minimum:
-            self.bad.append(path)
-            return default
-        return int(val)
+            val = None
+        return self._judged(path, val, rule, default)
 
-    def choice(self, path: str, options, default=None, required=False):
-        val = self.get(path, default, required)
+    def string(self, path: str, default=None, rule=None):
+        val = self.get(path, None)
         if val is None:
             return default
-        if not any(type(val) is type(o) and val == o for o in options):  # True and 1.0 are not 1
-            self.bad.append(path)
-            return default
-        return val
+        return self._judged(path, val if isinstance(val, str) else None, rule, default)
 
-    def string(self, path: str, default: str) -> str:
-        val = self.get(path, default)
-        if not isinstance(val, str):
-            self.bad.append(path)
-            return default
-        return val
-
-    def number_list(self, path: str, required=False, minimum=None, ascending=False):
+    def number_list(self, path: str, required=False, rule=None, ascending=False):
         val = self.get(path, None, required)
         if val is None:
             return None
         xs = [_finite_float(x) for x in val] if isinstance(val, list) else []
         ok = len(xs) > 0 and None not in xs
-        if ok and minimum is not None and min(xs) < minimum:
-            ok = False
         if ok and ascending and any(b <= a for a, b in zip(xs, xs[1:])):
             ok = False
-        if not ok:
-            self.bad.append(path)
-            return None
-        return xs
+        return self._judged(path, xs if ok else None, rule, None)
 
     def raise_if_bad(self):
         if self.bad:
             raise ConfigError(sorted(set(self.bad)))
+
+
+def _read_dim(chk: _Checker) -> int:
+    """problem.dim, 1 when absent or bad."""
+    return chk.integer("problem.dim", default=1, rule=Grid.RULES["dim"])
 
 
 def _trajectory_too_large(nx: int, nt: int, dim: int) -> bool:
@@ -149,8 +130,9 @@ def _trajectory_too_large(nx: int, nt: int, dim: int) -> bool:
 
 
 def _mixture_from(chk: _Checker, base: str, dim: int) -> GaussianMixture | None:
-    weights = chk.number_list(f"{base}.weights", required=True, minimum=0.0)
-    stds = chk.number_list(f"{base}.stds", required=True)
+    rules = GaussianMixture.RULES
+    weights = chk.number_list(f"{base}.weights", required=True, rule=rules["weights"])
+    stds = chk.number_list(f"{base}.stds", required=True, rule=rules["stds"])
     means_raw = chk.get(f"{base}.means", required=True)
     means = None
     if isinstance(means_raw, list) and means_raw:
@@ -168,16 +150,13 @@ def _mixture_from(chk: _Checker, base: str, dim: int) -> GaussianMixture | None:
     if not (len(weights) == len(stds) == len(means)):
         chk.bad.append(base)
         return None
-    if any(w <= 0 for w in weights) or any(s <= 0 for s in stds):
-        chk.bad.append(base)
-        return None
     return GaussianMixture(weights=tuple(weights), means=tuple(means), stds=tuple(stds))
 
 
 def _spec_from(chk: _Checker, base: str, spec, dim: int):
     """A PotentialSpec or TerminalCostSpec (spec) from the config section base."""
-    family = chk.choice(f"{base}.family", spec._FAMILIES, default="zero")
-    if family in (None, "zero"):
+    family = chk.string(f"{base}.family", "zero", rule=spec.RULES["family"])
+    if family == "zero":
         return spec()
     if family == "user_table":
         table = chk.get(f"{base}.table", required=True)
@@ -185,16 +164,16 @@ def _spec_from(chk: _Checker, base: str, spec, dim: int):
             chk.bad.append(f"{base}.table")
             return spec()
         return spec(family="user_table", table=table)
-    center = chk.number_list(f"{base}.center") or [0.0] * dim
+    center = chk.number_list(f"{base}.center", rule=spec.RULES["center"]) or [0.0] * dim
     if len(center) != dim:
         chk.bad.append(f"{base}.center")
         center = [0.0] * dim
-    width = chk.number(f"{base}.width", default=1.0, strict_min=0.0)
+    width = chk.number(f"{base}.width", default=1.0, rule=spec.RULES["width"])
     if family in ("gaussian_well", "gaussian") and not width * width > 0:
         chk.bad.append(f"{base}.width")  # exp(-0/0) at the center: NaN
     return spec(
         family=family,
-        amplitude=chk.number(f"{base}.amplitude", default=0.0),
+        amplitude=chk.number(f"{base}.amplitude", default=0.0, rule=spec.RULES["amplitude"]),
         width=width,
         center=tuple(center),
     )
@@ -204,13 +183,13 @@ def build_problem(cfg: dict, chk: _Checker | None = None) -> ProblemSpec | None:
     own = chk is None
     if own:
         chk = _Checker(cfg)
-    dim = chk.choice("problem.dim", (1, 2), default=1)
-    horizon = chk.number("problem.horizon", required=True, strict_min=0.0)
-    sigma = chk.number("problem.sigma", required=True, minimum=0.0)
-    alpha = chk.number("problem.alpha", required=True, strict_min=0.0)
-    mixture = _mixture_from(chk, "problem.initial_density", dim or 1)
-    potential = _spec_from(chk, "problem.potential", PotentialSpec, dim or 1)
-    terminal = _spec_from(chk, "problem.terminal_cost", TerminalCostSpec, dim or 1)
+    dim = _read_dim(chk)
+    horizon = chk.number("problem.horizon", required=True, rule=ProblemSpec.RULES["horizon"])
+    sigma = chk.number("problem.sigma", required=True, rule=CouplingSpec.RULES["sigma"])
+    alpha = chk.number("problem.alpha", required=True, rule=CouplingSpec.RULES["alpha"])
+    mixture = _mixture_from(chk, "problem.initial_density", dim)
+    potential = _spec_from(chk, "problem.potential", PotentialSpec, dim)
+    terminal = _spec_from(chk, "problem.terminal_cost", TerminalCostSpec, dim)
     if own:
         chk.raise_if_bad()
     if chk.bad or mixture is None or horizon is None:
@@ -228,16 +207,13 @@ def build_grid(cfg: dict, horizon: float, chk: _Checker | None = None) -> Grid |
     own = chk is None
     if own:
         chk = _Checker(cfg)
-    dim = chk.choice("problem.dim", (1, 2), default=1)
-    half_width = chk.number("grid.half_width", default=12.0, strict_min=0.0)
-    nx = chk.integer("grid.nx", required=True, minimum=3)
-    nt = chk.integer("grid.nt", required=True, minimum=1)
-    if nx is not None and nx % 2 == 0:
+    dim = _read_dim(chk)
+    half_width = chk.number("grid.half_width", default=12.0, rule=Grid.RULES["half_width"])
+    nx = chk.integer("grid.nx", required=True, rule=Grid.RULES["nx"])
+    nt = chk.integer("grid.nt", required=True, rule=Grid.RULES["nt"])
+    if nx is not None and _trajectory_too_large(nx, 1, dim):
         chk.bad.append("grid.nx")
-        nx = None
-    if nx is not None and _trajectory_too_large(nx, 1, dim or 1):
-        chk.bad.append("grid.nx")
-    elif nx is not None and nt is not None and _trajectory_too_large(nx, nt, dim or 1):
+    elif nx is not None and nt is not None and _trajectory_too_large(nx, nt, dim):
         chk.bad.append("grid.nt")
     if own:
         chk.raise_if_bad()
@@ -247,34 +223,19 @@ def build_grid(cfg: dict, horizon: float, chk: _Checker | None = None) -> Grid |
 
 
 def build_solver(cfg: dict, chk: _Checker | None = None) -> SolverConfig | None:
+    """The solver section; an absent key keeps SolverConfig's default."""
     own = chk is None
     if own:
         chk = _Checker(cfg)
-    damping = chk.number("solver.damping", default=_SOLVER_DEFAULTS["damping"], strict_min=0.0)
-    if damping is not None and damping > 1.0:
-        chk.bad.append("solver.damping")
-        damping = None
-    tol = chk.number("solver.tol", default=_SOLVER_DEFAULTS["tol"], strict_min=0.0)
-    max_iter = chk.integer("solver.max_iter", default=_SOLVER_DEFAULTS["max_iter"], minimum=1)
-    d_cap = chk.number("solver.d_cap", default=_SOLVER_DEFAULTS["d_cap"], strict_min=0.0)
-    scheme = chk.choice(
-        "solver.time_scheme", SCHEMES, default=_SOLVER_DEFAULTS["time_scheme"]
-    )
-    guess = chk.choice(
-        "solver.initial_guess", INITIAL_GUESSES, default=_SOLVER_DEFAULTS["initial_guess"]
-    )
+    readers = {"damping": chk.number, "tol": chk.number, "max_iter": chk.integer,
+               "d_cap": chk.number, "time_scheme": chk.string, "initial_guess": chk.string}
+    values = {name: read(f"solver.{name}", rule=SolverConfig.RULES[name])
+              for name, read in readers.items()}
     if own:
         chk.raise_if_bad()
-    if chk.bad or damping is None:
+    if chk.bad:
         return None
-    return SolverConfig(
-        damping=damping,
-        tol=tol,
-        max_iter=max_iter,
-        d_cap=d_cap,
-        time_scheme=scheme,
-        initial_guess=guess,
-    )
+    return SolverConfig(**{name: v for name, v in values.items() if v is not None})
 
 
 def build_run(cfg: dict) -> tuple[ProblemSpec, Grid, SolverConfig]:

@@ -22,6 +22,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .errors import check_fields
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -33,17 +35,16 @@ class Grid:
     nt: int
     horizon: float
 
+    RULES = {
+        "dim": lambda d: d in (1, 2),
+        "half_width": lambda x: 0 < x < np.inf,
+        "nx": lambda n: n >= 3 and n % 2 == 1,
+        "nt": lambda n: n >= 1,
+        "horizon": lambda t: 0 < t < np.inf,
+    }
+
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        if self.nx < 3 or self.nx % 2 == 0:
-            raise ValueError(f"nx must be odd and >= 3, got {self.nx}")
-        if self.nt < 1:
-            raise ValueError(f"nt must be >= 1, got {self.nt}")
-        if not (self.half_width > 0 and np.isfinite(self.half_width)):
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
-        if not (self.horizon > 0 and np.isfinite(self.horizon)):
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        check_fields(self)
 
     @property
     def dx(self) -> float:
@@ -339,11 +340,3 @@ def _row_template(grid: Grid) -> str:
     header = "x,value\n" if grid.dim == 1 else "x,y,value\n"
     coords = ("".join(f"{x:.17g}," for x in node) for node in grid.coordinates.T.tolist())
     return header + "".join(c + "%.17g\n" for c in coords)
-
-
-def read_field_csv(path) -> np.ndarray:
-    """Read back the value column written by write_field_csv."""
-    data = np.genfromtxt(path, delimiter=",", skip_header=1)
-    if data.ndim == 1:
-        data = data[None, :]
-    return data[:, -1].copy()

@@ -1,6 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types and the field-rule check shared across the package."""
 
 from __future__ import annotations
+
+
+def check_fields(obj) -> None:
+    """Raise one ValueError naming every field of obj, with its value, that
+    fails its rule in type(obj).RULES, a dict of field name to predicate."""
+    bad = [f"{name}={getattr(obj, name)!r}" for name, rule in type(obj).RULES.items()
+           if not rule(getattr(obj, name))]
+    if bad:
+        raise ValueError(f"invalid {type(obj).__name__}: " + ", ".join(bad))
 
 
 class ConfigError(Exception):

@@ -28,6 +28,7 @@ from .errors import (
     PositivityError,
     SchemeViolationError,
     SolverError,
+    check_fields,
 )
 
 SCHEMES = ("implicit_euler", "crank_nicolson")
@@ -349,15 +350,15 @@ class HeatKernelQuery:
     t: float
     kind: str = "kernel"
 
+    RULES = {
+        "dim": Grid.RULES["dim"],
+        "exponent": lambda q: 1 <= q < np.inf,
+        "t": lambda t: 0 < t < np.inf,
+        "kind": lambda k: k in ("kernel", "gradient"),
+    }
+
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        if not self.exponent >= 1.0:
-            raise ValueError(f"exponent must be >= 1, got {self.exponent}")
-        if not self.t > 0:
-            raise ValueError(f"t must be positive, got {self.t}")
-        if self.kind not in ("kernel", "gradient"):
-            raise ValueError(f"kind must be 'kernel' or 'gradient', got {self.kind!r}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discretization import Grid, integrate, integrate_space_time
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 
 
 @dataclass(frozen=True)
@@ -24,11 +24,10 @@ class CouplingSpec:
     sigma: float
     alpha: float
 
+    RULES = {"sigma": lambda s: 0 <= s < np.inf, "alpha": lambda a: 0 < a < np.inf}
+
     def __post_init__(self):
-        if not (self.sigma >= 0 and np.isfinite(self.sigma)):
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-        if not (self.alpha > 0 and np.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        check_fields(self)
 
     def f(self, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The law f(m) = sigma * m**alpha at nonnegative densities m, unchecked.
@@ -107,13 +106,15 @@ class PotentialSpec:
     # user_table: values/gradient tabulated on the grid nodes
     table: dict | None = None
 
-    _FAMILIES = ("zero", "gaussian_well", "cosine_bump", "user_table")
+    RULES = {
+        "family": lambda f: f in ("zero", "gaussian_well", "cosine_bump", "user_table"),
+        "amplitude": lambda a: -np.inf < a < np.inf,
+        "width": lambda w: 0 < w < np.inf,
+        "center": lambda c: len(c) > 0 and all(-np.inf < x < np.inf for x in c),
+    }
 
     def __post_init__(self):
-        if self.family not in self._FAMILIES:
-            raise ValueError(f"unknown potential family {self.family!r}")
-        if self.family != "zero" and not self.width > 0:
-            raise ValueError("potential width must be positive")
+        check_fields(self)
         if self.family == "user_table" and self.table is None:
             raise ValueError("user_table potential requires a table")
 
@@ -171,13 +172,11 @@ class TerminalCostSpec:
     width: float = 1.0
     center: tuple[float, ...] = (0.0,)
 
-    _FAMILIES = ("zero", "log_quadratic", "gaussian")
+    RULES = {**PotentialSpec.RULES,
+             "family": lambda f: f in ("zero", "log_quadratic", "gaussian")}
 
     def __post_init__(self):
-        if self.family not in self._FAMILIES:
-            raise ValueError(f"unknown terminal cost family {self.family!r}")
-        if self.family == "gaussian" and not self.width > 0:
-            raise ValueError("terminal cost width must be positive")
+        check_fields(self)
 
     def value(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -206,14 +205,19 @@ class GaussianMixture:
     means: tuple[tuple[float, ...], ...]
     stds: tuple[float, ...]
 
+    RULES = {
+        "weights": lambda ws: len(ws) > 0 and all(0 < w < np.inf for w in ws),
+        # one length for every mean, a scalar mean being one coordinate
+        "means": lambda ms: (len({np.size(m) for m in ms}) == 1
+                             and all(np.isfinite(m).all() for m in ms)),
+        "stds": lambda ss: len(ss) > 0 and all(0 < s < np.inf for s in ss),
+    }
+
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.size == 0 or np.any(w <= 0):
-            raise ValueError("mixture weights must be positive")
-        if len(self.means) != w.size or len(self.stds) != w.size:
+        check_fields(self)
+        if not len(self.weights) == len(self.means) == len(self.stds):
             raise ValueError("mixture weights, means, stds must have equal length")
-        if np.any(np.asarray(self.stds, dtype=float) <= 0):
-            raise ValueError("mixture stds must be positive")
+        w = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", tuple(float(x) / float(w.sum()) for x in w))
         object.__setattr__(
             self, "means", tuple(tuple(float(c) for c in np.atleast_1d(m)) for m in self.means)
@@ -258,13 +262,16 @@ class ProblemSpec:
     potential: PotentialSpec
     data: DataSpec
 
+    RULES = {"dim": Grid.RULES["dim"], "horizon": Grid.RULES["horizon"]}
+
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        if not (self.horizon > 0 and np.isfinite(self.horizon)):
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        check_fields(self)
         if self.data.m0.dim != self.dim:
             raise ValueError("initial density dimension does not match problem dim")
+        for spec in (self.potential, self.data.terminal_cost):
+            # one center entry serves every axis; any other length must be dim
+            if len(spec.center) not in (1, self.dim):
+                raise ValueError(f"a center must hold 1 or {self.dim} entries, got {spec.center}")
 
 
 @dataclass

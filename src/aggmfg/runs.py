@@ -31,7 +31,7 @@ from .parabolic import (
     HeatKernelQuery,
     heat_kernel_spacetime_norm,
 )
-from .problem import sample_on_grid
+from .problem import CouplingSpec, sample_on_grid
 from .solver import inverse_hopf_cole, self_consistency_residual, solve
 
 DEFAULT_KERNEL_QUERIES = (
@@ -110,7 +110,7 @@ def run_single(cfg: dict, out_dir=None) -> dict:
     problem = cfgmod.build_problem(cfg, chk)
     grid = cfgmod.build_grid(cfg, problem.horizon if problem is not None else 1.0, chk)
     solver_cfg = cfgmod.build_solver(cfg, chk)
-    count = chk.integer("output.snapshots", default=5, minimum=2)
+    count = chk.integer("output.snapshots", default=5, rule=lambda n: n >= 2)
     names = _output_names(chk)
     chk.raise_if_bad()
     snap = np.linspace(0, grid.nt, min(count, grid.nt + 1)).round().astype(int)
@@ -222,23 +222,19 @@ def run_single(cfg: dict, out_dir=None) -> dict:
 def _horizon_section(chk, section: str, horizons_key: str, nx: int, nt_per_unit: float):
     """Positive ascending horizons and the grid rule (half_width, nx, nt_per_unit)
     of a sweep or long-time section; nx and nt_per_unit are the defaults."""
-    horizons = chk.number_list(f"{section}.{horizons_key}", required=True, ascending=True)
-    if horizons is not None and any(t <= 0 for t in horizons):
-        chk.bad.append(f"{section}.{horizons_key}")
-        horizons = None
-    nx = chk.integer(f"{section}.nx", default=nx, minimum=3)
-    if nx is not None and nx % 2 == 0:
-        chk.bad.append(f"{section}.nx")
-    nt_per_unit = chk.number(f"{section}.nt_per_unit", default=nt_per_unit, strict_min=0.0)
+    horizons = chk.number_list(f"{section}.{horizons_key}", required=True, ascending=True,
+                               rule=lambda ts: all(map(Grid.RULES["horizon"], ts)))
+    nx = chk.integer(f"{section}.nx", default=nx, rule=Grid.RULES["nx"])
+    nt_per_unit = chk.number(f"{section}.nt_per_unit", default=nt_per_unit, rule=lambda r: r > 0)
     if None not in (horizons, nx, nt_per_unit):
         # the longest horizon's grid is the largest; its steps may not even be finite
-        dim = chk.choice("problem.dim", (1, 2), default=1) or 1
+        dim = cfgmod._read_dim(chk)
         steps = nt_per_unit * horizons[-1]
         if cfgmod._trajectory_too_large(nx, 1, dim):
             chk.bad.append(f"{section}.nx")
         elif not math.isfinite(steps) or cfgmod._trajectory_too_large(nx, math.ceil(steps), dim):
             chk.bad.append(f"{section}.nt_per_unit")
-    half_width = chk.number("grid.half_width", default=12.0, strict_min=0.0)
+    half_width = chk.number("grid.half_width", default=12.0, rule=Grid.RULES["half_width"])
     return horizons, (half_width, nx, nt_per_unit)
 
 
@@ -318,10 +314,11 @@ def _sweep_cell(job: dict) -> dict:
 def run_sweep(cfg: dict, out_dir=None) -> dict:
     """Phase table over a (sigma, horizon) grid, cells independent."""
     chk = cfgmod._Checker(cfg)
-    sigma_grid = chk.number_list("sweep.sigma_grid", required=True, minimum=0.0, ascending=True)
+    sigma_grid = chk.number_list("sweep.sigma_grid", required=True, ascending=True,
+                                 rule=lambda ss: all(map(CouplingSpec.RULES["sigma"], ss)))
     horizon_grid, rule = _horizon_section(chk, "sweep", "horizon_grid", 65, 60.0)
-    confirm_rounds = chk.integer("sweep.confirm_rounds", default=2, minimum=0)
-    workers = chk.integer("sweep.workers", default=1, minimum=1)
+    confirm_rounds = chk.integer("sweep.confirm_rounds", default=2, rule=lambda k: k >= 0)
+    workers = chk.integer("sweep.workers", default=1, rule=lambda n: n >= 1)
     # the problem is read once, before paying for any cell; each cell sets its sigma and horizon
     problem = _template_problem(chk, sigma=sigma_grid[0] if sigma_grid else 0.0,
                                 horizon=horizon_grid[0] if horizon_grid else 1.0)
@@ -445,8 +442,7 @@ def run_certify(cfg: dict, out_dir=None) -> dict:
         chk.bad.append("certify.optimize_shift")
     terminal = None
     if chk.get("certify.terminal_density") is not None:
-        dim = chk.choice("problem.dim", (1, 2), default=1) or 1
-        terminal = cfgmod._mixture_from(chk, "certify.terminal_density", dim)
+        terminal = cfgmod._mixture_from(chk, "certify.terminal_density", cfgmod._read_dim(chk))
     names = _output_names(chk)
     chk.raise_if_bad()
 
@@ -489,11 +485,11 @@ def _kernel_queries(chk) -> list[HeatKernelQuery]:
         raw = []
     queries = []
     for i, item in enumerate(raw):
-        q = cfgmod._Checker(item)
-        dim = q.choice("dim", (1, 2), required=True)
-        exponent = q.number("exponent", required=True, minimum=1.0)
-        t = q.number("t", default=1.0, strict_min=0.0)
-        kind = q.choice("kind", ("kernel", "gradient"), default="kernel")
+        q, rules = cfgmod._Checker(item), HeatKernelQuery.RULES
+        dim = q.integer("dim", required=True, rule=rules["dim"])
+        exponent = q.number("exponent", required=True, rule=rules["exponent"])
+        t = q.number("t", default=1.0, rule=rules["t"])
+        kind = q.string("kind", "kernel", rule=rules["kind"])
         if q.bad:
             chk.bad.append(f"kernel.queries[{i}]")
         else:

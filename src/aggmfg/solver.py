@@ -22,7 +22,7 @@ from .discretization import (
     integrate_space_time,
     laplacian,
 )
-from .errors import SolverError
+from .errors import SolverError, check_fields
 from .parabolic import SCHEMES, solve_backward_heat, solve_fokker_planck
 from .problem import ProblemFields, ProblemSpec, coupling_mass, sample_on_grid
 
@@ -44,21 +44,17 @@ class SolverConfig:
     time_scheme: str = "implicit_euler"
     initial_guess: str = "heat_flow"
 
+    RULES = {
+        "damping": lambda d: 0 < d <= 1,
+        "tol": lambda t: 0 < t < np.inf,
+        "max_iter": lambda n: type(n) is int and n >= 1,  # neither a bool nor 2.5
+        "d_cap": lambda c: 0 < c < np.inf,
+        "time_scheme": lambda s: s in SCHEMES,
+        "initial_guess": lambda g: g in INITIAL_GUESSES,
+    }
+
     def __post_init__(self):
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError(f"damping must be in (0, 1], got {self.damping}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, int):
-            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not self.d_cap > 0:
-            raise ValueError(f"d_cap must be positive, got {self.d_cap}")
-        if self.time_scheme not in SCHEMES:
-            raise ValueError(f"unknown time scheme {self.time_scheme!r}")
-        if self.initial_guess not in INITIAL_GUESSES:
-            raise ValueError(f"unknown initial guess policy {self.initial_guess!r}")
+        check_fields(self)
 
 
 @dataclass

@@ -11,7 +11,6 @@ from aggmfg.discretization import (
     integrate,
     integrate_space_time,
     laplacian,
-    read_field_csv,
     write_field_csv,
 )
 
@@ -219,7 +218,7 @@ def test_field_csv_roundtrip(tmp_path, rng):
     values = rng.standard_normal(17)
     path = tmp_path / "field.csv"
     write_field_csv(path, g, values)
-    back = read_field_csv(path)
+    back = np.genfromtxt(path, delimiter=",", skip_header=1)[:, -1]
     # 17 significant digits round-trip float64 exactly
     assert np.array_equal(back, values)
 

@@ -638,3 +638,7 @@ def test_kernel_query_validation():
         HeatKernelQuery(dim=1, exponent=2.0, t=-1.0)
     with pytest.raises(ValueError):
         HeatKernelQuery(dim=1, exponent=2.0, t=1.0, kind="hessian")
+    with pytest.raises(ValueError):
+        HeatKernelQuery(dim=1, exponent=float("inf"), t=1.0)
+    with pytest.raises(ValueError):
+        HeatKernelQuery(dim=1, exponent=2.0, t=float("inf"))

@@ -62,6 +62,27 @@ def test_mixture_normalizes_weights():
     assert sum(m.weights) == pytest.approx(1.0)
 
 
+def test_mixture_rejects_means_of_unequal_lengths():
+    # a second mean's extra coordinate was once dropped without a word
+    with pytest.raises(ValueError, match="means"):
+        GaussianMixture(weights=(1.0, 1.0), means=((0.0,), (0.0, 3.0)), stds=(1.0, 1.0))
+
+
+def test_problem_rejects_a_center_longer_than_its_dimension():
+    # a 1D well centred at (5, 7) once peaked at the node nearest 5
+    well = PotentialSpec(family="gaussian_well", amplitude=1.0, width=1.0, center=(5.0, 7.0))
+    with pytest.raises(ValueError, match="center"):
+        gaussian_problem(potential=well)
+    bump = TerminalCostSpec(family="gaussian", amplitude=1.0, center=(5.0, 7.0))
+    with pytest.raises(ValueError, match="center"):
+        gaussian_problem(terminal=bump)
+    # one entry still serves every axis
+    well = PotentialSpec(family="gaussian_well", amplitude=1.0, width=1.0, center=(2.0,))
+    g = Grid(dim=2, half_width=4.0, nx=9, nt=1, horizon=1.0)
+    v = sample_on_grid(gaussian_problem(dim=2, potential=well), g).v
+    assert np.array_equal(g.coordinates[:, np.argmax(v)], [2.0, 2.0])
+
+
 def test_mixture_value_matches_density():
     m = GaussianMixture(weights=(1.0,), means=((0.5,),), stds=(2.0,))
     x = np.array([[0.5, 2.5]])

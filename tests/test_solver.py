@@ -363,6 +363,11 @@ def test_solver_config_validation():
         SolverConfig(time_scheme="rk4")
     with pytest.raises(ValueError):
         SolverConfig(initial_guess="random")
+    # an infinite tol once stopped the first iteration as converged
+    with pytest.raises(ValueError):
+        SolverConfig(tol=float("inf"))
+    with pytest.raises(ValueError):
+        SolverConfig(d_cap=float("inf"))
 
 
 def test_solve_2d_decoupled():

@@ -1,0 +1,174 @@
+"""Run a fixed set of commands on two checkouts and compare their outputs byte for byte.
+
+Usage: python tools/compare_outputs.py PARENT CHANGE [--acceptance]
+
+PARENT and CHANGE are checkout roots. Each side runs the command line entry
+point with its own src/ on the path, in a fresh interpreter that writes no
+bytecode into the checkout. The command set is:
+
+- the seed-0 perfbench workloads solve_1d, solve_2d and sweep, whose configs
+  are read from perfbench/workloads.py next to this script;
+- certify with optimize_shift and a terminal density;
+- a long-time series;
+- 1D and 2D Crank-Nicolson solves;
+- the default kernelcheck;
+- the determinism criterion's solve;
+- a diverged solve and a budget-exhausted solve;
+- with --acceptance, the 144-cell acceptance sweep as well.
+
+Every file each side writes, and each command's exit code, is compared.
+The script prints the relative path of every file that differs or exists on
+one side only, and exits 1 if there is any, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+REPO = Path(__file__).resolve().parents[1]
+
+# runs each (name, command, config path) job through the CLI of the aggmfg on
+# sys.path, into <out>/<name>, and writes every exit code to <out>/exit_codes.json
+_RUNNER = """
+import contextlib, io, json, os, sys
+import aggmfg
+from aggmfg.cli import main
+src, out, jobs = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+assert os.path.dirname(aggmfg.__file__) == os.path.join(src, "aggmfg"), aggmfg.__file__
+codes = {}
+for name, command, cfg in jobs:
+    argv = [command] + ([cfg] if cfg else []) + ["--output", os.path.join(out, name)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes[name] = main(argv)
+with open(os.path.join(out, "exit_codes.json"), "w") as fh:
+    json.dump(codes, fh, indent=2, sort_keys=True)
+"""
+
+
+def _workloads():
+    """perfbench/workloads.py, loaded without writing its bytecode next to it."""
+    sys.dont_write_bytecode = True
+    spec = importlib.util.spec_from_file_location("workloads", REPO / "perfbench" / "workloads.py")
+    module = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _density(dim: int, std: float = 1.0, mean: float = 0.0) -> dict:
+    return {"weights": [1.0], "means": [[mean] * dim], "stds": [std]}
+
+
+def _solve(dim, nx, nt, sigma, horizon=1.0, **solver) -> dict:
+    return {
+        "problem": {"dim": dim, "horizon": horizon, "sigma": sigma, "alpha": 2.0 / dim,
+                    "initial_density": _density(dim)},
+        "grid": {"half_width": 12.0 if dim == 1 else 8.0, "nx": nx, "nt": nt},
+        "solver": {"damping": 0.5, "tol": 1e-8, **solver},
+    }
+
+
+def jobs(acceptance: bool) -> list[tuple[str, str, dict | None]]:
+    """(name, command, config) of every run; a None config runs the command's defaults."""
+    workloads = _workloads()
+    out = [(name, "solve" if name.startswith("solve") else "sweep",
+            workloads.make_workload(name, 0).config) for name in workloads.WORKLOAD_NAMES]
+    certify = _solve(1, 129, 64, 20.0, horizon=2.0)
+    certify["problem"]["potential"] = {"family": "gaussian_well", "amplitude": -1.0,
+                                       "width": 2.0, "center": [0.0]}
+    certify["certify"] = {"optimize_shift": True, "terminal_density": _density(1, 0.8, 1.0)}
+    longtime = _solve(1, 65, 1, 5.0)
+    longtime["longtime"] = {"horizons": [0.5, 1.0, 2.0], "nx": 65, "nt_per_unit": 32}
+    out += [
+        ("certify", "certify", certify),
+        ("longtime", "longtime", longtime),
+        ("solve_cn_1d", "solve", _solve(1, 129, 128, 5.0, time_scheme="crank_nicolson")),
+        ("solve_cn_2d", "solve", _solve(2, 33, 20, 5.0, time_scheme="crank_nicolson")),
+        ("kernelcheck", "kernelcheck", None),
+        ("determinism", "solve", _solve(1, 129, 128, 0.05)),
+        ("diverged", "solve", _solve(1, 65, 240, 30.0, horizon=4.0, damping=0.8, tol=1e-7)),
+        ("budget", "solve", _solve(1, 65, 240, 20.0, horizon=4.0, damping=0.8, tol=1e-7,
+                                   max_iter=40)),
+    ]
+    if acceptance:
+        sweep = _solve(1, 65, 1, 0.0, damping=0.8, tol=1e-7, max_iter=150, d_cap=1e6)
+        sweep["sweep"] = {
+            "sigma_grid": [0.02, 0.05, 0.5, 2.0, 5.0, 10.0, 14.0, 17.0, 20.0, 23.0, 26.0, 30.0],
+            "horizon_grid": np.linspace(1.0, 8.0, 12).tolist(),
+            "nx": 65, "nt_per_unit": 60, "confirm_rounds": 2, "workers": 1,
+        }
+        out.append(("acceptance_sweep", "sweep", sweep))
+    return out
+
+
+def _write_configs(job_list, config_dir: Path) -> list[tuple[str, str, str]]:
+    """(name, command, config path) of every job; an empty path runs with no config."""
+    specs = []
+    for name, command, cfg in job_list:
+        path = ""
+        if cfg is not None:
+            path = str(config_dir / f"{name}.json")
+            with open(path, "w") as fh:
+                json.dump(cfg, fh, indent=2)
+        specs.append((name, command, path))
+    return specs
+
+
+def _start(checkout: Path, out: Path, specs) -> subprocess.Popen:
+    src = str(checkout.resolve() / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.Popen([sys.executable, "-c", _RUNNER, src, str(out), json.dumps(specs)],
+                            env=env, cwd=str(out))
+
+
+def _files(root: Path) -> set[str]:
+    return {str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
+
+
+def differing(a: Path, b: Path) -> tuple[list[str], int]:
+    """(files that differ or exist on one side only, files compared)."""
+    files_a, files_b = _files(a), _files(b)
+    diff = sorted(files_a ^ files_b)
+    common = sorted(files_a & files_b)
+    diff += [f for f in common if not filecmp.cmp(a / f, b / f, shallow=False)]
+    return sorted(diff), len(common)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="checkout root of the parent commit")
+    parser.add_argument("change", type=Path, help="checkout root of the change")
+    parser.add_argument("--acceptance", action="store_true",
+                        help="also run the 144-cell acceptance sweep")
+    args = parser.parse_args(argv)
+    job_list = jobs(args.acceptance)
+    with tempfile.TemporaryDirectory(prefix="compare_outputs-") as tmp:
+        tmp = Path(tmp)
+        (tmp / "configs").mkdir()
+        specs = _write_configs(job_list, tmp / "configs")
+        sides = {}
+        for side, checkout in (("parent", args.parent), ("change", args.change)):
+            (tmp / side).mkdir()
+            sides[side] = _start(checkout, tmp / side, specs)
+        failed = [side for side, proc in sides.items() if proc.wait() != 0]
+        if failed:
+            print(f"runner failed on: {', '.join(failed)}", file=sys.stderr)
+            return 1
+        diff, compared = differing(tmp / "parent", tmp / "change")
+    for name in diff:
+        print(f"differs: {name}")
+    print(f"{len(job_list)} commands, {compared} files compared, {len(diff)} differ")
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
