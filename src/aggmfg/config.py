@@ -124,6 +124,11 @@ def _read_dim(chk: _Checker) -> int:
     return chk.integer("problem.dim", default=1, rule=Grid.RULES["dim"])
 
 
+def _read_half_width(chk: _Checker) -> float:
+    """grid.half_width, 12.0 when absent; every grid a command builds reads it here."""
+    return chk.number("grid.half_width", default=12.0, rule=Grid.RULES["half_width"])
+
+
 def _trajectory_too_large(nx: int, nt: int, dim: int) -> bool:
     """Whether an (nt+1, nx**dim) float trajectory is more than numpy can index."""
     return (nt + 1) * nx**dim > _MAX_FLOATS
@@ -208,7 +213,7 @@ def build_grid(cfg: dict, horizon: float, chk: _Checker | None = None) -> Grid |
     if own:
         chk = _Checker(cfg)
     dim = _read_dim(chk)
-    half_width = chk.number("grid.half_width", default=12.0, rule=Grid.RULES["half_width"])
+    half_width = _read_half_width(chk)
     nx = chk.integer("grid.nx", required=True, rule=Grid.RULES["nx"])
     nt = chk.integer("grid.nt", required=True, rule=Grid.RULES["nt"])
     if nx is not None and _trajectory_too_large(nx, 1, dim):

@@ -155,13 +155,16 @@ def banded_product(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     ab holds A in solve_banded's (1, 1) layout, shape (3, ..., n): ab[1] is
     the diagonal, ab[0, ..., 1:] the super- and ab[2, ..., :-1] the
-    sub-diagonal; the unused ends are never read. ab broadcasts against x,
-    so one line's bands serve every line of x.
+    sub-diagonal; the unused ends are never read. A symmetric A may come as
+    the first two rows alone, shape (2, ..., n), its super-diagonal serving
+    as the sub-diagonal too. ab broadcasts against x, so one line's bands
+    serve every line of x.
     """
     out = ab[1] * x
     tmp = np.multiply(ab[0, ..., 1:], x[..., 1:])  # one temporary for both off-diagonals
     out[..., :-1] += tmp
-    np.multiply(ab[2, ..., :-1], x[..., :-1], out=tmp)
+    lower = ab[2, ..., :-1] if len(ab) == 3 else ab[0, ..., 1:]
+    np.multiply(lower, x[..., :-1], out=tmp)
     out[..., 1:] += tmp
     return out
 
@@ -181,14 +184,25 @@ def _along_axes(field: np.ndarray, grid: Grid, bands_of_axis) -> np.ndarray:
     return out.reshape(f.shape)
 
 
+EDGE_SCALE = np.sqrt(0.5)
+
+
 def neumann_off_diagonals(ab: np.ndarray, r: float) -> None:
     """Off-diagonal bands of I - r*dx^2*Lap with ghost-node Neumann rows.
 
     The reflected ghost node doubles each boundary row's coupling, and the
-    unused ends are zeroed, so stacked lines are not coupled.
+    unused ends are zeroed, so stacked lines are not coupled. A two-row ab
+    (banded_product's symmetric layout) gets instead the off-diagonal of
+    S (I - r*dx^2*Lap) S^-1, S the diagonal scaling that multiplies each
+    line's end nodes by EDGE_SCALE = 1/sqrt(2): the operator is self-adjoint
+    in the trapezoid inner product, so that matrix is symmetric, with
+    -sqrt(2)*r next to each end. Its diagonal is the unscaled one.
     """
     ab[0, ..., 0] = 0.0
     ab[0, ..., 1:] = -r
+    if len(ab) == 2:
+        ab[0, ..., 1] = ab[0, ..., -1] = -2.0 * r * EDGE_SCALE
+        return
     ab[0, ..., 1] = -2.0 * r  # reflected ghost at the left boundary
     ab[2, ..., :-1] = -r
     ab[2, ..., -2] = -2.0 * r

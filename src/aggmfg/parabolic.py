@@ -1,7 +1,9 @@
 """Linear parabolic marches and heat kernel reference tools.
 
 Both PDE marches are implicit by default. The value-side equation
--w_t - Lap w = c w is stepped backward from t = T; the density-side equation
+-w_t - Lap w = c w is stepped backward from t = T; its Neumann operator is
+self-adjoint in the trapezoid inner product, so the march solves symmetric
+positive definite systems in a rescaled variable. The density-side equation
 mu_t = Lap mu - div(b mu) is stepped forward in flux form with exponentially
 fitted faces, which makes every step conserve the trapezoid mass exactly and
 keeps the iteration matrix an M-matrix, hence mu >= 0 unconditionally.
@@ -17,6 +19,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .discretization import (
+    EDGE_SCALE,
     Grid,
     _level_blocks,
     banded_product,
@@ -57,43 +60,64 @@ def dgtsv(*args):
     tridiagonal system (certify, kernelcheck and every config error) never
     load scipy. Later calls find the LAPACK routine itself under this name.
     """
-    global dgtsv
-    from scipy.linalg.lapack import dgtsv
-
+    _load_lapack()
     return dgtsv(*args)
 
 
-def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, x: np.ndarray) -> np.ndarray:
+def dptsv(*args):
+    """LAPACK's dptsv, loaded as dgtsv is: the LDL^T solve of a symmetric
+    positive definite tridiagonal system, without pivoting."""
+    _load_lapack()
+    return dptsv(*args)
+
+
+def _load_lapack() -> None:
+    global dgtsv, dptsv
+    from scipy.linalg.lapack import dgtsv, dptsv
+
+
+def solve_banded(
+    dl: np.ndarray, d: np.ndarray, du: np.ndarray | None, x: np.ndarray
+) -> np.ndarray:
     """Solve every tridiagonal line of one time level in place, in one LAPACK call.
 
     x is a contiguous float array holding the level's right-hand sides end
     to end; it is overwritten by the solution and returned. dl, d and du
     are the sub-, main and super-diagonals of the stacked system, with zero
-    couplings between lines, so dgtsv eliminates each line exactly as alone:
-    the bits of a per-line scipy.linalg.solve_banded loop. dgtsv overwrites
-    the diagonals too. When every line has the same matrix, x may instead be
-    an F-contiguous (n, nrhs) block, one line per column, with one line's
-    bands; each elimination factor is then formed once for all columns.
+    couplings between lines, so LAPACK eliminates each line exactly as
+    alone: dgtsv gives the bits of a per-line scipy.linalg.solve_banded
+    loop. du=None means a symmetric positive definite system whose
+    off-diagonal is dl, solved by dptsv. Both overwrite the diagonals too.
+    When every line has the same matrix, x may instead be an F-contiguous
+    (n, nrhs) block, one line per column, with one line's bands; each
+    elimination factor is then formed once for all columns.
     """
-    _, _, _, out, info = dgtsv(dl, d, du, x, 1, 1, 1, 1)
+    if du is None:
+        _, _, out, info = dptsv(d, dl, x, 1, 1, 1)
+    else:
+        _, _, _, out, info = dgtsv(dl, d, du, x, 1, 1, 1, 1)
     if info > 0:
-        raise LinAlgError("singular matrix")
+        raise LinAlgError("singular matrix" if du is not None else "matrix not positive definite")
     if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
+        raise ValueError(f"illegal value in {-info}-th argument of the LAPACK solver")
     if out is not x:
         raise ValueError("right-hand side must be a contiguous float array")
     return x
 
 
-def _diagonals(ab: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _diagonals(ab: np.ndarray):
     """The (dl, d, du) diagonals solve_banded takes, as stacks of one row per level.
 
-    ab has shape (3, levels, ...) in the (1, 1) layout, with zero unused
-    ends between stacked lines. The rows are views, so the levels' bands
-    are solved where they were built.
+    ab has shape (3, levels, ...) in the (1, 1) layout, or (2, levels, ...)
+    for symmetric systems (banded_product's two-row layout), with zero
+    unused ends between stacked lines. A symmetric stack's du is None for
+    every level, and its dl is the super-diagonal. The rows are views, so
+    the levels' bands are solved where they were built.
     """
-    upper, diag, lower = ab.reshape(ab.shape[:2] + (-1,))
-    return lower[:, :-1], diag, upper[:, 1:]
+    upper, diag, *lower = ab.reshape(ab.shape[:2] + (-1,))
+    if not lower:
+        return upper[:, 1:], diag, repeat(None)
+    return lower[0][:, :-1], diag, upper[:, 1:]
 
 
 def _level_moves(dst, src, x, sweeps, scratch):
@@ -145,14 +169,15 @@ def _march_blocks(rows, half, bands_of, check) -> None:
     rows holds the levels in march order, shape (levels, lines, n), and the
     step onto a level solves with that level's bands. bands_of(first, end)
     returns the unsolved bands of each sweep axis for levels first .. end-1,
-    each of shape (3, end - first, ..., n). Crank-Nicolson asks for one
-    level more in front, the level a block's first step leaves, which only
-    the explicit halves read; dgtsv overwrites what it solves, so it gets a
-    copy of the rest. When the last sweep's bands are one line wide, shape
-    (3, levels, n), every line of the level shares them and that sweep
-    solves the level's lines as the columns of one call. check(start, hi)
-    checks levels start+1 .. hi after they are solved and returns the level
-    to re-solve from, or hi. One block's bands are alive at a time.
+    each of shape (3, end - first, ..., n), or (2, ...) for symmetric
+    systems. Crank-Nicolson asks for one level more in front, the level a
+    block's first step leaves, which only the explicit halves read; LAPACK
+    overwrites what it solves, so it gets a copy of the rest. When the last
+    sweep's bands are one line wide, shape (3 or 2, levels, n), every line
+    of the level shares them and that sweep solves the level's lines as the
+    columns of one call. check(start, hi) checks levels start+1 .. hi after
+    they are solved and returns the level to re-solve from, or hi. One
+    block's bands are alive at a time.
     """
     levels, lines, n = rows.shape
     scratch = np.empty((lines, n))
@@ -181,6 +206,7 @@ def solve_backward_heat(
     coefficient: np.ndarray,
     grid: Grid,
     scheme: str = "implicit_euler",
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """March -w_t - Lap w = c(x,t) w backward from w(T) = terminal.
 
@@ -188,14 +214,19 @@ def solve_backward_heat(
     the coefficient slice at level j. No-flux boundaries. The result is
     strictly positive whenever the terminal slice is; a sign crossing raises
     PositivityError, which signals that dt is too large for the coefficient.
+    out, when given, is a C-contiguous float array of shape (nt+1, n_nodes)
+    that receives w instead of a new one.
 
     The march runs forward on w and c reversed in time: march level k is
     time level nt - k. In 2D each step is Lie split into line sweeps: the
     axis-0 sweep carries the zeroth order coefficient, the axis-1 sweep is
-    pure diffusion, and each sweep is an M-matrix solve. Bands and sign
-    checks are done a block of time levels at a time. All lines of the
-    diffusion sweep share one matrix, so it solves the level's rows as the
-    columns of one call.
+    pure diffusion, and each sweep is an M-matrix solve. Each line's matrix
+    A is similar to the symmetric S A S^-1 of neumann_off_diagonals' two-row
+    layout, positive definite below the step limit, so the march solves for
+    y = S w with dptsv and maps back to w once at the end; w(T) is the
+    terminal data exactly. Bands and sign checks are done a block of time
+    levels at a time. All lines of the diffusion sweep share one matrix, so
+    it solves the level's rows as the columns of one call.
     """
     _check_scheme(scheme)
     w_T = np.asarray(terminal, dtype=float)
@@ -216,42 +247,59 @@ def solve_backward_heat(
     r = theta * dt / grid.dx**2
     shape = (grid.nx ** (grid.dim - 1), grid.nx)
     c = c.reshape((grid.nt + 1,) + shape)[::-1]
-    w = np.empty((grid.nt + 1, grid.n_nodes))
+    w = np.empty((grid.nt + 1, grid.n_nodes)) if out is None else out
     w[-1] = w_T
+    _scale_edges(w[-1:], grid, np.multiply)
 
     def bands_of(first, end):
-        # the axis-0 (coefficient) sweep's bands per level, and in 2D one
-        # line's bands of the diffusion sweep per level
-        ab = np.empty((3, end - first) + shape)
+        # the symmetric bands of the axis-0 (coefficient) sweep per level,
+        # and in 2D one line's bands of the diffusion sweep per level
+        ab = np.empty((2, end - first) + shape)
         np.multiply(theta * dt, c[first:end].swapaxes(-grid.dim, -1), out=ab[1])
         np.subtract(1.0 + 2.0 * r, ab[1], out=ab[1])
         bands = [ab]
         if grid.dim == 2:
-            bands.append(np.empty((3, end - first, grid.nx)))
+            bands.append(np.empty((2, end - first, grid.nx)))
             bands[1][1] = 1.0 + 2.0 * r
         for band in bands:
             neumann_off_diagonals(band, r)
         return bands
 
     def check(start, hi):
-        _check_positive(w, grid.nt - hi, grid.nt - start)
+        _check_positive(w, grid.nt - hi, grid.nt - start, grid)
         return hi
 
     _march_blocks(w[::-1].reshape((grid.nt + 1,) + shape), half, bands_of, check)
+    _scale_edges(w[:-1], grid, np.divide)
+    w[-1] = w_T
     return w
 
 
-def _check_positive(w: np.ndarray, lo: int, hi: int) -> None:
-    """Raise PositivityError if a level of w[lo:hi] has a non-positive node.
+def _scale_edges(levels: np.ndarray, grid: Grid, op) -> None:
+    """Apply S (op np.multiply) or S^-1 (np.divide) in place to levels, shape (k, n_nodes).
 
-    The march runs downward, so the level named is the highest failing one,
-    which a check after every step would have met first. One minimum over
-    the block clears it; only a failing block, a NaN included, is searched
-    level by level.
+    S multiplies the end nodes of every grid line by EDGE_SCALE, one axis
+    after the other, so a 2D corner is scaled twice.
     """
-    block = w[lo:hi]
+    g = levels.reshape((-1,) + (grid.nx,) * grid.dim)
+    for a in range(1, grid.dim + 1):
+        ends = g[(slice(None),) * a + (slice(None, None, grid.nx - 1),)]
+        op(ends, EDGE_SCALE, out=ends)
+
+
+def _check_positive(y: np.ndarray, lo: int, hi: int, grid: Grid) -> None:
+    """Raise PositivityError if a level of y[lo:hi] has a non-positive node.
+
+    y holds the value march's S w, which has w's signs. The march runs
+    downward, so the level named is the highest failing one, which a check
+    after every step would have met first. One minimum over the block clears
+    it; only a failing block, a NaN included, is mapped back to w and
+    searched level by level.
+    """
+    block = y[lo:hi]
     if block.min() > 0.0:
         return
+    _scale_edges(block, grid, np.divide)  # the march stops here; report w's values
     low = block.min(axis=1)
     bad = np.flatnonzero(~(low > 0.0))
     if bad.size:
@@ -270,6 +318,7 @@ def solve_fokker_planck(
     drift,
     grid: Grid,
     scheme: str = "implicit_euler",
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """March mu_t = Lap mu - div(b mu) forward from mu(0) = initial.
 
@@ -279,12 +328,16 @@ def solve_fokker_planck(
     shape that forms the levels sliced. Zero-flux boundaries: each step
     preserves the trapezoid mass to roundoff. Densities stay nonnegative for
     the default scheme; anything below -1e-12 raises SchemeViolationError and
-    smaller undershoots are clamped to zero.
+    smaller undershoots are clamped to zero. out, when given, is a
+    C-contiguous float array of shape (nt+1, n_nodes) that receives mu
+    instead of a new one.
 
     In 2D each step is Lie split into an axis-0 then an axis-1 line sweep;
     each sweep conserves the weighted line mass, so the tensor trapezoid
     mass telescopes exactly. Bands and undershoot checks are done a block
-    of time levels at a time.
+    of time levels at a time. The march stays on dgtsv: the weights that
+    would symmetrize its bands are exponentials of the running Peclet sum,
+    which overflow once w nears the drift's log floor.
     """
     _check_scheme(scheme)
     mu0 = np.asarray(initial, dtype=float)
@@ -300,7 +353,7 @@ def solve_fokker_planck(
     half = scheme == "crank_nicolson"
     dt = 0.5 * grid.dt if half else grid.dt
     shape = (grid.nx ** (grid.dim - 1), grid.nx)
-    mu = np.empty((grid.nt + 1, grid.n_nodes))
+    mu = np.empty((grid.nt + 1, grid.n_nodes)) if out is None else out
     mu[0] = mu0
 
     def bands_of(first, end):

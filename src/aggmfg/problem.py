@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretization import Grid, integrate, integrate_space_time
+from .discretization import Grid, _level_blocks, integrate, integrate_space_time
 from .errors import ConfigError, check_fields
 
 
@@ -60,22 +60,47 @@ def eval_coupling(coupling: CouplingSpec, m: np.ndarray):
     return f, F, fp
 
 
+_MAX_SQUARED_POWER = 64  # at most 11 products a node
+
+
 def coupling_mass(m: np.ndarray, coupling: CouplingSpec, grid: Grid, out=None) -> float:
     """D, the space-time integral of max(m, 0)^(2 alpha + 1): the blow-up monitor.
 
     m has shape (nt+1, n_nodes). out, when given, is an array of that shape
-    that receives the integrand instead of a new one.
+    that receives the integrand instead of a new one. An integer power (5
+    in the critical 1D case) is a product formed by repeated squaring, a
+    block of levels at a time, so it needs one block of scratch and not the
+    general pow; other powers go through pow.
     """
     out = np.maximum(m, 0.0, out=out)
-    out **= 2.0 * coupling.alpha + 1.0
+    power = 2.0 * coupling.alpha + 1.0
+    if power.is_integer() and power <= _MAX_SQUARED_POWER:
+        for lo, hi in _level_blocks(out.shape[0], out.shape[1]):
+            _raise_to(out[lo:hi], int(power))
+    else:
+        out **= power
     return integrate_space_time(out, grid)
 
 
+def _raise_to(x: np.ndarray, k: int) -> None:
+    """x**k in place for an integer k >= 1, by repeated squaring of a copy of x."""
+    base = x.copy()
+    k -= 1  # x holds base**1
+    while k:
+        if k & 1:
+            x *= base
+        k >>= 1
+        if k:
+            base *= base
+
+
 def _centered(center: tuple[float, ...], points: np.ndarray) -> np.ndarray:
-    """Points minus the center, a short center repeated to the point dimension."""
+    """Points minus the center; a one-entry center serves every axis."""
     c = np.asarray(center, dtype=float)
-    if c.size != points.shape[0]:
-        c = np.resize(c, points.shape[0])
+    if c.size not in (1, points.shape[0]):
+        raise ValueError(
+            f"center has {c.size} entries but the points have {points.shape[0]} coordinates"
+        )
     return points - c[:, None]
 
 

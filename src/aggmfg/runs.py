@@ -234,7 +234,7 @@ def _horizon_section(chk, section: str, horizons_key: str, nx: int, nt_per_unit:
             chk.bad.append(f"{section}.nx")
         elif not math.isfinite(steps) or cfgmod._trajectory_too_large(nx, math.ceil(steps), dim):
             chk.bad.append(f"{section}.nt_per_unit")
-    half_width = chk.number("grid.half_width", default=12.0, rule=Grid.RULES["half_width"])
+    half_width = cfgmod._read_half_width(chk)
     return horizons, (half_width, nx, nt_per_unit)
 
 

@@ -116,18 +116,26 @@ def picard_map(
     grid: Grid,
     fields: ProblemFields,
     scheme: str = "implicit_euler",
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One sweep of the fixed-point map: density in, (w, new density) out."""
+    """One sweep of the fixed-point map: density in, (w, new density) out.
+
+    out, when given, is a pair of C-contiguous float arrays of m's shape,
+    other than m: w is written into the first and the new density into the
+    second, which holds the heat coefficient before it. Otherwise the map
+    allocates both.
+    """
     m = np.asarray(m_values, dtype=float)
+    w_out, mu_out = (None, None) if out is None else out
     # half the source: -w_t - Lap w = ((f - V)/2) w is what w = e^(-u/2)
     # turns the value equation into when the kinetic term is |grad u|^2/2
-    c = np.maximum(m, 0.0)  # one buffer: the clipped density, then f of it in place
+    c = np.maximum(m, 0.0, out=mu_out)  # one buffer: the clipped density, then f of it
     p.coupling.f(c, out=c)
     c -= fields.v
     c *= 0.5
-    w = solve_backward_heat(hopf_cole(fields.u_terminal), c, grid, scheme=scheme)
+    w = solve_backward_heat(hopf_cole(fields.u_terminal), c, grid, scheme=scheme, out=w_out)
     del c  # the FP march holds the largest working set; c is not needed there
-    mu = solve_fokker_planck(fields.m0, _BlockDrift(w, grid), grid, scheme=scheme)
+    mu = solve_fokker_planck(fields.m0, _BlockDrift(w, grid), grid, scheme=scheme, out=mu_out)
     return w, mu
 
 
@@ -175,7 +183,11 @@ def solve(
     d_cap, when non-finite values appear, or when a linear march loses
     positivity (which only happens under blow-up scale coefficients).
     Every stop records its verdict, note and d_final inside the loop and
-    leaves it by break; the one SolveOutcome is built after the loop.
+    leaves it by break; the one SolveOutcome is built after the loop. The
+    loop owns three trajectories for its whole life: the iterate m, the
+    value field w, which each map writes over the last map's, and the spent
+    iterate, in which each map forms its heat coefficient and then its
+    density, which the update turns into the next iterate.
     A converged outcome carries the last iterate m, the last map's w and
     resolve_residual; u is inverse_hopf_cole(w). fields, when given, is the
     problem data already sampled on grid.
@@ -188,14 +200,14 @@ def solve(
         fields = sample_on_grid(p, grid)
     m = _initial_trajectory(fields, grid, cfg)
     den = integrate_space_time(np.abs(m), grid)
+    w, spent = np.empty_like(m), np.empty_like(m)
 
     residuals: list[float] = []
     d_history: list[float] = []
     verdict, note = VERDICT_MAX_ITERATIONS, "iteration budget exhausted"
     for it in range(1, cfg.max_iter + 1):
-        w = None  # the last map's value field is dead; free it before the next map
         try:
-            w, mu = picard_map(m, p, grid, fields=fields, scheme=cfg.time_scheme)
+            w, mu = picard_map(m, p, grid, fields=fields, scheme=cfg.time_scheme, out=(w, spent))
         except SolverError as exc:
             verdict, note, d_final = VERDICT_DIVERGED, f"linear march failed: {exc}", np.inf
             break
@@ -208,7 +220,7 @@ def solve(
             verdict = VERDICT_DIVERGED
             note = "blow-up monitor exceeded" if finite else "non-finite iterate"
             break
-        m, prev_den, den = mu, den, next_den  # the spent iterate is freed here
+        m, spent, prev_den, den = mu, m, den, next_den
         if res <= cfg.tol:
             verdict, note = VERDICT_CONVERGED, ""
             break
@@ -236,6 +248,8 @@ def self_consistency_residual(
     sits near the Picard tolerance. The stencils run over blocks of time
     levels; one np.vecdot per block gives each level's weighted norm (the
     bits of a per-level np.dot), and the norms are added in level order.
+    Both residuals of every block are summed, term by term in the order
+    written above, in one buffer r.
     """
     dt = grid.dt
     interior = _interior_mask(grid)
@@ -243,20 +257,34 @@ def self_consistency_residual(
 
     hjb_total = 0.0
     fp_total = 0.0
-    for lo, hi in _level_blocks(grid.nt, grid.n_nodes):
+    blocks = list(_level_blocks(grid.nt, grid.n_nodes))
+    buffer = np.empty((blocks[0][1] - blocks[0][0], grid.n_nodes))  # the first block is the largest
+    for lo, hi in blocks:
+        r = buffer[: hi - lo]
         # value residual at levels lo .. hi-1
         u0, u1 = u[lo:hi], u[lo + 1 : hi + 1]
         m0, m1 = m[lo:hi], m[lo + 1 : hi + 1]
-        du = -(u1 - u0) / dt
+        np.subtract(u1, u0, out=r)
+        np.negative(r, out=r)
+        r /= dt
+        r -= laplacian(u0, grid)
         gu = gradient(u0, grid)
-        f = p.coupling.f(np.maximum(m0, 0.0))
-        r = du - laplacian(u0, grid) + 0.5 * np.sum(gu**2, axis=-2) + f - fields.v
+        gu *= gu
+        kinetic = np.sum(gu, axis=-2)
+        del gu
+        kinetic *= 0.5
+        r += kinetic
+        np.maximum(m0, 0.0, out=kinetic)  # the added term's buffer now holds f(m0)
+        r += p.coupling.f(kinetic, out=kinetic)
+        r -= fields.v
         for norm in np.vecdot(np.abs(r, out=r), w_int).tolist():
             hjb_total += norm * dt
         # density residual at levels lo+1 .. hi, driven by -grad u
+        np.subtract(m1, m0, out=r)
+        r /= dt
         b = gradient(u1, grid)
         np.negative(b, out=b)
-        r = (m1 - m0) / dt + flux_divergence(b, m1, grid)
+        r += flux_divergence(b, m1, grid)
         for norm in np.vecdot(np.abs(r, out=r), w_int).tolist():
             fp_total += norm * dt
     return hjb_total, fp_total

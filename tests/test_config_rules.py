@@ -24,6 +24,7 @@ from aggmfg import (
     PotentialSpec,
     SolverConfig,
     TerminalCostSpec,
+    config,
     runs,
 )
 from aggmfg.cli import main
@@ -192,3 +193,23 @@ def test_one_value_error_names_every_bad_field():
     with pytest.raises(ValueError) as info:
         Grid(dim=1, half_width=1.0, nx=4, nt=0, horizon=1.0)
     assert "nx=4" in str(info.value) and "nt=0" in str(info.value)
+
+
+def test_grid_half_width_default_has_one_producer(monkeypatch):
+    # solve's grid and the grids of the sweep and long-time sections read
+    # grid.half_width, and its default, through one function
+    cfg = copy.deepcopy(BASE)
+    del cfg["grid"]["half_width"]
+    sections = (("sweep", "horizon_grid"), ("longtime", "horizons"))
+
+    def half_widths():
+        widths = [config.build_grid(cfg, 1.0).half_width]
+        for section, key in sections:
+            _, (half_width, _, _) = runs._horizon_section(config._Checker(cfg), section, key,
+                                                          9, 8.0)
+            widths.append(half_width)
+        return widths
+
+    assert half_widths() == [12.0] * 3
+    monkeypatch.setattr(config, "_read_half_width", lambda chk: 7.0)
+    assert half_widths() == [7.0] * 3

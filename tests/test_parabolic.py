@@ -1,5 +1,6 @@
 import math
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError
 from scipy.linalg import solve_banded as scipy_solve_banded
+from scipy.linalg import solveh_banded
 
 from aggmfg import discretization, parabolic
 from aggmfg import (
@@ -173,12 +175,21 @@ def test_fokker_planck_rejects_negative_initial():
 
 
 def _solve_each_line(f, axis, band_of_line):
-    """Solve every line of f along axis with its own scipy.linalg.solve_banded call."""
+    """Solve every line of f along axis with its own scipy call.
+
+    Three-row bands are solved by scipy.linalg.solve_banded (dgtsv), two-row
+    symmetric bands by scipy.linalg.solveh_banded, which solves a
+    tridiagonal system with LAPACK's dptsv.
+    """
     out = f.copy()
     lines = np.moveaxis(out, axis, 0)
     for line in np.ndindex(lines.shape[1:]):
         idx = (slice(None),) + line
-        lines[idx] = scipy_solve_banded((1, 1), band_of_line(idx), lines[idx], check_finite=False)
+        ab = band_of_line(idx)
+        if len(ab) == 2:
+            lines[idx] = solveh_banded(ab, lines[idx], check_finite=False)
+        else:
+            lines[idx] = scipy_solve_banded((1, 1), ab, lines[idx], check_finite=False)
     return out
 
 
@@ -192,13 +203,20 @@ def _explicit_each_line(f, axis, band_of_line):
     return out
 
 
-def _heat_band(nx, r, coefficient=0.0):
-    """(1, 1) bands of I - r*dx^2*Lap - coefficient on one line, Neumann ghost rows."""
+def _heat_band(nx, r, coefficient=0.0, symmetric=False):
+    """(1, 1) bands of A = I - r*dx^2*Lap - coefficient on one line, Neumann ghost rows.
+
+    symmetric: the upper two rows of S A S^-1, which is symmetric for S
+    scaling both end nodes by 1/sqrt(2).
+    """
     ab = np.zeros((3, nx))
     ab[1] = 1.0 + 2.0 * r
     ab[1] -= coefficient
     ab[0, 1:] = -r
     ab[2, :-1] = -r
+    if symmetric:
+        ab[0, 1] = ab[0, -1] = -math.sqrt(2.0) * r
+        return ab[:2]
     ab[0, 1] = -2.0 * r
     ab[2, -2] = -2.0 * r
     return ab
@@ -252,25 +270,44 @@ def test_fp_bands_match_per_line_bands(dim, axis, rng):
         assert np.array_equal(ab, expected)
 
 
-def _per_line_heat(w_T, c, g, scheme):
+def _scale_line_ends(w, g, op):
+    """w (levels, n_nodes) with op(node, 1/sqrt(2)) at the end nodes of every line, axis by axis."""
+    out = w.reshape((-1,) + (g.nx,) * g.dim).copy()
+    for axis in range(1, g.dim + 1):
+        lines = np.moveaxis(out, axis, 0)
+        lines[[0, -1]] = op(lines[[0, -1]], math.sqrt(0.5))
+    return out.reshape(w.shape)
+
+
+def _per_line_heat(w_T, c, g, scheme, symmetric=True):
+    """The value march, one scipy solve per line and step.
+
+    symmetric: march y = S w with the symmetric bands of S A S^-1 and map
+    back at the end, S scaling every line's end nodes by 1/sqrt(2), with
+    w(T) kept as given; otherwise march w with the bands of A.
+    """
     half = scheme == "crank_nicolson"
     theta = 0.5 if half else 1.0
     r = theta * g.dt / g.dx**2
     shape = (g.nx,) * g.dim
+    band = partial(_heat_band, g.nx, r, symmetric=symmetric)
     w = np.empty((g.nt + 1, g.n_nodes))
-    w[-1] = w_T
+    w[-1] = _scale_line_ends(w_T[None], g, np.multiply) if symmetric else w_T
     for j in range(g.nt - 1, -1, -1):
         cur = w[j + 1].reshape(shape)
         if half:
             ck = theta * g.dt * c[j + 1].reshape(shape)
-            cur = _explicit_each_line(cur, 0, lambda idx: _heat_band(g.nx, r, ck[idx]))
+            cur = _explicit_each_line(cur, 0, lambda idx: band(ck[idx]))
         cj = theta * g.dt * c[j].reshape(shape)
-        cur = _solve_each_line(cur, 0, lambda idx: _heat_band(g.nx, r, cj[idx]))
+        cur = _solve_each_line(cur, 0, lambda idx: band(cj[idx]))
         if g.dim == 2:
             if half:
-                cur = _explicit_each_line(cur, 1, lambda idx: _heat_band(g.nx, r))
-            cur = _solve_each_line(cur, 1, lambda idx: _heat_band(g.nx, r))
+                cur = _explicit_each_line(cur, 1, lambda idx: band())
+            cur = _solve_each_line(cur, 1, lambda idx: band())
         w[j] = cur.ravel()
+    if symmetric:
+        w = _scale_line_ends(w, g, np.divide)
+        w[-1] = w_T
     return w
 
 
@@ -313,6 +350,9 @@ def test_line_sweep_matches_per_line_solves(dim, scheme, monkeypatch, rng):
         w_T = _gaussian(g, std=1.5) + 0.1
         w = solve_backward_heat(w_T, c, g, scheme=scheme)
         assert np.array_equal(w, _per_line_heat(w_T, c, g, scheme))
+        # the unscaled march with the nonsymmetric bands solves the same systems
+        reference = _per_line_heat(w_T, c, g, scheme, symmetric=False)
+        np.testing.assert_allclose(w, reference, rtol=1e-13, atol=0.0)
 
         b = 0.5 * rng.standard_normal((g.nt + 1, dim, g.n_nodes))
         mu0 = _gaussian(g)
@@ -456,6 +496,82 @@ def test_line_sweep_kernel_rejects_singular_line():
     ab[1, 1, 2] = 0.0  # a zero row in the second line only
     with pytest.raises(LinAlgError):
         parabolic.solve_banded(*_stacked_diagonals(ab), np.ones(10))
+
+
+def test_line_sweep_kernel_solves_symmetric_lines_with_dptsv(rng):
+    # du=None: a symmetric positive definite system whose off-diagonal is dl,
+    # solved in place with the bits of one scipy.linalg.solveh_banded call
+    # (dptsv) per line, for stacked lines and for one line's bands shared
+    # by many right-hand sides
+    ab = rng.random((2, 4, 9))
+    ab[1] += 3.0
+    ab[0, :, 0] = 0.0  # no coupling between the stacked lines
+    rhs = rng.standard_normal((4, 9))
+    expected = np.stack([solveh_banded(ab[:, i], rhs[i]) for i in range(4)])
+    x = rhs.ravel().copy()
+    upper, diag = ab.reshape(2, -1)
+    assert parabolic.solve_banded(upper[1:].copy(), diag.copy(), None, x) is x
+    assert np.array_equal(x.reshape(4, 9), expected)
+    assert np.allclose(banded_product(ab, x.reshape(4, 9)), rhs, rtol=1e-14, atol=1e-14)
+
+    line = ab[:, 0]
+    rows = rng.standard_normal((5, 9))
+    expected = np.stack([solveh_banded(line, row) for row in rows])
+    x = rows.T  # F-contiguous (n, lines): one line per column
+    assert parabolic.solve_banded(line[0, 1:].copy(), line[1].copy(), None, x) is x
+    assert np.array_equal(rows, expected)
+
+
+def test_symmetric_kernel_rejects_an_indefinite_line_and_a_strided_right_hand_side():
+    d, e = np.array([1.0, -1.0, 1.0, 1.0]), np.zeros(3)
+    with pytest.raises(LinAlgError, match="not positive definite"):
+        parabolic.solve_banded(e.copy(), d.copy(), None, np.ones(4))
+    with pytest.raises(ValueError, match="contiguous"):
+        parabolic.solve_banded(e.copy(), np.ones(4), None, np.ones(8)[::2])
+
+
+def test_symmetric_bands_are_the_rescaled_neumann_bands():
+    # S A S^-1, S scaling the end nodes by 1/sqrt(2), has A's diagonal and
+    # the symmetric off-diagonal neumann_off_diagonals writes in two rows
+    nx, r = 7, 0.3
+    full = np.empty((3, nx))
+    full[1] = 1.0 + 2.0 * r
+    discretization.neumann_off_diagonals(full, r)
+    sym = np.empty((2, nx))
+    sym[1] = 1.0 + 2.0 * r
+    discretization.neumann_off_diagonals(sym, r)
+    s = np.ones(nx)
+    s[[0, -1]] = math.sqrt(0.5)
+    similar = s[:, None] * _dense(full) / s[None, :]
+    dense = np.diag(sym[1]) + np.diag(sym[0, 1:], 1) + np.diag(sym[0, 1:], -1)
+    assert np.allclose(dense, similar, rtol=1e-15, atol=0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]),
+    scheme=st.sampled_from(parabolic.SCHEMES),
+    nt=st.integers(1, 12),
+    dt=st.floats(0.01, 0.8),
+    top=st.floats(0.0, 0.999),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_value_march_stays_positive_below_the_step_limit(dim, scheme, nt, dt, top, seed):
+    # below the step limit dt * max(c) < 1 (implicit Euler) or < 2
+    # (Crank-Nicolson) every implicit step is an M-matrix solve, and with
+    # r = dt / (2 dx^2) <= 0.4 and c not too negative every Crank-Nicolson
+    # explicit half is a nonnegative matrix with a positive diagonal, so
+    # positive terminal data stays positive at every node
+    rng = np.random.default_rng(seed)
+    g = Grid(dim=dim, half_width=4.0, nx=9, nt=nt, horizon=nt * dt)  # dx = 1
+    half = scheme == "crank_nicolson"
+    limit = 2.0 if half else 1.0
+    lowest = -0.9 * (1.0 - g.dt / g.dx**2) / 0.5 if half else -4.0  # dt * c, from below
+    c = (lowest + (limit * top - lowest) * rng.random((g.nt + 1, g.n_nodes))) / g.dt
+    w_T = np.exp(3.0 * rng.standard_normal(g.n_nodes))
+    w = solve_backward_heat(w_T, c, g, scheme=scheme)
+    assert np.array_equal(w[-1], w_T)
+    assert w.min() > 0.0
 
 
 def _inject_after_kernel(monkeypatch, values):

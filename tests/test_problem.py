@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from aggmfg import (
     eval_coupling,
     sample_on_grid,
 )
-from aggmfg.discretization import Grid, integrate, integrate_space_time
+from aggmfg.discretization import Grid, _level_blocks, integrate, integrate_space_time
 from aggmfg.problem import coupling_mass
 from tests.conftest import gaussian_problem
 
@@ -33,6 +34,32 @@ def test_coupling_mass_clips_negative_nodes(rng):
     d_value = integrate_space_time(np.maximum(m, 0.0) ** (2.0 * 1.3 + 1.0), g)
     assert coupling_mass(m, c, g) == d_value
     assert coupling_mass(m, c, g, out=np.empty_like(m)) == d_value  # the solver's form
+
+
+@pytest.mark.parametrize("alpha,product", [
+    (1.0, lambda x: x * (x * x)),
+    (2.0, lambda x: x * ((x * x) * (x * x))),
+])
+def test_coupling_mass_forms_an_integer_power_by_repeated_squaring(alpha, product, rng):
+    # 2 alpha + 1 = 3 and 5: exact products a block of levels at a time,
+    # within a few ulps of the general pow, and no trajectory-sized scratch
+    g = Grid(dim=1, half_width=6.0, nx=257, nt=8 * 64 + 9, horizon=1.0)
+    assert len(list(_level_blocks(g.nt + 1, g.n_nodes))) >= 8
+    c = CouplingSpec(sigma=1.0, alpha=alpha)
+    m = rng.standard_normal((g.nt + 1, g.n_nodes))
+    clipped = np.maximum(m, 0.0)
+    powered = product(clipped)
+    np.testing.assert_allclose(powered, clipped ** (2.0 * alpha + 1.0), rtol=1e-15, atol=0.0)
+    out = np.empty_like(m)
+    tracemalloc.start()
+    try:
+        d_value = coupling_mass(m, c, g, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, powered)
+    assert d_value == integrate_space_time(powered, g)
+    assert peak < 0.5 * m.nbytes
 
 
 def test_eval_coupling_rejects_negative_density():
@@ -81,6 +108,28 @@ def test_problem_rejects_a_center_longer_than_its_dimension():
     g = Grid(dim=2, half_width=4.0, nx=9, nt=1, horizon=1.0)
     v = sample_on_grid(gaussian_problem(dim=2, potential=well), g).v
     assert np.array_equal(g.coordinates[:, np.argmax(v)], [2.0, 2.0])
+
+
+@pytest.mark.parametrize("family", ["gaussian_well", "cosine_bump"])
+def test_spec_evaluated_alone_rejects_a_center_of_the_wrong_length(family):
+    # outside a ProblemSpec a 2-entry center on a 1D grid once dropped its
+    # second entry, and a 3-entry one on a 2D grid its third
+    for dim, center in ((1, (5.0, 7.0)), (2, (5.0, 7.0, 1.0))):
+        g = Grid(dim=dim, half_width=8.0, nx=17, nt=1, horizon=1.0)
+        spec = PotentialSpec(family=family, amplitude=1.0, width=1.0, center=center)
+        for evaluate in (spec.value, spec.gradient):
+            with pytest.raises(ValueError, match=f"center has {len(center)} entries but "
+                                                 f"the points have {dim} coordinates"):
+                evaluate(g.coordinates)
+    bump = TerminalCostSpec(family="gaussian", amplitude=1.0, center=(5.0, 7.0))
+    with pytest.raises(ValueError, match="center has 2 entries"):
+        bump.value(Grid(dim=1, half_width=8.0, nx=17, nt=1, horizon=1.0).coordinates)
+    # a one-entry center is broadcast: the bits of that entry on every axis
+    g = Grid(dim=2, half_width=8.0, nx=17, nt=1, horizon=1.0)
+    one = PotentialSpec(family=family, amplitude=1.0, width=3.0, center=(2.0,))
+    both = PotentialSpec(family=family, amplitude=1.0, width=3.0, center=(2.0, 2.0))
+    assert np.array_equal(one.value(g.coordinates), both.value(g.coordinates))
+    assert np.array_equal(one.gradient(g.coordinates), both.gradient(g.coordinates))
 
 
 def test_mixture_value_matches_density():

@@ -109,26 +109,33 @@ def test_picard_map_forms_the_drift_one_block_at_a_time(dim, nx, scheme, monkeyp
 
 def test_solve_frees_each_maps_dead_fields(grid_1d, monkeypatch):
     # each map's mu lives on as the next iterate; its w and the spent
-    # iterate it was fed must be dead before the next map starts
+    # iterate it was fed hold no data the next map reads, so they are the
+    # buffers that map writes into: w into the last w, and the heat
+    # coefficient (then mu) into the spent iterate
     mapping, heat = solver_module.picard_map, solver_module.solve_backward_heat
     maps = []
-    alive = []
+    fed = []
+    reused = []
 
     def recording_map(m, *args, **kwargs):
+        if maps:  # the last map's mu is this map's iterate
+            fed.append(maps[-1][2]() is m)
         w, mu = mapping(m, *args, **kwargs)
         maps.append([weakref.ref(m), weakref.ref(w), weakref.ref(mu)])
         return w, mu
 
-    def checking_heat(*args, **kwargs):
-        if maps:  # the last map's m, w and mu, as the next map's heat march starts
-            alive.append([ref() is not None for ref in maps[-1]])
-        return heat(*args, **kwargs)
+    def checking_heat(terminal, c, grid, **kwargs):
+        if maps:  # the last map's m and w, as the next map's heat march starts
+            m, w = maps[-1][0](), maps[-1][1]()
+            reused.append([c is m, kwargs["out"] is w])
+        return heat(terminal, c, grid, **kwargs)
 
     monkeypatch.setattr(solver_module, "picard_map", recording_map)
     monkeypatch.setattr(solver_module, "solve_backward_heat", checking_heat)
     out = solve(gaussian_problem(sigma=0.05), grid_1d, SolverConfig(damping=0.5))
     assert out.converged and out.iterations >= 3
-    assert alive == [[False, False, True]] * (out.iterations - 1)
+    assert fed == [True] * (out.iterations - 1)
+    assert reused == [[True, True]] * (out.iterations - 1)
     # the last map's w and mu become the outcome's; its m is dead
     assert [ref() is not None for ref in maps[-1]] == [False, True, True]
     assert maps[-1][2]() is out.m
@@ -397,7 +404,8 @@ def test_damped_update_matches_the_plain_expressions(alpha, rng):
     # the update and its monitors are formed in the fresh density's buffer,
     # with the spent iterate as scratch, and must keep the bits of the
     # expressions that allocate (alpha 0.5 gives the power 2, which numpy
-    # computes as a square); the (1 - damping) m term is added per block
+    # computes as a square, and alpha 2 the power 5, which D forms by
+    # repeated squaring); the (1 - damping) m term is added per block
     g = Grid(dim=1, half_width=6.0, nx=33, nt=three_block_levels(33), horizon=0.5)
     assert len(list(_level_blocks(g.nt + 1, g.n_nodes))) == 3
     p = gaussian_problem(sigma=1.0, alpha=alpha, horizon=0.5)
@@ -408,7 +416,13 @@ def test_damped_update_matches_the_plain_expressions(alpha, rng):
     expected = (1.0 - 0.8) * m + 0.8 * mu
     assert np.array_equal(m_new, expected)
     assert res == integrate_space_time(np.abs(expected - m), g) / den
-    assert d_val == integrate_space_time(np.maximum(expected, 0.0) ** (2.0 * alpha + 1.0), g)
+    clipped = np.maximum(expected, 0.0)
+    if alpha == 2.0:
+        squared = clipped * clipped
+        powered = clipped * (squared * squared)
+    else:
+        powered = clipped ** (2.0 * alpha + 1.0)
+    assert d_val == integrate_space_time(powered, g)
     assert next_den == integrate_space_time(np.abs(expected), g)
 
 

@@ -1,6 +1,6 @@
 """Run a fixed set of commands on two checkouts and compare their outputs byte for byte.
 
-Usage: python tools/compare_outputs.py PARENT CHANGE [--acceptance]
+Usage: python tools/compare_outputs.py PARENT CHANGE [--acceptance] [--rtol X]
 
 PARENT and CHANGE are checkout roots. Each side runs the command line entry
 point with its own src/ on the path, in a fresh interpreter that writes no
@@ -19,14 +19,25 @@ bytecode into the checkout. The command set is:
 Every file each side writes, and each command's exit code, is compared.
 The script prints the relative path of every file that differs or exists on
 one side only, and exits 1 if there is any, 0 otherwise.
+
+With --rtol X, a CSV or JSON file that differs in bytes is compared again
+cell by cell. A CSV column is a column of the table; a JSON column is a key
+path with list indices left out, so a list of numbers is one column. Two
+numbers agree when they differ by at most X times the largest magnitude in
+their column on either side; every other cell, and the file's shape, must
+match exactly. Each such file is printed with its largest deviation, in
+units of its column's largest magnitude, and counts as differing only when
+that deviation exceeds X.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import filecmp
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -134,6 +145,84 @@ def _files(root: Path) -> set[str]:
     return {str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()}
 
 
+def _cells_csv(path: Path) -> list[tuple[str, str, object]]:
+    """(cell position, column, value) of every CSV cell; a header row names the columns."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    header = rows[0] if rows and not all(map(_is_number, rows[0])) else None
+    return [
+        (f"{i}:{j}", header[j] if header and j < len(header) else str(j), cell)
+        for i, row in enumerate(rows) for j, cell in enumerate(row)
+    ]
+
+
+def _cells_json(path: Path) -> list[tuple[str, str, object]]:
+    """(key path, column, value) of every JSON leaf; the column drops list indices."""
+    cells = []
+
+    def walk(node, at, column):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                walk(value, f"{at}.{key}", f"{column}.{key}")
+        elif isinstance(node, list):
+            for i, value in enumerate(node):
+                walk(value, f"{at}[{i}]", f"{column}[]")
+        else:
+            cells.append((at, column, node))
+
+    with open(path) as fh:
+        walk(json.load(fh), "", "")
+    return cells
+
+
+def _is_number(cell) -> bool:
+    if isinstance(cell, bool):
+        return False
+    if isinstance(cell, (int, float)):
+        return True
+    try:
+        float(cell)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def deviation(a: Path, b: Path) -> tuple[float, str] | None:
+    """The largest numeric deviation between two CSV or JSON files, relative
+    to its column's largest magnitude, and that column; inf when the files'
+    shapes or non-numeric cells differ; None for other file types."""
+    reader = {".csv": _cells_csv, ".json": _cells_json}.get(a.suffix)
+    if reader is None:
+        return None
+    try:
+        cells_a, cells_b = reader(a), reader(b)
+    except (ValueError, UnicodeDecodeError):
+        return math.inf, "(unreadable)"
+    if [c[:2] for c in cells_a] != [c[:2] for c in cells_b]:
+        return math.inf, "(shape)"
+    scale: dict[str, float] = {}
+    pairs = []
+    for (_, column, x), (_, _, y) in zip(cells_a, cells_b):
+        if not (_is_number(x) and _is_number(y)):
+            if x != y:
+                return math.inf, column
+            continue
+        x, y = float(x), float(y)
+        pairs.append((column, x, y))
+        for v in (x, y):
+            if math.isfinite(v):
+                scale[column] = max(scale.get(column, 0.0), abs(v))
+    worst, where = 0.0, ""
+    for column, x, y in pairs:
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        gap = abs(x - y)
+        dev = gap / scale[column] if scale.get(column, 0.0) > 0 and math.isfinite(gap) else math.inf
+        if dev > worst:
+            worst, where = dev, column
+    return worst, where
+
+
 def differing(a: Path, b: Path) -> tuple[list[str], int]:
     """(files that differ or exist on one side only, files compared)."""
     files_a, files_b = _files(a), _files(b)
@@ -149,6 +238,9 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="checkout root of the change")
     parser.add_argument("--acceptance", action="store_true",
                         help="also run the 144-cell acceptance sweep")
+    parser.add_argument("--rtol", type=float, default=None,
+                        help="compare differing CSV and JSON cells within X times "
+                             "their column's largest magnitude")
     args = parser.parse_args(argv)
     job_list = jobs(args.acceptance)
     with tempfile.TemporaryDirectory(prefix="compare_outputs-") as tmp:
@@ -164,10 +256,27 @@ def main(argv=None) -> int:
             print(f"runner failed on: {', '.join(failed)}", file=sys.stderr)
             return 1
         diff, compared = differing(tmp / "parent", tmp / "change")
-    for name in diff:
-        print(f"differs: {name}")
-    print(f"{len(job_list)} commands, {compared} files compared, {len(diff)} differ")
-    return 1 if diff else 0
+        beyond = []
+        for name in diff:
+            found = None
+            if args.rtol is not None and (tmp / "parent" / name).is_file() \
+                    and (tmp / "change" / name).is_file():
+                found = deviation(tmp / "parent" / name, tmp / "change" / name)
+            if found is None:
+                beyond.append(name)
+                print(f"differs: {name}")
+                continue
+            worst, column = found
+            within = worst <= args.rtol
+            if not within:
+                beyond.append(name)
+            print(f"{'within rtol' if within else 'differs'}: {name} "
+                  f"(largest deviation {worst:.3g} in {column or 'value'})")
+    summary = f"{len(job_list)} commands, {compared} files compared, {len(diff)} differ"
+    if args.rtol is not None:
+        summary += f", {len(beyond)} beyond rtol {args.rtol:g}"
+    print(summary)
+    return 1 if beyond else 0
 
 
 if __name__ == "__main__":
