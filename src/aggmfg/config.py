@@ -14,7 +14,7 @@ from typing import Any
 
 import numpy as np
 
-from .discretization import Grid
+from .discretization import Grid, _normal_square
 from .errors import ConfigError
 from .problem import (
     CouplingSpec,
@@ -129,9 +129,25 @@ def _read_half_width(chk: _Checker) -> float:
     return chk.number("grid.half_width", default=12.0, rule=Grid.RULES["half_width"])
 
 
-def _trajectory_too_large(nx: int, nt: int, dim: int) -> bool:
-    """Whether an (nt+1, nx**dim) float trajectory is more than numpy can index."""
-    return (nt + 1) * nx**dim > _MAX_FLOATS
+def _read_grid_rule(chk: _Checker, nx, nt, nx_key: str, nt_key: str, rounds: int = 0) -> float:
+    """grid.half_width, read with the rule of every grid a command builds: nx_key
+    is bad when two levels of nx**dim nodes are more than numpy can index, else
+    nt_key when nt + 1 levels are (nt may be an infinite float); grid.half_width
+    when the spacing, also refined 2**rounds times, fails the Grid's rule. None
+    was not read."""
+    half_width = _read_half_width(chk)
+    if nx is None:
+        return half_width
+    nodes = nx ** _read_dim(chk)
+    if 2 * nodes > _MAX_FLOATS:
+        chk.bad.append(nx_key)
+        return half_width
+    if nt is not None and not (nt < math.inf and (math.ceil(nt) + 1) * nodes <= _MAX_FLOATS):
+        chk.bad.append(nt_key)
+    dx = 2.0 * half_width / (nx - 1)
+    if not (_normal_square(dx) and _normal_square(math.ldexp(dx, -rounds))):
+        chk.bad.append("grid.half_width")
+    return half_width
 
 
 def _mixture_from(chk: _Checker, base: str, dim: int) -> GaussianMixture | None:
@@ -212,19 +228,14 @@ def build_grid(cfg: dict, horizon: float, chk: _Checker | None = None) -> Grid |
     own = chk is None
     if own:
         chk = _Checker(cfg)
-    dim = _read_dim(chk)
-    half_width = _read_half_width(chk)
     nx = chk.integer("grid.nx", required=True, rule=Grid.RULES["nx"])
     nt = chk.integer("grid.nt", required=True, rule=Grid.RULES["nt"])
-    if nx is not None and _trajectory_too_large(nx, 1, dim):
-        chk.bad.append("grid.nx")
-    elif nx is not None and nt is not None and _trajectory_too_large(nx, nt, dim):
-        chk.bad.append("grid.nt")
+    half_width = _read_grid_rule(chk, nx, nt, "grid.nx", "grid.nt")
     if own:
         chk.raise_if_bad()
     if chk.bad or nx is None or nt is None:
         return None
-    return Grid(dim=dim, half_width=half_width, nx=nx, nt=nt, horizon=horizon)
+    return Grid(dim=_read_dim(chk), half_width=half_width, nx=nx, nt=nt, horizon=horizon)
 
 
 def build_solver(cfg: dict, chk: _Checker | None = None) -> SolverConfig | None:
@@ -243,12 +254,17 @@ def build_solver(cfg: dict, chk: _Checker | None = None) -> SolverConfig | None:
     return SolverConfig(**{name: v for name, v in values.items() if v is not None})
 
 
+def _read_run(cfg: dict, chk: _Checker) -> tuple:
+    """The problem, grid and solver a single solve needs, read on chk; the
+    grid takes the problem's horizon, or 1.0 while the problem is bad."""
+    problem = build_problem(cfg, chk)
+    grid = build_grid(cfg, problem.horizon if problem is not None else 1.0, chk)
+    return problem, grid, build_solver(cfg, chk)
+
+
 def build_run(cfg: dict) -> tuple[ProblemSpec, Grid, SolverConfig]:
     """Validate and build everything a single solve needs, in one pass."""
     chk = _Checker(cfg)
-    problem = build_problem(cfg, chk)
-    horizon = problem.horizon if problem is not None else 1.0
-    grid = build_grid(cfg, horizon, chk)
-    solver = build_solver(cfg, chk)
+    run = _read_run(cfg, chk)
     chk.raise_if_bad()
-    return problem, grid, solver
+    return run

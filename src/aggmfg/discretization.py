@@ -45,6 +45,9 @@ class Grid:
 
     def __post_init__(self):
         check_fields(self)
+        if not _normal_square(self.dx):
+            raise ValueError(f"invalid Grid: half_width={self.half_width!r} and nx={self.nx!r} "
+                             "give a spacing whose square is not a normal float")
 
     @property
     def dx(self) -> float:
@@ -107,6 +110,12 @@ class Grid:
             nt=factor * self.nt,
             horizon=self.horizon,
         )
+
+
+def _normal_square(dx: float) -> bool:
+    """Whether dx * dx is a normal positive float, as every operator that
+    divides by the squared spacing needs: neither 0, subnormal nor inf."""
+    return np.finfo(float).smallest_normal <= dx * dx < np.inf
 
 
 # Time-level blocks hold this many node rows: enough that one set of array

@@ -16,7 +16,6 @@ from functools import partial
 from itertools import chain, repeat
 
 import numpy as np
-from numpy.linalg import LinAlgError
 
 from .discretization import (
     EDGE_SCALE,
@@ -90,14 +89,15 @@ def solve_banded(
     off-diagonal is dl, solved by dptsv. Both overwrite the diagonals too.
     When every line has the same matrix, x may instead be an F-contiguous
     (n, nrhs) block, one line per column, with one line's bands; each
-    elimination factor is then formed once for all columns.
+    elimination factor is then formed once for all columns. A line LAPACK
+    refuses (singular, or not positive definite) raises SolverError.
     """
     if du is None:
         _, _, out, info = dptsv(d, dl, x, 1, 1, 1)
     else:
         _, _, _, out, info = dgtsv(dl, d, du, x, 1, 1, 1, 1)
     if info > 0:
-        raise LinAlgError("singular matrix" if du is not None else "matrix not positive definite")
+        raise SolverError("singular matrix" if du is not None else "matrix not positive definite")
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of the LAPACK solver")
     if out is not x:
@@ -120,46 +120,45 @@ def _diagonals(ab: np.ndarray):
     return lower[0][:, :-1], diag, upper[:, 1:]
 
 
-def _level_moves(dst, src, x, sweeps, scratch):
+def _level_moves(dst, src, bands, explicit, scratch):
     """The moves of a block of time steps, in march order, for _march.
 
-    dst and src hold the levels stepped onto and from, x the layouts in
-    which the last sweep solves dst, and sweeps the (dl, d, du) stacks of
-    each sweep axis, all with one row per step in march order. In 2D a step
-    is two moves: the axis-0 lines are solved in the scratch buffer, whose
-    transpose has the level's layout, then the axis-1 lines in the level.
+    dst and src hold the levels stepped onto and from, shape (steps, lines,
+    n), bands the unsolved bands of each sweep axis, one row per step, and
+    explicit each sweep axis's explicit band rows, one per step: under
+    Crank-Nicolson the bands at the level stepped from, under implicit
+    Euler None. In 2D a step is two moves: the axis-0 lines are solved in
+    the scratch buffer, whose transpose has the level's layout, then the
+    axis-1 lines in the level. When the last sweep's bands are one line
+    wide, shape (3 or 2, steps, n), every line of the level shares them,
+    and that sweep solves the level's lines as the columns of one call.
     """
-    if len(sweeps) == 1:
-        return zip(dst, src, x, *sweeps[0])
-    lines = scratch.T
+    sweeps = [_diagonals(ab) for ab in bands]
+    x = dst.swapaxes(1, 2) if bands[-1].ndim == 3 else dst.reshape(len(dst), -1)
+    if len(bands) == 1:
+        return zip(dst, src, explicit[0], x, *sweeps[0])
+    flat = repeat(scratch.reshape(-1))
     return chain.from_iterable(zip(
-        zip(repeat(lines), src, repeat(scratch.reshape(-1)), *sweeps[0]),
-        zip(dst, repeat(lines), x, *sweeps[1]),
+        zip(repeat(scratch), src.swapaxes(1, 2), explicit[0], flat, *sweeps[0]),
+        zip(dst, repeat(scratch.T), explicit[1], x, *sweeps[1]),
     ))
 
 
-def _march(moves, explicit=None) -> None:
+def _march(moves) -> None:
     """Make the moves of one block of time levels, one after another.
 
-    A move (dst, src, x, dl, d, du) is one sweep of one time step: fill dst
-    from src, then solve the tridiagonal system with bands dl, d, du in
-    place in x, which is dst's memory in the layout solve_banded takes.
-    Implicit Euler fills by a copy. Crank-Nicolson fills (2I - M) src, M
-    the matrix its implicit half solves with at the level stepped from:
-    explicit holds each sweep axis's unsolved bands, one row per step in
-    march order, and move k sweeps axis k % dim of step k // dim, read in
-    src and dst with that axis last.
+    A move (dst, src, row, x, dl, d, du) is one sweep of one time step, with
+    dst and src read with the sweep axis last: fill dst from src, then solve
+    the tridiagonal system with bands dl, d, du in place in x, which is
+    dst's memory in the layout solve_banded takes. Implicit Euler (row None)
+    fills by a copy. Crank-Nicolson fills (2I - M) src, M the matrix its
+    implicit half solves with at the level stepped from, whose bands are row.
     """
-    if explicit is None:
-        for dst, src, x, dl, d, du in moves:
+    for dst, src, row, x, dl, d, du in moves:
+        if row is None:
             dst[...] = src
-            solve_banded(dl, d, du, x)
-        return
-    dim = len(explicit)
-    for k, (dst, src, x, dl, d, du) in enumerate(moves):
-        ax = k % dim - dim  # grid axis a is array axis a - dim
-        s = src.swapaxes(ax, -1)
-        dst.swapaxes(ax, -1)[...] = 2.0 * s - banded_product(explicit[k % dim][:, k // dim], s)
+        else:
+            dst[...] = 2.0 * src - banded_product(row, src)
         solve_banded(dl, d, du, x)
 
 
@@ -172,12 +171,9 @@ def _march_blocks(rows, half, bands_of, check) -> None:
     each of shape (3, end - first, ..., n), or (2, ...) for symmetric
     systems. Crank-Nicolson asks for one level more in front, the level a
     block's first step leaves, which only the explicit halves read; LAPACK
-    overwrites what it solves, so it gets a copy of the rest. When the last
-    sweep's bands are one line wide, shape (3 or 2, levels, n), every line
-    of the level shares them and that sweep solves the level's lines as the
-    columns of one call. check(start, hi) checks levels start+1 .. hi after
-    they are solved and returns the level to re-solve from, or hi. One
-    block's bands are alive at a time.
+    overwrites what it solves, so it gets a copy of the rest. check(start,
+    hi) checks levels start+1 .. hi after they are solved and returns the
+    level to re-solve from, or hi. One block's bands are alive at a time.
     """
     levels, lines, n = rows.shape
     scratch = np.empty((lines, n))
@@ -185,15 +181,12 @@ def _march_blocks(rows, half, bands_of, check) -> None:
         start = lo
         while start < hi:
             bands = bands_of(start if half else start + 1, hi + 1)
-            explicit = None
+            explicit = [repeat(None)] * len(bands)
             if half:
-                explicit = [ab[:, :-1] for ab in bands]
+                explicit = [ab[:, :-1].swapaxes(0, 1) for ab in bands]
                 bands = [ab[:, 1:].copy() for ab in bands]
-            sweeps = [_diagonals(ab) for ab in bands]
-            dst = rows[start + 1 : hi + 1]
-            x = dst.swapaxes(1, 2) if bands[-1].ndim == 3 else dst.reshape(hi - start, -1)
-            _march(_level_moves(dst, rows[start:hi], x, sweeps, scratch), explicit)
-            del bands, explicit, sweeps  # before the next block's are built
+            _march(_level_moves(rows[start + 1 : hi + 1], rows[start:hi], bands, explicit, scratch))
+            del bands, explicit  # before the next block's are built
             start = check(start, hi)
 
 

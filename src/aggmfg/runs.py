@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
 import time
+from functools import partial
 
 import numpy as np
 
@@ -107,9 +109,7 @@ def prepare_out_dir(root: str, label: str, command: str, out_dir=None) -> str:
 def run_single(cfg: dict, out_dir=None) -> dict:
     """Solve one problem and write the full diagnostic record."""
     chk = cfgmod._Checker(cfg)
-    problem = cfgmod.build_problem(cfg, chk)
-    grid = cfgmod.build_grid(cfg, problem.horizon if problem is not None else 1.0, chk)
-    solver_cfg = cfgmod.build_solver(cfg, chk)
+    problem, grid, solver_cfg = cfgmod._read_run(cfg, chk)
     count = chk.integer("output.snapshots", default=5, rule=lambda n: n >= 2)
     names = _output_names(chk)
     chk.raise_if_bad()
@@ -219,22 +219,19 @@ def run_single(cfg: dict, out_dir=None) -> dict:
 
 # --- horizon series --------------------------------------------------------
 
-def _horizon_section(chk, section: str, horizons_key: str, nx: int, nt_per_unit: float):
+def _horizon_section(chk, section: str, horizons_key: str, nx: int, nt_per_unit: float,
+                     rounds: int = 0):
     """Positive ascending horizons and the grid rule (half_width, nx, nt_per_unit)
-    of a sweep or long-time section; nx and nt_per_unit are the defaults."""
+    of a sweep or long-time section; nx and nt_per_unit are the defaults, and
+    each grid may be refined up to 2**rounds times."""
     horizons = chk.number_list(f"{section}.{horizons_key}", required=True, ascending=True,
                                rule=lambda ts: all(map(Grid.RULES["horizon"], ts)))
     nx = chk.integer(f"{section}.nx", default=nx, rule=Grid.RULES["nx"])
     nt_per_unit = chk.number(f"{section}.nt_per_unit", default=nt_per_unit, rule=lambda r: r > 0)
-    if None not in (horizons, nx, nt_per_unit):
-        # the longest horizon's grid is the largest; its steps may not even be finite
-        dim = cfgmod._read_dim(chk)
-        steps = nt_per_unit * horizons[-1]
-        if cfgmod._trajectory_too_large(nx, 1, dim):
-            chk.bad.append(f"{section}.nx")
-        elif not math.isfinite(steps) or cfgmod._trajectory_too_large(nx, math.ceil(steps), dim):
-            chk.bad.append(f"{section}.nt_per_unit")
-    half_width = cfgmod._read_half_width(chk)
+    # the longest horizon's grid has the most steps
+    steps = nt_per_unit * horizons[-1] if horizons else None
+    half_width = cfgmod._read_grid_rule(chk, nx, steps, f"{section}.nx",
+                                        f"{section}.nt_per_unit", rounds)
     return horizons, (half_width, nx, nt_per_unit)
 
 
@@ -256,8 +253,8 @@ def _horizon_grid(dim: int, rule: tuple, horizon: float) -> Grid:
 
 # --- phase sweep -----------------------------------------------------------
 
-def _sweep_cell(job: dict) -> dict:
-    """One (sigma, horizon) cell, including refinement confirmation.
+def _sweep_cell(template, solver_cfg, rule: tuple, confirm_rounds: int, cell: tuple) -> dict:
+    """One cell = (sigma, horizon) of the template problem, including refinement confirmation.
 
     Level k solves on the base grid refined 2**k times. A run that agrees
     with the certificate (converged where none applies, diverged where one
@@ -266,18 +263,17 @@ def _sweep_cell(job: dict) -> dict:
     refined grids, and a converged run under a certificate is confirmed the
     same way before the contradiction is written.
     """
-    template = job["problem"]
-    coupling = dataclasses.replace(template.coupling, sigma=job["sigma"])
-    problem = dataclasses.replace(template, coupling=coupling, horizon=job["horizon"])
-    solver_cfg = job["solver"]
+    sigma, horizon = cell
+    coupling = dataclasses.replace(template.coupling, sigma=sigma)
+    problem = dataclasses.replace(template, coupling=coupling, horizon=horizon)
 
-    base = _horizon_grid(problem.dim, job["rule"], job["horizon"])
+    base = _horizon_grid(problem.dim, rule, horizon)
     fields = sample_on_grid(problem, base)
     certificate = compute_nonexistence_certificate(problem, base, fields=fields)
-    applies = certificate.applies_at(job["horizon"])
+    applies = certificate.applies_at(horizon)
 
     runs = []
-    for level in range(job["confirm_rounds"] + 1):
+    for level in range(confirm_rounds + 1):
         grid = base.refined(2**level)
         outcome = solve(problem, grid, solver_cfg, fields=None if level else fields)
         runs.append({
@@ -299,8 +295,8 @@ def _sweep_cell(job: dict) -> dict:
     else:
         verdict = "non_convergent"
     return {
-        "sigma": job["sigma"],
-        "horizon": job["horizon"],
+        "sigma": sigma,
+        "horizon": horizon,
         "verdict": verdict,
         "t_star": certificate.t_star,
         "e0": certificate.e0,
@@ -316,8 +312,8 @@ def run_sweep(cfg: dict, out_dir=None) -> dict:
     chk = cfgmod._Checker(cfg)
     sigma_grid = chk.number_list("sweep.sigma_grid", required=True, ascending=True,
                                  rule=lambda ss: all(map(CouplingSpec.RULES["sigma"], ss)))
-    horizon_grid, rule = _horizon_section(chk, "sweep", "horizon_grid", 65, 60.0)
     confirm_rounds = chk.integer("sweep.confirm_rounds", default=2, rule=lambda k: k >= 0)
+    horizon_grid, rule = _horizon_section(chk, "sweep", "horizon_grid", 65, 60.0, confirm_rounds)
     workers = chk.integer("sweep.workers", default=1, rule=lambda n: n >= 1)
     # the problem is read once, before paying for any cell; each cell sets its sigma and horizon
     problem = _template_problem(chk, sigma=sigma_grid[0] if sigma_grid else 0.0,
@@ -327,24 +323,18 @@ def run_sweep(cfg: dict, out_dir=None) -> dict:
     chk.raise_if_bad()
     out_dir = prepare_out_dir(*names, "sweep", out_dir)
 
-    jobs = [
-        {
-            "problem": problem, "solver": solver_cfg, "sigma": s, "horizon": t, "rule": rule,
-            "confirm_rounds": confirm_rounds,
-        }
-        for s in sigma_grid
-        for t in horizon_grid
-    ]
+    # cells in (sigma, horizon) order, as both grids ascend
+    run_cell = partial(_sweep_cell, problem, solver_cfg, rule, confirm_rounds)
+    pairs = itertools.product(sigma_grid, horizon_grid)
     # a fork pool starts all its processes at once: never more than there are cells
-    workers = min(workers, len(jobs))
+    workers = min(workers, len(sigma_grid) * len(horizon_grid))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_sweep_cell, jobs))
+            cells = list(pool.map(run_cell, pairs))
     else:
-        cells = [_sweep_cell(job) for job in jobs]
-    cells.sort(key=lambda c: (c["sigma"], c["horizon"]))
+        cells = list(map(run_cell, pairs))
 
     _write_csv(
         os.path.join(out_dir, "table.csv"),
@@ -434,9 +424,7 @@ def run_longtime(cfg: dict, out_dir=None) -> dict:
 def run_certify(cfg: dict, out_dir=None) -> dict:
     """Certificates from quadratures alone; no PDE is solved."""
     chk = cfgmod._Checker(cfg)
-    problem = cfgmod.build_problem(cfg, chk)
-    grid = cfgmod.build_grid(cfg, problem.horizon if problem is not None else 1.0, chk)
-    cfgmod.build_solver(cfg, chk)
+    problem, grid, _ = cfgmod._read_run(cfg, chk)
     optimize_shift = chk.get("certify.optimize_shift", False)
     if not isinstance(optimize_shift, bool):
         chk.bad.append("certify.optimize_shift")

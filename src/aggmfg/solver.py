@@ -180,14 +180,16 @@ def solve(
 
     Numerical blow-up is a verdict, not an error: the iteration stops with
     verdict 'diverged' when the monitor integral of m^(2 alpha + 1) exceeds
-    d_cap, when non-finite values appear, or when a linear march loses
-    positivity (which only happens under blow-up scale coefficients).
-    Every stop records its verdict, note and d_final inside the loop and
-    leaves it by break; the one SolveOutcome is built after the loop. The
-    loop owns three trajectories for its whole life: the iterate m, the
-    value field w, which each map writes over the last map's, and the spent
-    iterate, in which each map forms its heat coefficient and then its
-    density, which the update turns into the next iterate.
+    d_cap, when non-finite values appear, or when a linear march fails: it
+    loses positivity (which only happens under blow-up scale coefficients)
+    or LAPACK refuses one of its lines. A failed march of the initial guess
+    stops with 0 iterations. Every other stop records its verdict, note and
+    d_final inside the loop and leaves it by break; the one SolveOutcome is
+    built after the loop. The loop owns three trajectories for its whole
+    life: the iterate m, the value field w, which each map writes over the
+    last map's, and the spent iterate, in which each map forms its heat
+    coefficient and then its density, which the update turns into the next
+    iterate.
     A converged outcome carries the last iterate m, the last map's w and
     resolve_residual; u is inverse_hopf_cole(w). fields, when given, is the
     problem data already sampled on grid.
@@ -198,7 +200,10 @@ def solve(
         raise ValueError("grid horizon does not match problem horizon")
     if fields is None:
         fields = sample_on_grid(p, grid)
-    m = _initial_trajectory(fields, grid, cfg)
+    try:
+        m = _initial_trajectory(fields, grid, cfg)
+    except SolverError as exc:
+        return SolveOutcome(VERDICT_DIVERGED, 0, [], [], np.inf, note=f"linear march failed: {exc}")
     den = integrate_space_time(np.abs(m), grid)
     w, spent = np.empty_like(m), np.empty_like(m)
 

@@ -57,3 +57,29 @@ def test_any_other_difference_is_infinite(tool, tmp_path, other):
 def test_other_file_types_have_no_numeric_comparison(tool, tmp_path):
     a = _write(tmp_path / "a.txt", "1.0\n")
     assert tool.deviation(a, _write(tmp_path / "b.txt", "1.1\n")) is None
+
+
+def test_config_draw_is_seeded_and_alternates_its_commands(tool):
+    first, again, other = (tool.mutated_configs(8, seed) for seed in (3, 3, 4))
+    assert json.dumps(first) == json.dumps(again) != json.dumps(other)  # NaN-safe equality
+    assert [commands for commands, _ in first] == [
+        ["solve", "certify"], ["sweep", "longtime", "kernelcheck"]] * 4
+
+
+def test_configs_mode_names_each_differing_config(tool, tmp_path, capsys):
+    repo = TOOL.parents[1]
+    assert tool.main([str(repo), str(repo), "--configs", "2"]) == 0
+    assert capsys.readouterr().out.endswith("2 configs, 5 command runs, 0 configs differ\n")
+    # a checkout in which no grid fits in memory: every command that reads a
+    # grid now names its nx key
+    src = tmp_path / "change" / "src" / "aggmfg"
+    src.mkdir(parents=True)
+    for path in (repo / "src" / "aggmfg").glob("*.py"):
+        (src / path.name).write_text(path.read_text())
+    with open(src / "config.py", "a") as fh:
+        fh.write("\n_MAX_FLOATS = 0\n")
+    assert tool.main([str(repo), str(tmp_path / "change"), "--configs", "2"]) == 1
+    out = capsys.readouterr().out
+    changed = [line.split(" -> ")[1] for line in out.splitlines() if line.startswith("  ")]
+    assert changed and all(".nx" in outcome for outcome in changed)
+    assert out.endswith("2 configs, 5 command runs, 2 configs differ\n")

@@ -156,6 +156,11 @@ def _exit_code(command: str, cfg: dict) -> tuple[int, str]:
 @example(command="solve", nx=9, nt=4, exits=(2,), changes=[
     ("problem.potential", {"family": "cosine_bump", "amplitude": 1.0, "width": 5e-324}),
 ])
+# a spacing whose square underflows or overflows: dx**2 of 0 or inf in every operator
+@example(command="solve", nx=9, nt=4, changes=[("grid.half_width", 1e-300)], exits=(2,))
+@example(command="certify", nx=9, nt=4, changes=[("grid.half_width", 1e300)], exits=(2,))
+# LAPACK refuses a line of the initial guess's density march: a diverged solve
+@example(command="solve", nx=9, nt=4, changes=[("problem.horizon", 1e300)], exits=(0,))
 def test_any_config_runs_or_exits_two(command, nx, nt, changes, exits):
     code, err = _exit_code(command, _mutated(_small_config(nx, nt), changes))
     assert code in exits, err
@@ -169,6 +174,8 @@ def test_any_config_runs_or_exits_two(command, nx, nt, changes, exits):
 )
 # a step count numpy cannot index, once a traceback after the output directory was made
 @example(command="sweep", changes=[("sweep.nt_per_unit", 1e300)])
+@example(command="sweep", changes=[("grid.half_width", 1e300)])
+@example(command="longtime", changes=[("grid.half_width", 1e-300)])
 def test_any_series_or_kernel_config_runs_or_exits_two(command, changes):
     code, err = _exit_code(command, _mutated(_series_config(), changes))
     assert code in (0, 2), err

@@ -213,3 +213,33 @@ def test_grid_half_width_default_has_one_producer(monkeypatch):
     assert half_widths() == [12.0] * 3
     monkeypatch.setattr(config, "_read_half_width", lambda chk: 7.0)
     assert half_widths() == [7.0] * 3
+
+
+SPACING_CASES = [(command, half_width, 0) for command in ("solve", "certify", "sweep", "longtime")
+                 for half_width in (1e-300, 1e300)] + [("sweep", 8e-154, 1)]
+
+
+@pytest.mark.parametrize("command, half_width, confirm_rounds", SPACING_CASES)
+def test_a_spacing_without_a_normal_square_exits_two_before_any_output(
+    tmp_path, command, half_width, confirm_rounds
+):
+    # dx**2 of 0 or inf once ended solve, sweep and longtime in a traceback, and
+    # certify in numpy warnings; at 8e-154 the sweep's base grid (nx 9) passes
+    # the rule, but its grid refined once does not
+    cfg = _base(command)
+    cfg["grid"]["half_width"] = half_width
+    cfg["sweep"]["confirm_rounds"] = confirm_rounds
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, str(path), "--output", str(tmp_path / "out")])
+    assert code == 2
+    assert err.getvalue() == "config error: invalid configuration keys: grid.half_width\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_sweeps_spacing_rule_reads_its_finest_grid(validate_only, tmp_path):
+    cfg = _base("sweep")
+    cfg["grid"]["half_width"] = 8e-154
+    assert _named_keys("sweep", cfg, tmp_path) == []  # confirm_rounds 0: the base grid only

@@ -35,6 +35,16 @@ def test_grid_validation():
         Grid(dim=1, half_width=1.0, nx=5, nt=0, horizon=1.0)
 
 
+@pytest.mark.parametrize("refused, kept", [(1e-300, 4e-154), (2e-154, 4e-154),
+                                            (1e300, 2e154), (3e154, 2e154)])
+def test_grid_refuses_a_spacing_whose_square_is_not_a_normal_float(refused, kept):
+    # every operator divides by dx**2: 0, subnormal or inf at refused (nx 5)
+    with pytest.raises(ValueError, match="spacing"):
+        Grid(dim=1, half_width=refused, nx=5, nt=1, horizon=1.0)
+    dx = Grid(dim=1, half_width=kept, nx=5, nt=1, horizon=1.0).dx
+    assert np.finfo(float).smallest_normal <= dx**2 < math.inf
+
+
 def test_refined_grid_nests_nodes():
     g = Grid(dim=1, half_width=6.0, nx=65, nt=32, horizon=1.0)
     r = g.refined(2)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError
 from scipy.linalg import solve_banded as scipy_solve_banded
 from scipy.linalg import solveh_banded
 
@@ -98,6 +97,15 @@ def test_backward_heat_rejects_large_dt():
     g = Grid(dim=1, half_width=4.0, nx=9, nt=5, horizon=1.0)
     c = np.full((g.nt + 1, g.n_nodes), 6.0)  # dt * c = 1.2 >= 1
     with pytest.raises(SolverError):
+        solve_backward_heat(np.ones(g.n_nodes), c, g)
+
+
+def test_backward_heat_refuses_a_line_an_ulp_below_the_step_limit():
+    # dt * c passes the step-limit check, but dptsv finds the line not
+    # positive definite: a SolverError, on which a Picard solve stops
+    g = Grid(dim=1, half_width=12.0, nx=257, nt=10, horizon=1.0)
+    c = np.full((g.nt + 1, g.n_nodes), (1.0 - 2.0**-53) / g.dt)
+    with pytest.raises(SolverError, match="not positive definite"):
         solve_backward_heat(np.ones(g.n_nodes), c, g)
 
 
@@ -494,7 +502,7 @@ def test_line_sweep_kernel_rejects_singular_line():
     ab = np.zeros((3, 2, 5))
     ab[1] = 1.0
     ab[1, 1, 2] = 0.0  # a zero row in the second line only
-    with pytest.raises(LinAlgError):
+    with pytest.raises(SolverError, match="singular matrix"):
         parabolic.solve_banded(*_stacked_diagonals(ab), np.ones(10))
 
 
@@ -524,7 +532,7 @@ def test_line_sweep_kernel_solves_symmetric_lines_with_dptsv(rng):
 
 def test_symmetric_kernel_rejects_an_indefinite_line_and_a_strided_right_hand_side():
     d, e = np.array([1.0, -1.0, 1.0, 1.0]), np.zeros(3)
-    with pytest.raises(LinAlgError, match="not positive definite"):
+    with pytest.raises(SolverError, match="not positive definite"):
         parabolic.solve_banded(e.copy(), d.copy(), None, np.ones(4))
     with pytest.raises(ValueError, match="contiguous"):
         parabolic.solve_banded(e.copy(), np.ones(4), None, np.ones(8)[::2])

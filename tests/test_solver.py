@@ -291,6 +291,15 @@ def test_solve_exit_positivity_error():
     assert out.d_history == []
 
 
+def test_solve_exit_lapack_refusal_in_the_initial_guess():
+    # at horizon 1e20 the heat-flow guess's density march has a line LAPACK
+    # finds singular: the solve stops before its first map
+    g = Grid(dim=1, half_width=8.0, nx=33, nt=20, horizon=1e20)
+    out = solve(gaussian_problem(sigma=1.0, horizon=1e20), g, SolverConfig())
+    _assert_stop(out, "diverged", 0, "linear march failed: singular matrix", np.inf)
+    assert out.d_history == []
+
+
 def test_solve_exit_blow_up_monitor():
     g = Grid(dim=1, half_width=6.0, nx=17, nt=8, horizon=1.0)
     out = solve(gaussian_problem(sigma=0.5), g, SolverConfig(d_cap=1e-3))

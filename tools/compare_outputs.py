@@ -1,6 +1,7 @@
 """Run a fixed set of commands on two checkouts and compare their outputs byte for byte.
 
 Usage: python tools/compare_outputs.py PARENT CHANGE [--acceptance] [--rtol X]
+       python tools/compare_outputs.py PARENT CHANGE --configs N [--seed S]
 
 PARENT and CHANGE are checkout roots. Each side runs the command line entry
 point with its own src/ on the path, in a fresh interpreter that writes no
@@ -28,6 +29,15 @@ their column on either side; every other cell, and the file's shape, must
 match exactly. Each such file is printed with its largest deviation, in
 units of its column's largest magnitude, and counts as differing only when
 that deviation exceeds X.
+
+With --configs N, the script instead draws N mutated configs with seed S
+(default 0), as tests/test_config_property.py builds them: even ones from
+its small solve config, odd ones from its series config. Each side runs
+every config through its own run_* functions (solve and certify, or sweep,
+longtime and kernelcheck) with prepare_out_dir stubbed, so nothing is
+solved or written. A run's outcome is that it reached its output, exited 2
+naming its sorted keys, or raised a traceback of a given type. The script
+prints every config whose outcomes differ, and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -65,14 +75,83 @@ with open(os.path.join(out, "exit_codes.json"), "w") as fh:
     json.dump(codes, fh, indent=2, sort_keys=True)
 """
 
+# runs each (commands, config) entry of the JSON file <configs> through the
+# run_* functions of the aggmfg on sys.path, stopped where a run would make
+# its output directory, and writes each run's outcome to the JSON file <out>
+_CONFIG_RUNNER = """
+import json, os, sys, warnings
+import aggmfg
+from aggmfg import runs
+from aggmfg.errors import ConfigError
+src, configs, out = sys.argv[1:4]
+assert os.path.dirname(aggmfg.__file__) == os.path.join(src, "aggmfg"), aggmfg.__file__
+warnings.simplefilter("ignore")
 
-def _workloads():
-    """perfbench/workloads.py, loaded without writing its bytecode next to it."""
+class Reached(Exception):
+    pass
+
+def reached(*args, **kwargs):
+    raise Reached
+
+runs.prepare_out_dir = reached
+entry = {"solve": runs.run_single, "certify": runs.run_certify, "sweep": runs.run_sweep,
+         "longtime": runs.run_longtime, "kernelcheck": runs.run_kernelcheck}
+outcomes = []
+with open(configs) as fh:
+    for commands, cfg in json.load(fh):
+        row = []
+        for command in commands:
+            try:
+                entry[command](cfg)
+                row.append("returned")
+            except Reached:
+                row.append("reached")
+            except ConfigError as exc:
+                row.append("exit 2: " + ", ".join(sorted(exc.keys)))
+            except Exception as exc:
+                row.append("traceback: " + type(exc).__name__)
+        outcomes.append(row)
+with open(out, "w") as fh:
+    json.dump(outcomes, fh)
+"""
+
+
+def _load(name: str, path: Path):
+    """The module at path, loaded without writing its bytecode next to it."""
     sys.dont_write_bytecode = True
-    spec = importlib.util.spec_from_file_location("workloads", REPO / "perfbench" / "workloads.py")
-    module = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def mutated_configs(count: int, seed: int) -> list[tuple[list[str], dict]]:
+    """(commands, config) of count configs drawn with seed, as
+    tests/test_config_property.py draws them: even ones mutate its small
+    solve config, for solve and certify, odd ones its series config, for
+    sweep, longtime and kernelcheck."""
+    from hypothesis import HealthCheck, Phase, given, settings
+    from hypothesis import seed as with_seed
+    from hypothesis import strategies as st
+
+    sys.path.insert(0, str(REPO / "src"))  # the test module imports the command line
+    prop = _load("test_config_property", REPO / "tests" / "test_config_property.py")
+    drawn = []
+
+    @with_seed(seed)
+    @settings(max_examples=count, database=None, phases=[Phase.generate], deadline=None,
+              suppress_health_check=list(HealthCheck))
+    @given(nx=st.sampled_from([3, 5, 9, 17]), nt=st.integers(1, 8),
+           single=prop.mutations(prop.PATHS), series=prop.mutations(prop.SERIES_PATHS))
+    def draw(nx, nt, single, series):
+        if len(drawn) % 2 == 0:
+            drawn.append((["solve", "certify"], prop._mutated(prop._small_config(nx, nt), single)))
+        else:
+            drawn.append((["sweep", "longtime", "kernelcheck"],
+                          prop._mutated(prop._series_config(), series)))
+
+    draw()
+    return drawn
 
 
 def _density(dim: int, std: float = 1.0, mean: float = 0.0) -> dict:
@@ -90,7 +169,7 @@ def _solve(dim, nx, nt, sigma, horizon=1.0, **solver) -> dict:
 
 def jobs(acceptance: bool) -> list[tuple[str, str, dict | None]]:
     """(name, command, config) of every run; a None config runs the command's defaults."""
-    workloads = _workloads()
+    workloads = _load("workloads", REPO / "perfbench" / "workloads.py")
     out = [(name, "solve" if name.startswith("solve") else "sweep",
             workloads.make_workload(name, 0).config) for name in workloads.WORKLOAD_NAMES]
     certify = _solve(1, 129, 64, 20.0, horizon=2.0)
@@ -134,11 +213,46 @@ def _write_configs(job_list, config_dir: Path) -> list[tuple[str, str, str]]:
     return specs
 
 
-def _start(checkout: Path, out: Path, specs) -> subprocess.Popen:
+def _start(checkout: Path, cwd: Path, runner: str, *args: str) -> subprocess.Popen:
+    """runner in a fresh interpreter on checkout's src/, which is its first argument."""
     src = str(checkout.resolve() / "src")
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
-    return subprocess.Popen([sys.executable, "-c", _RUNNER, src, str(out), json.dumps(specs)],
-                            env=env, cwd=str(out))
+    return subprocess.Popen([sys.executable, "-c", runner, src, *args], env=env, cwd=str(cwd))
+
+
+def _wait(sides: dict) -> bool:
+    """Whether every side's runner exited 0; names the ones that did not."""
+    failed = [side for side, proc in sides.items() if proc.wait() != 0]
+    if failed:
+        print(f"runner failed on: {', '.join(failed)}", file=sys.stderr)
+    return not failed
+
+
+def compare_configs(parent: Path, change: Path, count: int, seed: int) -> int:
+    """Run count mutated configs on both checkouts; print the ones whose outcomes differ."""
+    configs = mutated_configs(count, seed)
+    with tempfile.TemporaryDirectory(prefix="compare_configs-") as tmp:
+        tmp = Path(tmp)
+        with open(tmp / "configs.json", "w") as fh:
+            json.dump(configs, fh)
+        sides = {side: _start(checkout, tmp, _CONFIG_RUNNER, str(tmp / "configs.json"),
+                              str(tmp / f"{side}.json"))
+                 for side, checkout in (("parent", parent), ("change", change))}
+        if not _wait(sides):
+            return 1
+        outcomes = {side: json.loads((tmp / f"{side}.json").read_text()) for side in sides}
+    differ = 0
+    for i, ((commands, cfg), a, b) in enumerate(zip(configs, outcomes["parent"],
+                                                     outcomes["change"])):
+        if a != b:
+            differ += 1
+            print(f"config {i}: {json.dumps(cfg, sort_keys=True)}")
+            for command, x, y in zip(commands, a, b):
+                if x != y:
+                    print(f"  {command}: {x} -> {y}")
+    runs = sum(len(commands) for commands, _ in configs)
+    print(f"{len(configs)} configs, {runs} command runs, {differ} configs differ")
+    return 1 if differ else 0
 
 
 def _files(root: Path) -> set[str]:
@@ -241,7 +355,12 @@ def main(argv=None) -> int:
     parser.add_argument("--rtol", type=float, default=None,
                         help="compare differing CSV and JSON cells within X times "
                              "their column's largest magnitude")
+    parser.add_argument("--configs", type=int, default=None, metavar="N",
+                        help="instead compare the outcomes of N mutated configs")
+    parser.add_argument("--seed", type=int, default=0, help="seed of the --configs draw")
     args = parser.parse_args(argv)
+    if args.configs is not None:
+        return compare_configs(args.parent, args.change, args.configs, args.seed)
     job_list = jobs(args.acceptance)
     with tempfile.TemporaryDirectory(prefix="compare_outputs-") as tmp:
         tmp = Path(tmp)
@@ -250,10 +369,9 @@ def main(argv=None) -> int:
         sides = {}
         for side, checkout in (("parent", args.parent), ("change", args.change)):
             (tmp / side).mkdir()
-            sides[side] = _start(checkout, tmp / side, specs)
-        failed = [side for side, proc in sides.items() if proc.wait() != 0]
-        if failed:
-            print(f"runner failed on: {', '.join(failed)}", file=sys.stderr)
+            sides[side] = _start(checkout, tmp / side, _RUNNER, str(tmp / side),
+                                 json.dumps(specs))
+        if not _wait(sides):
             return 1
         diff, compared = differing(tmp / "parent", tmp / "change")
         beyond = []
