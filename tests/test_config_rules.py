@@ -239,7 +239,7 @@ def test_a_spacing_without_a_normal_square_exits_two_before_any_output(
     assert not (tmp_path / "out").exists()
 
 
-def test_the_sweeps_spacing_rule_reads_its_finest_grid(validate_only, tmp_path):
+def test_an_unrefined_sweep_passes_the_spacing_rule_at_8e_154(validate_only, tmp_path):
     cfg = _base("sweep")
     cfg["grid"]["half_width"] = 8e-154
     assert _named_keys("sweep", cfg, tmp_path) == []  # confirm_rounds 0: the base grid only
