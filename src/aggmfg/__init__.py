@@ -50,7 +50,6 @@ from .problem import (
     ProblemSpec,
     TerminalCostSpec,
     check_structural_conditions,
-    eval_coupling,
     sample_on_grid,
 )
 from .solver import (
@@ -97,7 +96,6 @@ __all__ = [
     "compute_nonexistence_certificate",
     "compute_planning_certificate",
     "e0_terms",
-    "eval_coupling",
     "heat_kernel_spacetime_norm",
     "hopf_cole",
     "integrate",

@@ -7,6 +7,7 @@ configuration errors. Anything else escaping is a bug.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .config import load_config
@@ -72,7 +73,8 @@ def main(argv=None) -> int:
                 print(f"T_star = {cert['t_star']:.12g} "
                       f"(applies at the configured horizon: {summary['certificate_applies']})")
             else:
-                print("no certificate: e0 <= 0 or a structural condition fails")
+                print("no certificate: " + ("e0 <= 0 or a structural condition fails"
+                                            if math.isfinite(cert["e0"]) else "e0 is not finite"))
             if summary["planning"] is not None:
                 t_hat = summary["planning"]["t_hat"]
                 print(f"planning T_hat = {t_hat:.12g}" if t_hat is not None

@@ -23,9 +23,10 @@ from .problem import (
     _pointwise_checks,
     _unit_mass,
     check_structural_conditions,
-    eval_coupling,
     sample_on_grid,
 )
+
+E0_TERMS = ("fisher", "coupling", "potential")  # the names of e0_terms' entries
 
 
 # ---------------------------------------------------------------------------
@@ -64,10 +65,9 @@ def compute_energy(u, m, p: ProblemSpec, grid: Grid, fields: ProblemFields) -> E
         mb = mv[lo:hi]
         gu = gradient(uv[lo:hi], grid)
         gm = gradient(mb, grid)
-        _, F, _ = eval_coupling(p.coupling, np.maximum(mb, 0.0))
         cross[lo:hi] = np.vecdot(np.sum(gu * gm, axis=-2), w)
         kinetic[lo:hi] = 0.5 * np.vecdot(np.sum(gu**2, axis=-2) * mb, w)
-        coupling[lo:hi] = np.vecdot(F, w)
+        coupling[lo:hi] = np.vecdot(p.coupling.F(mb), w)
         potential[lo:hi] = -np.vecdot(fields.v * mb, w)
     total = cross + kinetic + coupling + potential
     return EnergyReport(
@@ -139,20 +139,20 @@ def check_moment_identity(
         h[lo:hi] = np.vecdot(mb * r_sq, w)
         abs_m[lo:hi] = np.vecdot(mb * r_abs, w)
         transport = mb * np.sum(gradient(uv[lo:hi], grid) * pts, axis=-2)
-        f, F, _ = eval_coupling(p.coupling, np.maximum(mb, 0.0))
         # weak form with test function |x|^2: Lap gives 2N, the drift term
         # -grad u picks up grad |x|^2 = 2x, hence the 2 on the transport
         rhs1[lo:hi] = 2.0 * n * mass[0] - 2.0 * np.vecdot(transport, w)
         rhs2[lo:hi] = (
             4.0 * energy.total[lo:hi]
-            + 2.0 * n * np.vecdot(f * mb, w)
-            - 2.0 * (n + 2.0) * np.vecdot(F, w)
+            + 2.0 * n * np.vecdot(p.coupling.f(mb) * mb, w)
+            - 2.0 * (n + 2.0) * np.vecdot(p.coupling.F(mb), w)
             + 4.0 * np.vecdot(fields.v * mb, w)
             + 2.0 * np.vecdot(gv_dot_x * mb, w)
         )
 
     hprime = (h[2:] - h[:-2]) / (2.0 * dt)
-    hsecond = (h[2:] - 2.0 * h[1:-1] + h[:-2]) / dt**2
+    with np.errstate(divide="ignore", invalid="ignore"):  # a dt whose square underflows
+        hsecond = (h[2:] - 2.0 * h[1:-1] + h[:-2]) / dt**2
     r1 = float(np.sum(np.abs(hprime - rhs1[1:-1])) * dt)
     r2 = float(np.sum(np.abs(hsecond - rhs2[1:-1])) * dt)
     step_drift = float(np.max(np.abs(np.diff(mass)))) / mass[0] if nt >= 1 else 0.0
@@ -187,23 +187,34 @@ def e0_terms(p: ProblemSpec, grid: Grid, fields: ProblemFields) -> tuple[float, 
     """(Fisher information, coupling term, potential gap term) of m0.
 
     The density gradient is analytic, not a finite difference; the ratio
-    |grad m0|^2 / m0 is set to zero wherever m0 underflows.
+    |grad m0|^2 / m0 is set to zero wherever m0 underflows. A term past the
+    float range is inf, with no warning: no certificate comes from it.
     """
     m0, v = fields.m0, fields.v
     dens = np.maximum(m0, 1e-300)
-    ratio = np.where(m0 > 1e-300, np.sum(fields.grad_m0**2, axis=0) / dens, 0.0)
-    fisher = integrate(ratio, grid)
-    _, F, _ = eval_coupling(p.coupling, m0)
-    coup = integrate(F, grid)
-    pot = integrate((v - v.min()) * m0, grid)
+    with np.errstate(over="ignore"):
+        ratio = np.where(m0 > 1e-300, np.sum(fields.grad_m0**2, axis=0) / dens, 0.0)
+        fisher = integrate(ratio, grid)
+        coup = integrate(p.coupling.F(m0), grid)
+        pot = integrate((v - v.min()) * m0, grid)
     return float(fisher), float(coup), float(pot)
+
+
+def _refusal(terms: tuple[float, float, float], e0: float) -> str:
+    """Why no certificate comes from a non-finite e0, naming e0_terms' terms
+    that are not finite; "" when e0 is finite."""
+    if np.isfinite(e0):
+        return ""
+    bad = [name for name, term in zip(E0_TERMS, terms) if not np.isfinite(term)]
+    return ("no certificate: e0 is not finite; non-finite e0_terms: "
+            + (", ".join(bad) or "none, their sum overflows"))
 
 
 def nonexistence_horizon(e0: float, h0: float, dim: int) -> float:
     """Explicit horizon N/(2 e0) + sqrt(h0/(2 e0)) beyond which no classical
     solution exists once the structural conditions hold."""
-    if not e0 > 0:
-        raise ValueError(f"horizon requires e0 > 0, got {e0}")
+    if not 0 < e0 < np.inf:
+        raise ValueError(f"horizon requires 0 < e0 < inf, got {e0}")
     if h0 < 0:
         raise ValueError(f"h0 must be nonnegative, got {h0}")
     return float(dim / (2.0 * e0) + np.sqrt(h0 / (2.0 * e0)))
@@ -211,8 +222,8 @@ def nonexistence_horizon(e0: float, h0: float, dim: int) -> float:
 
 def planning_horizon(e0: float, h0: float, h_terminal: float) -> float:
     """Horizon sqrt(2 max(h0, hT)/e0) for the prescribed-endpoints problem."""
-    if not e0 > 0:
-        raise ValueError(f"horizon requires e0 > 0, got {e0}")
+    if not 0 < e0 < np.inf:
+        raise ValueError(f"horizon requires 0 < e0 < inf, got {e0}")
     return float(np.sqrt(2.0 * max(h0, h_terminal) / e0))
 
 
@@ -312,10 +323,10 @@ def compute_nonexistence_certificate(
 ) -> Certificate:
     """Certificate for the fixed-terminal-cost problem.
 
-    t_star is reported only when e0 > 0 and the structural conditions hold
-    (at the optimized shift when requested: the translation changes neither
-    e0 nor the algebraic coupling condition, only the pointwise checks and
-    the second moment)."""
+    t_star is reported only when 0 < e0 < inf and the structural conditions
+    hold (at the optimized shift when requested: the translation changes
+    neither e0 nor the algebraic coupling condition, only the pointwise
+    checks and the second moment). A non-finite e0 is named in notes."""
     if fields is None:
         fields = sample_on_grid(p, grid)
     conditions = check_structural_conditions(p, grid, fields=fields)
@@ -344,9 +355,9 @@ def compute_nonexistence_certificate(
         )
         cert_ok = cert_ok or translational_ok
 
-    t_star = None
-    if e0 > 0 and cert_ok:
-        t_star = nonexistence_horizon(e0, h_used, p.dim)
+    refusal = _refusal(terms, e0)
+    t_star = nonexistence_horizon(e0, h_used, p.dim) if not refusal and e0 > 0 and cert_ok else None
+    notes = "; ".join(filter(None, (notes, refusal)))
     return Certificate(
         e0=float(e0),
         h0=float(h_used),
@@ -390,8 +401,9 @@ def compute_planning_certificate(
     No terminal cost enters here, so the monotone terminal condition is not
     required; both endpoint densities must be unit mass and nonnegative.
     certificate is compute_nonexistence_certificate's result on grid, whose
-    condition report and e0 are reused; h0 is always the unshifted second
-    moment of m0, since the certificate's may be shifted."""
+    condition report and e0 are reused, and whose non-finite e0 gives no
+    t_hat either; h0 is always the unshifted second moment of m0, since the
+    certificate's may be shifted."""
     mT, _ = _unit_mass(
         terminal_density.value(grid.coordinates), grid,
         "certify.terminal_density", "terminal density",
@@ -409,13 +421,15 @@ def compute_planning_certificate(
         ),
     }
     ok = all(c.holds for c in conditions.values())
-    t_hat = planning_horizon(e0, h0, hT) if (e0 > 0 and ok) else None
+    refusal = _refusal(certificate.terms, e0)
+    t_hat = planning_horizon(e0, h0, hT) if not refusal and e0 > 0 and ok else None
     return PlanningCertificate(
         e0=float(e0),
         h0=float(h0),
         h_terminal=float(hT),
         t_hat=t_hat,
         conditions=conditions,
+        notes=refusal,
     )
 
 

@@ -19,7 +19,9 @@ from .errors import ConfigError, check_fields
 
 @dataclass(frozen=True)
 class CouplingSpec:
-    """Power-law local coupling f(m) = sigma * m**alpha."""
+    """Power-law local coupling f(m) = sigma * m**alpha and its antiderivative F.
+
+    Both take raw densities and see max(m, 0)."""
 
     sigma: float
     alpha: float
@@ -30,34 +32,17 @@ class CouplingSpec:
         check_fields(self)
 
     def f(self, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The law f(m) = sigma * m**alpha at nonnegative densities m, unchecked.
+        """The law f(m) = sigma * max(m, 0)**alpha.
 
         out, when given, receives the values and may be m itself."""
-        out = np.positive(m, out=out)
+        out = np.maximum(m, 0.0, out=out)
         out **= self.alpha
         out *= self.sigma
         return out
 
-
-def eval_coupling(coupling: CouplingSpec, m: np.ndarray):
-    """Return (f(m), F(m), f'(m)) for nonnegative densities m.
-
-    F is the antiderivative sigma*m^(alpha+1)/(alpha+1) with F(0) = 0.
-    At m = 0 the derivative is 0 for alpha > 1, sigma for alpha = 1 (the law
-    is linear there), and +inf for alpha < 1.
-    """
-    m = np.asarray(m, dtype=float)
-    if np.any(m < 0):
-        raise ValueError("coupling evaluated at negative density")
-    sigma, alpha = coupling.sigma, coupling.alpha
-    f = coupling.f(m)
-    F = sigma * m ** (alpha + 1.0) / (alpha + 1.0)
-    with np.errstate(divide="ignore"):
-        if alpha == 1.0:
-            fp = np.full_like(m, sigma)
-        else:
-            fp = sigma * alpha * m ** (alpha - 1.0)
-    return f, F, fp
+    def F(self, m: np.ndarray) -> np.ndarray:
+        """The antiderivative F(m) = sigma * max(m, 0)**(alpha + 1) / (alpha + 1), F(0) = 0."""
+        return self.sigma * np.maximum(m, 0.0) ** (self.alpha + 1.0) / (self.alpha + 1.0)
 
 
 _MAX_SQUARED_POWER = 64  # at most 11 products a node

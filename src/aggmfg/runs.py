@@ -21,6 +21,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .diagnostics import (
+    E0_TERMS,
     check_moment_identity,
     compute_apriori,
     compute_energy,
@@ -451,7 +452,7 @@ def run_certify(cfg: dict, out_dir=None) -> dict:
         "conditions": certificate.conditions.as_dict(),
         "certificate": certificate.as_dict(),
         "certificate_applies": certificate.applies_at(problem.horizon),
-        "e0_terms": dict(zip(("fisher", "coupling", "potential"), certificate.terms)),
+        "e0_terms": dict(zip(E0_TERMS, certificate.terms)),
         "planning": planning.as_dict() if planning is not None else None,
     }
     _write_json(os.path.join(out_dir, "certificate.json"), payload)

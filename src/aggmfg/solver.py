@@ -129,8 +129,7 @@ def picard_map(
     w_out, mu_out = (None, None) if out is None else out
     # half the source: -w_t - Lap w = ((f - V)/2) w is what w = e^(-u/2)
     # turns the value equation into when the kinetic term is |grad u|^2/2
-    c = np.maximum(m, 0.0, out=mu_out)  # one buffer: the clipped density, then f of it
-    p.coupling.f(c, out=c)
+    c = p.coupling.f(m, out=mu_out)  # the heat coefficient, in the new density's buffer
     c -= fields.v
     c *= 0.5
     w = solve_backward_heat(hopf_cole(fields.u_terminal), c, grid, scheme=scheme, out=w_out)
@@ -279,8 +278,7 @@ def self_consistency_residual(
         del gu
         kinetic *= 0.5
         r += kinetic
-        np.maximum(m0, 0.0, out=kinetic)  # the added term's buffer now holds f(m0)
-        r += p.coupling.f(kinetic, out=kinetic)
+        r += p.coupling.f(m0, out=kinetic)  # the added term's buffer now holds f(m0)
         r -= fields.v
         for norm in np.vecdot(np.abs(r, out=r), w_int).tolist():
             hjb_total += norm * dt

@@ -66,8 +66,10 @@ values = st.recursive(
 
 
 def mutations(paths):
+    # scalars again on their own: values alone nearly always nests its leaf,
+    # so a bare special float would seldom be set
     return st.lists(
-        st.tuples(st.sampled_from(paths), st.one_of(st.just(REMOVE), values)),
+        st.tuples(st.sampled_from(paths), st.one_of(st.just(REMOVE), values, scalars)),
         min_size=1, max_size=3,
     )
 
@@ -159,6 +161,10 @@ def _exit_code(command: str, cfg: dict) -> tuple[int, str]:
 # a spacing whose square underflows or overflows: dx**2 of 0 or inf in every operator
 @example(command="solve", nx=9, nt=4, changes=[("grid.half_width", 1e-300)], exits=(2,))
 @example(command="certify", nx=9, nt=4, changes=[("grid.half_width", 1e300)], exits=(2,))
+# a domain so small that the unit-mass density overflows e0's coupling term
+@example(command="certify", nx=9, nt=4, changes=[("grid.half_width", 8e-154)], exits=(0,))
+# a time step whose square underflows: no second difference of the second moment
+@example(command="solve", nx=17, nt=6, changes=[("problem.horizon", 1e-300)], exits=(0,))
 # LAPACK refuses a line of the initial guess's density march: a diverged solve
 @example(command="solve", nx=9, nt=4, changes=[("problem.horizon", 1e300)], exits=(0,))
 def test_any_config_runs_or_exits_two(command, nx, nt, changes, exits):

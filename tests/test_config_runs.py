@@ -512,6 +512,37 @@ def test_run_certify_evaluates_e0_terms_once(tmp_path, monkeypatch):
     assert "terms" not in out["certificate"]
 
 
+TERMINAL = {"weights": [1.0], "means": [[1.0]], "stds": [1.0]}
+
+
+@pytest.mark.parametrize("half_width,std,terminal,term", [
+    # the unit-mass density is about 1e153 at the nodes: F(m0) overflows
+    (8e-154, 1.0, None, "coupling"),
+    (8e-154, 1.0, TERMINAL, "coupling"),
+    # |grad m0|^2 overflows at the nodes next to a peak of height 1e80
+    (1e-79, 1e-80, TERMINAL, "fisher"),
+])
+def test_cli_certify_refuses_a_non_finite_e0(tmp_path, capsys, half_width, std, terminal, term):
+    cfg = _solve_cfg(sigma=5.0, nx=9, nt=4)
+    cfg["grid"]["half_width"] = half_width
+    cfg["problem"]["initial_density"]["stds"] = [std]
+    cfg["certify"] = {"terminal_density": terminal}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["certify", str(cfg_path), "--output", str(tmp_path / "out")]) == 0
+    assert "no certificate: e0 is not finite" in capsys.readouterr().out
+    payload = json.load(open(tmp_path / "out" / "certificate.json"))
+    assert payload["certificate"]["e0"] in ("inf", "-inf")
+    assert payload["certificate"]["t_star"] is None
+    assert payload["certificate_applies"] is False
+    assert payload["certificate"]["notes"].endswith(f"non-finite e0_terms: {term}")
+    if terminal is None:
+        assert payload["planning"] is None
+    else:
+        assert payload["planning"]["t_hat"] is None
+        assert payload["planning"]["notes"] == payload["certificate"]["notes"]
+
+
 def test_run_kernelcheck_default_queries(tmp_path):
     out = run_kernelcheck({}, out_dir=str(tmp_path / "kc"))
     by_key = {(r["dim"], r["exponent"], r["kind"]): r for r in out["rows"]}

@@ -22,7 +22,7 @@ from aggmfg import (
 )
 from aggmfg.diagnostics import _shift_feasible
 from aggmfg.discretization import Grid, _level_blocks, gradient, integrate
-from aggmfg.problem import PotentialSpec, eval_coupling, sample_on_grid
+from aggmfg.problem import PotentialSpec, sample_on_grid
 from tests.conftest import gaussian_problem, three_block_levels
 
 
@@ -89,6 +89,11 @@ def test_horizon_formulas():
         nonexistence_horizon(0.0, 1.0, dim=1)
     with pytest.raises(ValueError):
         planning_horizon(-0.1, 1.0, 1.0)
+    for e0 in (math.inf, math.nan):  # a non-finite e0 has no horizon either
+        with pytest.raises(ValueError):
+            nonexistence_horizon(e0, 1.0, dim=1)
+        with pytest.raises(ValueError):
+            planning_horizon(e0, 1.0, 1.0)
 
 
 def test_certificate_subcritical_has_no_horizon():
@@ -243,7 +248,7 @@ def test_blocked_energy_and_moments_match_per_level_loop(dim, nx, rng):
         assert moments.h[j] == integrate(m[j], g, weight=g.radius_sq)
         assert moments.abs_moment[j] == integrate(m[j], g, weight=g.radius)
         gu, gm = gradient(u[j], g), gradient(m[j], g)
-        f, F, _ = eval_coupling(p.coupling, m[j])
+        f, F = p.coupling.f(m[j]), p.coupling.F(m[j])
         assert rep.cross[j] == integrate(np.sum(gu * gm, axis=0), g)
         assert rep.kinetic[j] == 0.5 * integrate(np.sum(gu**2, axis=0) * m[j], g)
         assert rep.coupling[j] == integrate(F, g)

@@ -10,7 +10,6 @@ from aggmfg import (
     PotentialSpec,
     TerminalCostSpec,
     check_structural_conditions,
-    eval_coupling,
     sample_on_grid,
 )
 from aggmfg.discretization import Grid, _level_blocks, integrate, integrate_space_time
@@ -18,13 +17,23 @@ from aggmfg.problem import coupling_mass
 from tests.conftest import gaussian_problem
 
 
-def test_eval_coupling_values():
-    c = CouplingSpec(sigma=3.0, alpha=2.0)
-    f, big_f, fprime = eval_coupling(c, np.array([0.0, 1.0, 2.0]))
-    assert np.allclose(f, [0.0, 3.0, 12.0])
-    assert np.allclose(big_f, [0.0, 1.0, 8.0])
-    assert np.allclose(fprime, [0.0, 6.0, 12.0])
-    assert np.array_equal(c.f(np.array([0.0, 1.0, 2.0])), f)
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.3, 2.0, 3.0])
+def test_coupling_law_clips_the_density_itself(alpha, rng):
+    c = CouplingSpec(sigma=3.0, alpha=alpha)
+    nodes = np.array([-1.0, 0.0, 1.0, 2.0])  # a negative node is read as 0
+    law = 3.0 * np.array([0.0, 0.0, 1.0, 2.0**alpha])
+    antiderivative = 3.0 / (alpha + 1.0) * np.array([0.0, 0.0, 1.0, 2.0 ** (alpha + 1.0)])
+    np.testing.assert_allclose(c.f(nodes), law, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(c.F(nodes), antiderivative, rtol=1e-15, atol=0.0)
+    # on signed densities, the bits of clipping first and then applying the law
+    m = rng.standard_normal((5, 33))
+    clipped = np.maximum(m, 0.0)
+    expected_f = 3.0 * clipped**alpha
+    assert np.array_equal(c.f(m), expected_f)
+    assert np.array_equal(c.F(m), 3.0 * clipped ** (alpha + 1.0) / (alpha + 1.0))
+    out = m.copy()
+    assert c.f(out, out=out) is out  # the values written over the density
+    assert np.array_equal(out, expected_f)
 
 
 def test_coupling_mass_clips_negative_nodes(rng):
@@ -60,21 +69,6 @@ def test_coupling_mass_forms_an_integer_power_by_repeated_squaring(alpha, produc
     assert np.array_equal(out, powered)
     assert d_value == integrate_space_time(powered, g)
     assert peak < 0.5 * m.nbytes
-
-
-def test_eval_coupling_rejects_negative_density():
-    with pytest.raises(ValueError):
-        eval_coupling(CouplingSpec(sigma=1.0, alpha=2.0), np.array([-0.1]))
-
-
-def test_eval_coupling_derivative_at_zero():
-    # f'(0) = 0 for alpha > 1, sigma at alpha = 1, +inf below
-    _, _, d_sup = eval_coupling(CouplingSpec(sigma=2.0, alpha=2.0), np.array([0.0]))
-    assert d_sup[0] == 0.0
-    _, _, d_lin = eval_coupling(CouplingSpec(sigma=2.0, alpha=1.0), np.array([0.0]))
-    assert d_lin[0] == 2.0
-    _, _, d_sub = eval_coupling(CouplingSpec(sigma=2.0, alpha=0.5), np.array([0.0]))
-    assert np.isinf(d_sub[0])
 
 
 def test_coupling_spec_validation():

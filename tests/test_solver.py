@@ -27,7 +27,7 @@ from aggmfg.discretization import (
     laplacian,
 )
 from aggmfg.parabolic import SCHEMES
-from aggmfg.problem import eval_coupling, sample_on_grid
+from aggmfg.problem import sample_on_grid
 from aggmfg.solver import _interior_mask
 from tests.conftest import gaussian_problem, three_block_levels
 
@@ -342,7 +342,7 @@ def _per_level_residual(uv, mv, p, g):
     hjb = fp = 0.0
     for j in range(g.nt):
         gu = gradient(uv[j], g)
-        f_j, _, _ = eval_coupling(p.coupling, np.maximum(mv[j], 0.0))
+        f_j = p.coupling.f(mv[j])
         du = -(uv[j + 1] - uv[j]) / g.dt
         r = du - laplacian(uv[j], g) + 0.5 * np.sum(gu**2, axis=0) + f_j - v
         hjb += float(np.dot(w_int, np.abs(r))) * g.dt

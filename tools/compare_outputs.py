@@ -10,6 +10,8 @@ bytecode into the checkout. The command set is:
 - the seed-0 perfbench workloads solve_1d, solve_2d and sweep, whose configs
   are read from perfbench/workloads.py next to this script;
 - certify with optimize_shift and a terminal density;
+- certify with a terminal density on a domain of half-width 8e-154, where
+  the unit-mass initial density overflows e0's coupling term;
 - a long-time series;
 - 1D and 2D Crank-Nicolson solves;
 - the default kernelcheck;
@@ -176,10 +178,14 @@ def jobs(acceptance: bool) -> list[tuple[str, str, dict | None]]:
     certify["problem"]["potential"] = {"family": "gaussian_well", "amplitude": -1.0,
                                        "width": 2.0, "center": [0.0]}
     certify["certify"] = {"optimize_shift": True, "terminal_density": _density(1, 0.8, 1.0)}
+    tiny = _solve(1, 9, 4, 5.0)
+    tiny["grid"]["half_width"] = 8e-154
+    tiny["certify"] = {"terminal_density": _density(1, 1.0, 1.0)}
     longtime = _solve(1, 65, 1, 5.0)
     longtime["longtime"] = {"horizons": [0.5, 1.0, 2.0], "nx": 65, "nt_per_unit": 32}
     out += [
         ("certify", "certify", certify),
+        ("certify_tiny", "certify", tiny),
         ("longtime", "longtime", longtime),
         ("solve_cn_1d", "solve", _solve(1, 129, 128, 5.0, time_scheme="crank_nicolson")),
         ("solve_cn_2d", "solve", _solve(2, 33, 20, 5.0, time_scheme="crank_nicolson")),
