@@ -12,7 +12,9 @@ flux-form updates below conserve the trapezoid mass to roundoff.
 Each spatial operator is defined once, as tridiagonal bands per grid line in
 the (1, 1) layout that the marches solve: the Neumann Laplacian by
 neumann_off_diagonals and the fitted flux divergence by fitted_bands.
-laplacian and flux_divergence apply those bands with banded_product.
+laplacian and flux_divergence apply those bands with banded_product. The
+drift enters as a potential phi, b = grad phi, whose differences give the
+face Peclet numbers.
 """
 
 from __future__ import annotations
@@ -279,29 +281,33 @@ def face_transport_coefficients(peclet: np.ndarray) -> tuple[np.ndarray, np.ndar
     return A, B
 
 
-def fitted_bands(b_lines: np.ndarray, grid: Grid, dt: float) -> np.ndarray:
-    """Bands of I + dt*L for every line of b_lines, shape (3, *b_lines.shape).
+def fitted_bands(phi_lines: np.ndarray, grid: Grid, dt: float) -> np.ndarray:
+    """Bands of I + dt*L for every line of phi_lines, shape (3, *phi_lines.shape).
 
-    L is the fitted flux divergence along the last axis of b_lines, which
-    holds node drifts (..., lines, n); face drifts are the means of the
-    adjacent node values. The lines are one flat run of nodes (a copy only
-    when b_lines is a transposed view), so each coefficient takes
-    whole-array passes; flat face k lies between nodes k and k+1. The faces
-    between stacked lines are zeroed before the coefficients are formed,
-    and the line ends, whose scale is the half cell's, are fixed up by
-    strided writes. The Peclet numbers are formed in the upper band, which
-    is written last. Every entry has the bits of the per-line formulas:
-    diag = (scale*A + 1) + scale*B of the left face, upper = (-scale)*B and
-    lower = (-scale)*A.
+    L is the fitted flux divergence along the last axis of phi_lines, which
+    holds the drift potential (..., lines, n), drift b = grad phi. A face's
+    Peclet number, dx times the mean of gradient's node drifts beside it, is
+    phi[j+1] - phi[j] on a line's end faces and (phi[j+1] - phi[j-1] +
+    phi[j+2] - phi[j]) / 4 inside. The lines are one flat run of nodes (a
+    copy only when phi_lines is a transposed view), so each coefficient
+    takes whole-array passes; flat face k lies between nodes k and k+1. The
+    faces between stacked lines are zeroed before the coefficients are
+    formed, and the line ends, whose scale is the half cell's, are fixed up
+    by strided writes. The Peclet numbers are formed in the upper band,
+    which is written last. Every entry has the bits of the per-line
+    formulas: diag = (scale*A + 1) + scale*B of the left face,
+    upper = (-scale)*B and lower = (-scale)*A.
     """
-    n = b_lines.shape[-1]
-    b = b_lines.reshape(-1)
-    ab = np.empty((3, b.size))
+    n = phi_lines.shape[-1]
+    phi = phi_lines.reshape(-1)
+    ab = np.empty((3, phi.size))
     upper, diag, lower = ab
     p = upper
-    np.add(b[1:], b[:-1], out=p[:-1])
-    p *= 0.5
-    p *= grid.dx
+    np.subtract(phi[2:], phi[:-2], out=lower[1:-1])  # node k's central difference, at k
+    np.add(lower[1:-2], lower[2:-1], out=p[1:-2])
+    p[1:-2] *= 0.25
+    np.subtract(phi[1::n], phi[::n], out=p[::n])
+    np.subtract(phi[n - 1 :: n], phi[n - 2 :: n], out=p[n - 2 :: n])
     p[n - 1 :: n] = 0.0  # no face between one line's end and the next line's start
     A, B = face_transport_coefficients(p)
     scale = dt / (grid.axis_weights * grid.dx)
@@ -318,27 +324,25 @@ def fitted_bands(b_lines: np.ndarray, grid: Grid, dt: float) -> np.ndarray:
     np.multiply(B[::n], -end, out=upper[1::n])
     np.multiply(A[n - 2 :: n], -end, out=lower[n - 2 :: n])
     lower[n - 1 :: n] = 0.0
-    return ab.reshape((3,) + b_lines.shape)
+    return ab.reshape((3,) + phi_lines.shape)
 
 
-def flux_divergence(b: np.ndarray, density: np.ndarray, grid: Grid) -> np.ndarray:
-    """The fitted divergence L mu = -Lap mu + div(b mu), no-flux boundary.
+def flux_divergence(phi: np.ndarray, density: np.ndarray, grid: Grid) -> np.ndarray:
+    """The fitted divergence L mu = -Lap mu + div(mu grad phi), no-flux boundary.
 
     L is the operator whose implicit step (I + dt*L) mu_new = mu_old the
     Fokker-Planck march solves: fitted_bands with dt = 1 and the identity
-    taken off the diagonal, applied along each axis. density has shape
-    (..., n_nodes) and b (..., dim, n_nodes). The weighted sum of the
-    output telescopes to zero up to roundoff; b = 0 gives -Lap mu.
+    taken off the diagonal, applied along each axis. The drift potential
+    phi has density's shape (..., n_nodes). The weighted sum of the output
+    telescopes to zero up to roundoff; a constant phi gives -Lap mu.
     """
-    b = np.asarray(b, dtype=float)
-    lead = np.shape(density)[:-1]
-    if b.shape != lead + (grid.dim, grid.n_nodes):
-        raise ValueError(f"drift shape {b.shape} != {lead + (grid.dim, grid.n_nodes)}")
-    # component d of the drift at index d, or d - dim like its array axis
-    bg = np.moveaxis(b.reshape(lead + (grid.dim,) + (grid.nx,) * grid.dim), -1 - grid.dim, 0)
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape != np.shape(density):
+        raise ValueError(f"phi shape {phi.shape} != {np.shape(density)}")
+    pg = phi.reshape(phi.shape[:-1] + (grid.nx,) * grid.dim)
 
     def fitted(ax):
-        ab = fitted_bands(bg[ax].swapaxes(ax, -1), grid, 1.0)
+        ab = fitted_bands(pg.swapaxes(ax, -1), grid, 1.0)
         ab[1] -= 1.0
         return ab
 

@@ -4,9 +4,9 @@ Both PDE marches are implicit by default. The value-side equation
 -w_t - Lap w = c w is stepped backward from t = T; its Neumann operator is
 self-adjoint in the trapezoid inner product, so the march solves symmetric
 positive definite systems in a rescaled variable. The density-side equation
-mu_t = Lap mu - div(b mu) is stepped forward in flux form with exponentially
-fitted faces, which makes every step conserve the trapezoid mass exactly and
-keeps the iteration matrix an M-matrix, hence mu >= 0 unconditionally.
+mu_t = Lap mu - div(mu grad phi) is stepped forward in flux form with fitted
+faces, which makes every step conserve the trapezoid mass exactly and keeps
+the iteration matrix an M-matrix, hence mu >= 0 unconditionally.
 """
 
 from __future__ import annotations
@@ -308,36 +308,35 @@ def _check_positive(y: np.ndarray, lo: int, hi: int, grid: Grid) -> None:
 
 def solve_fokker_planck(
     initial: np.ndarray,
-    drift,
+    phi,
     grid: Grid,
     scheme: str = "implicit_euler",
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """March mu_t = Lap mu - div(b mu) forward from mu(0) = initial.
+    """March mu_t = Lap mu - div(mu grad phi) forward from mu(0) = initial.
 
-    drift has shape (nt+1, dim, n_nodes); the step onto level n uses the
-    drift at level n (the implicit side). It is read one block of levels at
-    a time, as drift[lo:hi], so it may be an array or any object of that
-    shape that forms the levels sliced. Zero-flux boundaries: each step
-    preserves the trapezoid mass to roundoff. Densities stay nonnegative for
-    the default scheme; anything below -1e-12 raises SchemeViolationError and
-    smaller undershoots are clamped to zero. out, when given, is a
-    C-contiguous float array of shape (nt+1, n_nodes) that receives mu
-    instead of a new one.
+    phi is the drift potential, drift b = grad phi, shape (nt+1, n_nodes);
+    the step onto level n uses phi at level n (the implicit side). It is read
+    one block of levels at a time, as phi[lo:hi], so it may be an array or
+    any object of that shape that forms the levels sliced. Zero-flux
+    boundaries: each step preserves the trapezoid mass to roundoff.
+    Densities stay nonnegative for the default scheme; anything below -1e-12
+    raises SchemeViolationError and smaller undershoots are clamped to zero.
+    out, when given, is a C-contiguous float array of shape (nt+1, n_nodes)
+    that receives mu instead of a new one.
 
-    In 2D each step is Lie split into an axis-0 then an axis-1 line sweep;
-    each sweep conserves the weighted line mass, so the tensor trapezoid
-    mass telescopes exactly. Bands and undershoot checks are done a block
-    of time levels at a time. The march stays on dgtsv: the weights that
-    would symmetrize its bands are exponentials of the running Peclet sum,
-    which overflow once w nears the drift's log floor.
+    In 2D each step is Lie split into an axis-0 then an axis-1 line sweep,
+    both with the Peclet numbers of one phi block; each sweep conserves the
+    weighted line mass, so the tensor trapezoid mass telescopes exactly.
+    Bands and undershoot checks are done a block of time levels at a time.
+    The march stays on dgtsv: the weights that would symmetrize its bands
+    are exponentials of the running Peclet sum, which overflow once w nears
+    the potential's log floor.
     """
     _check_scheme(scheme)
     mu0 = np.asarray(initial, dtype=float)
-    if np.shape(drift) != (grid.nt + 1, grid.dim, grid.n_nodes):
-        raise ValueError(
-            f"drift shape {np.shape(drift)} != {(grid.nt + 1, grid.dim, grid.n_nodes)}"
-        )
+    if np.shape(phi) != (grid.nt + 1, grid.n_nodes):
+        raise ValueError(f"phi shape {np.shape(phi)} != {(grid.nt + 1, grid.n_nodes)}")
     if mu0.shape != (grid.n_nodes,):
         raise ValueError("initial slice does not match the grid")
     if float(mu0.min()) < 0.0:
@@ -351,10 +350,8 @@ def solve_fokker_planck(
 
     def bands_of(first, end):
         # bands for every sweep axis (grid axis a is array axis a - dim)
-        b = np.asarray(drift[first:end], dtype=float).reshape((end - first, grid.dim) + shape)
-        return [
-            fitted_bands(b[:, a].swapaxes(a - grid.dim, -1), grid, dt) for a in range(grid.dim)
-        ]
+        levels = np.asarray(phi[first:end], dtype=float).reshape((end - first,) + shape)
+        return [fitted_bands(levels.swapaxes(a - grid.dim, -1), grid, dt) for a in range(grid.dim)]
 
     rows = mu.reshape((grid.nt + 1,) + shape)
     _march_blocks(rows, half, bands_of, partial(_clamp_undershoot, mu))
@@ -409,8 +406,8 @@ class HeatKernelQuery:
 
 @dataclass(frozen=True)
 class KernelNormResult:
-    value: float
-    fitted_exponent: float
+    value: float | None  # None, with fitted_exponent, when the quadrature is unresolved
+    fitted_exponent: float | None
     analytic_exponent: float
 
 
@@ -462,13 +459,17 @@ def heat_kernel_spacetime_norm(query: HeatKernelQuery) -> KernelNormResult:
     The time integral is done on a log-spaced mesh and the growth exponent is
     fitted by log-log regression over a decade of horizons. Non-integrable
     queries raise KernelNormDivergenceError carrying the analytic exponent;
-    the borderline log-divergent case is flagged as such.
+    the borderline log-divergent case is flagged as such. A time integral
+    that over- or underflows (t near either end of the floats) is unresolved.
     """
     beta = analytic_kernel_exponent(query.dim, query.exponent, query.kind)
     if beta <= 1e-14:
         raise KernelNormDivergenceError(beta, boundary=abs(beta) <= 1e-14)
     taus = query.t * np.logspace(-1.0, 0.0, 9)
-    vals = np.array([_time_integral(tau, query) for tau in taus])
+    with np.errstate(all="ignore"):
+        vals = np.array([_time_integral(tau, query) for tau in taus])
+    if not np.all((vals > 0.0) & (vals < np.inf)):
+        return KernelNormResult(value=None, fitted_exponent=None, analytic_exponent=float(beta))
     norms = vals ** (1.0 / query.exponent)
     slope = np.polyfit(np.log(taus), np.log(norms), 1)[0]
     return KernelNormResult(

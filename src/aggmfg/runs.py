@@ -496,8 +496,8 @@ def run_kernelcheck(cfg: dict, out_dir=None) -> dict:
     for q in queries:
         try:
             result = heat_kernel_spacetime_norm(q)
-            status, analytic = "fit", result.analytic_exponent
-            fitted, value = result.fitted_exponent, result.value
+            status = "fit" if result.value is not None else "unresolved"
+            analytic, fitted, value = result.analytic_exponent, result.fitted_exponent, result.value
         except KernelNormDivergenceError as exc:
             status = "boundary" if exc.boundary else "divergent"
             analytic, fitted, value = exc.analytic_exponent, None, None

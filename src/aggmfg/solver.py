@@ -2,10 +2,10 @@
 
 Writing w = exp(-u/2) turns the quadratic value equation into the linear
 backward heat equation -w_t - Lap w = (f(m) - V) w, and the density equation
-into a linear drifted march with drift b = 2 grad(w)/w. One fixed-point sweep
-maps a density trajectory m to the density mu produced by those two linear
-solves; the solver damps that map and iterates until the relative space-time
-L1 change is below tolerance.
+into a linear march with drift b = grad phi, phi = 2 log w. One fixed-point
+sweep maps a density trajectory m to the density mu produced by those two
+linear solves; the solver damps that map and iterates until the relative
+space-time L1 change is below tolerance.
 """
 
 from __future__ import annotations
@@ -90,24 +90,21 @@ def inverse_hopf_cole(w_values: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _BlockDrift:
-    """The node drift b = 2 grad(log w) of a value field, formed for the levels sliced.
+class _BlockPotential:
+    """The drift potential phi = 2 log w of a value field, formed for the levels sliced.
 
-    solve_fokker_planck reads its drift one block of levels at a time, so
-    the Picard map never holds the whole trajectory's drift.
+    solve_fokker_planck reads phi one block of levels at a time, so the
+    Picard map never holds the whole trajectory's.
     """
 
     w: np.ndarray
-    grid: Grid
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return (self.w.shape[0], self.grid.dim, self.grid.n_nodes)
+    shape = property(lambda self: self.w.shape)
 
     def __getitem__(self, levels: slice) -> np.ndarray:
-        b = gradient(np.log(np.maximum(self.w[levels], _LOG_FLOOR)), self.grid)
-        b *= 2.0
-        return b
+        phi = np.maximum(self.w[levels], _LOG_FLOOR)
+        np.log(phi, out=phi)
+        phi *= 2.0
+        return phi
 
 
 def picard_map(
@@ -134,7 +131,7 @@ def picard_map(
     c *= 0.5
     w = solve_backward_heat(hopf_cole(fields.u_terminal), c, grid, scheme=scheme, out=w_out)
     del c  # the FP march holds the largest working set; c is not needed there
-    mu = solve_fokker_planck(fields.m0, _BlockDrift(w, grid), grid, scheme=scheme, out=mu_out)
+    mu = solve_fokker_planck(fields.m0, _BlockPotential(w), grid, scheme=scheme, out=mu_out)
     return w, mu
 
 
@@ -165,8 +162,8 @@ def _damped_update(
 def _initial_trajectory(fields: ProblemFields, grid: Grid, cfg: SolverConfig) -> np.ndarray:
     if cfg.initial_guess == "frozen":
         return np.tile(fields.m0, (grid.nt + 1, 1))
-    zero_drift = np.broadcast_to(0.0, (grid.nt + 1, grid.dim, grid.n_nodes))
-    return solve_fokker_planck(fields.m0, zero_drift, grid, scheme=cfg.time_scheme)
+    zero = np.broadcast_to(0.0, (grid.nt + 1, grid.n_nodes))  # no drift: the heat flow
+    return solve_fokker_planck(fields.m0, zero, grid, scheme=cfg.time_scheme)
 
 
 def solve(
@@ -246,10 +243,10 @@ def self_consistency_residual(
 
     The value residual applies -d_t - Lap + |grad|^2/2 + f(m) - V to u with
     the scheme's backward time difference; the density residual applies the
-    march's implicit step, (m1 - m0)/dt + L m1 with L = flux_divergence for
-    the drift -grad u. Both are quadrature-weighted L1 norms over interior
-    space-time nodes; on a 1D implicit Euler solve the density residual
-    sits near the Picard tolerance. The stencils run over blocks of time
+    march's implicit step, (m1 - m0)/dt + L m1 with L = flux_divergence of
+    the potential -u (drift -grad u). Both are quadrature-weighted L1 norms
+    over interior space-time nodes; on a 1D implicit Euler solve the density
+    residual sits near the Picard tolerance. The stencils run over blocks of time
     levels; one np.vecdot per block gives each level's weighted norm (the
     bits of a per-level np.dot), and the norms are added in level order.
     Both residuals of every block are summed, term by term in the order
@@ -282,12 +279,10 @@ def self_consistency_residual(
         r -= fields.v
         for norm in np.vecdot(np.abs(r, out=r), w_int).tolist():
             hjb_total += norm * dt
-        # density residual at levels lo+1 .. hi, driven by -grad u
+        # density residual at levels lo+1 .. hi, driven by the potential -u
         np.subtract(m1, m0, out=r)
         r /= dt
-        b = gradient(u1, grid)
-        np.negative(b, out=b)
-        r += flux_divergence(b, m1, grid)
+        r += flux_divergence(-u1, m1, grid)
         for norm in np.vecdot(np.abs(r, out=r), w_int).tolist():
             fp_total += norm * dt
     return hjb_total, fp_total

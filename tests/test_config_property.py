@@ -182,6 +182,12 @@ def test_any_config_runs_or_exits_two(command, nx, nt, changes, exits):
 @example(command="sweep", changes=[("sweep.nt_per_unit", 1e300)])
 @example(command="sweep", changes=[("grid.half_width", 1e300)])
 @example(command="longtime", changes=[("grid.half_width", 1e-300)])
+# a horizon whose time integral overflows (4 pi s)^(-n q / 2): an unresolved row
+@example(command="kernelcheck", changes=[("kernel.queries.0.t", 7.789799295767365e-305)])
+@example(command="kernelcheck", changes=[
+    ("kernel.queries.0.dim", 2), ("kernel.queries.0.exponent", 1.2),
+    ("kernel.queries.0.t", 1e-300),
+])
 def test_any_series_or_kernel_config_runs_or_exits_two(command, changes):
     code, err = _exit_code(command, _mutated(_series_config(), changes))
     assert code in (0, 2), err

@@ -13,6 +13,7 @@ from aggmfg import (
     Grid,
     SolveOutcome,
     SolverConfig,
+    analytic_kernel_exponent,
     inverse_hopf_cole,
     self_consistency_residual,
 )
@@ -553,6 +554,27 @@ def test_run_kernelcheck_default_queries(tmp_path):
     assert by_key[(1, 1.2, "gradient")]["status"] == "fit"
     table = _read_csv(os.path.join(out["out_dir"], "exponents.csv"))
     assert len(table) == 6
+
+
+def test_run_kernelcheck_marks_an_over_or_underflowing_quadrature_unresolved(tmp_path):
+    # the first two overflow (4 pi s)^(-n q / 2), the third underflows it to
+    # zero, the fourth meshes time at zero; t 1e-300 in 1D still fits
+    queries = [{"dim": 1, "exponent": 2.0, "t": 7.789799295767365e-305},
+               {"dim": 2, "exponent": 1.2, "t": 1e-300},
+               {"dim": 2, "exponent": 1.2, "t": 1e300},
+               {"dim": 1, "exponent": 1.0, "t": 5e-324, "kind": "gradient"},
+               {"dim": 1, "exponent": 2.0, "t": 1e-300}]
+    out = run_kernelcheck({"kernel": {"queries": queries}}, out_dir=str(tmp_path / "kc"))
+    assert [r["status"] for r in out["rows"]] == ["unresolved"] * 4 + ["fit"]
+    for row in out["rows"][:4]:
+        assert row["value"] is None and row["fitted_exponent"] is None
+        assert row["analytic_exponent"] == analytic_kernel_exponent(
+            row["dim"], row["exponent"], row["kind"])
+    fit = out["rows"][-1]
+    assert fit["value"] == 6.316203305348828e-76 and fit["fitted_exponent"] == pytest.approx(0.25)
+    rows = _csv_text_rows(os.path.join(out["out_dir"], "exponents.csv"))
+    assert [row[4] for row in rows[1:]] == ["unresolved"] * 4 + ["fit"]
+    assert all(row[6:] == ["", ""] for row in rows[1:5])
 
 
 def _csv_text_rows(path):

@@ -144,10 +144,10 @@ def test_gradient_of_a_stack_matches_each_slice(dim, rng):
 def test_laplacian_and_flux_of_a_stack_match_each_slice(dim, rng):
     g = Grid(dim=dim, half_width=4.0, nx=9, nt=3, horizon=1.0)
     f = rng.standard_normal((g.nt + 1, g.n_nodes))
-    b = rng.standard_normal((g.nt + 1, dim, g.n_nodes))
+    phi = rng.standard_normal((g.nt + 1, g.n_nodes))
     assert np.array_equal(laplacian(f, g), np.stack([laplacian(s, g) for s in f]))
-    per_slice = np.stack([flux_divergence(bs, s, g) for bs, s in zip(b, f)])
-    assert np.array_equal(flux_divergence(b, f, g), per_slice)
+    per_slice = np.stack([flux_divergence(ps, s, g) for ps, s in zip(phi, f)])
+    assert np.array_equal(flux_divergence(phi, f, g), per_slice)
 
 
 def test_face_transport_coefficients_identities():
@@ -190,9 +190,9 @@ def test_face_transport_series_is_the_quadratic_series_below_1e8(rng):
 def test_flux_divergence_conserves_weighted_sum(rng):
     for dim, nx in ((1, 129), (2, 17)):
         g = Grid(dim=dim, half_width=5.0, nx=nx, nt=1, horizon=1.0)
-        b = rng.standard_normal((dim, g.n_nodes))
+        phi = rng.standard_normal(g.n_nodes)
         m = rng.random(g.n_nodes) + 0.1
-        out = flux_divergence(b, m, g)
+        out = flux_divergence(phi, m, g)
         # no-flux walls: the weighted divergence telescopes to zero, up to
         # the roundoff of taking the identity off the fitted diagonal
         assert abs(np.dot(g.weights, out)) < 1e-13 * np.dot(g.weights, np.abs(out))
@@ -202,14 +202,14 @@ def test_flux_divergence_conserves_weighted_sum(rng):
 def test_flux_divergence_without_drift_is_minus_the_laplacian(dim):
     g = Grid(dim=dim, half_width=5.0, nx=65 if dim == 1 else 33, nt=1, horizon=1.0)
     m = np.exp(-g.radius_sq)
-    out = flux_divergence(np.zeros((dim, g.n_nodes)), m, g)
+    out = flux_divergence(np.zeros(g.n_nodes), m, g)
     lap = laplacian(m, g)
     assert np.allclose(out, -lap, rtol=0.0, atol=1e-13 * np.abs(lap).max())
 
 
 def test_flux_divergence_matches_analytic_operator():
-    # smooth b and m compactly supported away from the walls; the fitted
-    # operator is -m'' + (b m)'
+    # smooth b = phi' and m compactly supported away from the walls; the
+    # fitted operator is -m'' + (b m)'
     errs = []
     for nx in (129, 257, 513):
         g = Grid(dim=1, half_width=8.0, nx=nx, nt=1, horizon=1.0)
@@ -217,7 +217,7 @@ def test_flux_divergence_matches_analytic_operator():
         m = np.exp(-x**2)
         b = np.sin(0.5 * x)
         exact = -(4.0 * x**2 - 2.0) * m + 0.5 * np.cos(0.5 * x) * m + b * (-2.0 * x) * m
-        out = flux_divergence(b[None, :], m, g)
+        out = flux_divergence(-2.0 * np.cos(0.5 * x), m, g)
         errs.append(np.max(np.abs(out - exact)))
     slope = np.polyfit(np.log([16.0 / (n - 1) for n in (129, 257, 513)]), np.log(errs), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.2)

@@ -1,4 +1,5 @@
 import math
+import re
 import weakref
 from functools import partial
 
@@ -29,6 +30,7 @@ from aggmfg.discretization import (
     banded_product,
     face_transport_coefficients,
     fitted_bands,
+    flux_divergence,
     integrate,
 )
 from tests.conftest import three_block_levels
@@ -125,8 +127,8 @@ def test_backward_heat_2d_smoke():
 def test_fokker_planck_mass_per_step(rng):
     g = Grid(dim=1, half_width=10.0, nx=201, nt=50, horizon=0.5)
     mu0 = _gaussian(g)
-    b = rng.standard_normal((g.nt + 1, 1, g.n_nodes))
-    mu = solve_fokker_planck(mu0, b, g)
+    phi = 0.2 * rng.standard_normal((g.nt + 1, g.n_nodes))
+    mu = solve_fokker_planck(mu0, phi, g)
     masses = np.array([integrate(mu[n], g) for n in range(g.nt + 1)])
     assert np.abs(np.diff(masses)).max() < 1e-13
 
@@ -134,8 +136,8 @@ def test_fokker_planck_mass_per_step(rng):
 def test_fokker_planck_positivity(rng):
     g = Grid(dim=1, half_width=10.0, nx=101, nt=40, horizon=1.0)
     mu0 = _gaussian(g, std=0.5)
-    b = 3.0 * rng.standard_normal((g.nt + 1, 1, g.n_nodes))
-    mu = solve_fokker_planck(mu0, b, g)
+    phi = 1.2 * rng.standard_normal((g.nt + 1, g.n_nodes))
+    mu = solve_fokker_planck(mu0, phi, g)
     assert mu.min() >= 0.0
 
 
@@ -144,8 +146,8 @@ def test_fokker_planck_constant_drift_mean():
     kappa = 0.3
     g = Grid(dim=1, half_width=12.0, nx=385, nt=400, horizon=1.0)
     mu0 = _gaussian(g)
-    b = np.full((g.nt + 1, 1, g.n_nodes), kappa)
-    mu = solve_fokker_planck(mu0, b, g)
+    phi = np.broadcast_to(kappa * g.axis, (g.nt + 1, g.n_nodes))
+    mu = solve_fokker_planck(mu0, phi, g)
     mean_T = integrate(g.axis * mu[-1], g) / integrate(mu[-1], g)
     assert abs(mean_T - kappa * 1.0) < 2e-3
 
@@ -153,8 +155,8 @@ def test_fokker_planck_constant_drift_mean():
 def test_fokker_planck_zero_drift_matches_kernel():
     g = Grid(dim=1, half_width=12.0, nx=257, nt=1500, horizon=0.1)
     mu0 = _gaussian(g, std=1.5)
-    b = np.zeros((g.nt + 1, 1, g.n_nodes))
-    mu = solve_fokker_planck(mu0, b, g)
+    phi = np.zeros((g.nt + 1, g.n_nodes))
+    mu = solve_fokker_planck(mu0, phi, g)
     exact = heat_kernel_convolve(mu0, 0.1, g)
     assert np.abs(mu[-1] - exact).max() <= 1e-4
 
@@ -163,8 +165,8 @@ def test_fokker_planck_2d_invariants(rng):
     g = Grid(dim=2, half_width=6.0, nx=33, nt=20, horizon=0.2)
     mu0 = _gaussian(g, std=0.8)
     mu0 /= integrate(mu0, g)
-    b = 0.5 * rng.standard_normal((g.nt + 1, 2, g.n_nodes))
-    mu = solve_fokker_planck(mu0, b, g)
+    phi = 0.375 * rng.standard_normal((g.nt + 1, g.n_nodes))
+    mu = solve_fokker_planck(mu0, phi, g)
     masses = np.array([integrate(mu[n], g) for n in range(g.nt + 1)])
     assert np.abs(np.diff(masses)).max() < 1e-13
     assert mu.min() >= 0.0
@@ -173,9 +175,33 @@ def test_fokker_planck_2d_invariants(rng):
 def test_fokker_planck_rejects_negative_initial():
     g = Grid(dim=1, half_width=4.0, nx=17, nt=4, horizon=0.1)
     mu0 = -np.ones(g.n_nodes)
-    b = np.zeros((g.nt + 1, 1, g.n_nodes))
+    phi = np.zeros((g.nt + 1, g.n_nodes))
     with pytest.raises(ValueError):
-        solve_fokker_planck(mu0, b, g)
+        solve_fokker_planck(mu0, phi, g)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_density_march_refuses_a_node_drift(dim):
+    g = Grid(dim=dim, half_width=4.0, nx=9, nt=4, horizon=0.1)
+    drift = np.zeros((g.nt + 1, dim, g.n_nodes))
+    expected = re.escape(f"!= {(g.nt + 1, g.n_nodes)}")
+    with pytest.raises(ValueError, match=expected):
+        solve_fokker_planck(_gaussian(g), drift, g)
+    with pytest.raises(ValueError, match=re.escape(f"!= {(g.n_nodes,)}")):
+        flux_divergence(drift[0], _gaussian(g), g)
+
+
+def test_density_march_is_exact_on_its_own_equilibrium(rng):
+    # with p the face Peclet numbers of a time-constant phi, the state
+    # mu_j ~ exp(sum_{i<j} p_i) has zero fitted flux A(p) mu_j - B(p) mu_{j+1}
+    # through every face, so an implicit step must return it unchanged
+    g = Grid(dim=1, half_width=4.0, nx=33, nt=1, horizon=0.5)
+    phi = np.sin(g.axis) + 0.3 * rng.standard_normal(g.nx)
+    mu0 = np.exp(np.concatenate([[0.0], np.cumsum(_face_peclet(phi))]))
+    mu0 /= integrate(mu0, g)
+    mu = solve_fokker_planck(mu0, np.stack([phi, phi]), g)
+    np.testing.assert_allclose(mu[1], mu0, rtol=1e-13, atol=0.0)
+    assert abs(integrate(mu[1], g) - 1.0) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +256,20 @@ def _heat_band(nx, r, coefficient=0.0, symmetric=False):
     return ab
 
 
-def _fp_band(b_line, g, dt):
-    """(1, 1) bands of I + dt*L on one line, L the fitted flux divergence."""
-    A, B = face_transport_coefficients(0.5 * (b_line[1:] + b_line[:-1]) * g.dx)
+def _face_peclet(phi_line):
+    """The face Peclet numbers of one line's potential: dx times the mean of
+    gradient's node drifts on each face's two sides."""
+    p = np.empty(len(phi_line) - 1)
+    p[0], p[-1] = phi_line[1] - phi_line[0], phi_line[-1] - phi_line[-2]
+    central = phi_line[2:] - phi_line[:-2]  # 2 dx times the interior node drifts
+    p[1:-1] = (central[:-1] + central[1:]) * 0.25
+    return p
+
+
+def _fp_band(phi_line, g, dt):
+    """(1, 1) bands of I + dt*L on one line, L the fitted flux divergence of
+    the potential phi_line."""
+    A, B = face_transport_coefficients(_face_peclet(phi_line))
     scale = dt / (g.axis_weights * g.dx)
     ab = np.zeros((3, g.nx))
     ab[1] = 1.0
@@ -243,21 +280,22 @@ def _fp_band(b_line, g, dt):
     return ab
 
 
-def _far_field_drift_lines(rng, levels, lines, n):
-    """Line-layout drifts (levels, lines, n) that probe every face kind.
+def _far_field_potential_lines(rng, levels, lines, n):
+    """Line-layout potentials (levels, lines, n) that probe every face kind.
 
-    Interior faces are random, a run of faces near each line's start is
-    exactly zero and a run near its end is below 1e-8, and each line ends on
-    a large value that the next line does not start near. The faces at both
-    line ends have zero Peclet number, so only a face between two stacked
-    lines would overflow expm1.
+    The faces after a line's first few are random, two faces near its start
+    are exactly zero and three near its end below 1e-8. Each line starts at
+    -1e3 and ends at -3e3 on two equal nodes, so its end faces have zero
+    Peclet number and their neighbours +500 and about -1500, while a face
+    from one line's end to the next line's start would have +2e3 and
+    overflow expm1.
     """
-    b = rng.standard_normal((levels, lines, n))
-    b[..., 2:5] = 0.0
-    b[..., -5:-2] = 1e-9 * rng.standard_normal((levels, lines, 3))
-    b[..., 0], b[..., 1] = 1e3, -1e3
-    b[..., -2], b[..., -1] = -3e3, 3e3
-    return b
+    phi = 1.5 * rng.standard_normal((levels, lines, n))
+    phi[..., 2:7] = 0.0
+    phi[..., -8:-2] = 1e-9 * rng.standard_normal((levels, lines, 6))
+    phi[..., :2] = -1e3
+    phi[..., -2:] = -3e3
+    return phi
 
 
 @pytest.mark.parametrize("dim, axis", [(1, 0), (2, 0), (2, 1)])
@@ -266,15 +304,15 @@ def test_fp_bands_match_per_line_bands(dim, axis, rng):
     lines = g.nx ** (dim - 1)
     # a few levels, and a block of at least _BLOCK_ROWS node rows
     for levels in (4, -(-_BLOCK_ROWS // g.n_nodes)):
-        b = _far_field_drift_lines(rng, levels, lines, g.nx)
+        phi = _far_field_potential_lines(rng, levels, lines, g.nx)
         if axis == 0 and dim == 2:
             # the axis-0 sweep sees its lines through a transposed view of the level
-            b = np.ascontiguousarray(b.swapaxes(-2, -1)).swapaxes(-2, -1)
+            phi = np.ascontiguousarray(phi.swapaxes(-2, -1)).swapaxes(-2, -1)
         with np.errstate(over="raise", invalid="raise"):
-            ab = fitted_bands(b, g, g.dt)
+            ab = fitted_bands(phi, g, g.dt)
         expected = np.empty_like(ab)
-        for idx in np.ndindex(b.shape[:-1]):
-            expected[(slice(None),) + idx] = _fp_band(b[idx], g, g.dt)
+        for idx in np.ndindex(phi.shape[:-1]):
+            expected[(slice(None),) + idx] = _fp_band(phi[idx], g, g.dt)
         assert np.array_equal(ab, expected)
 
 
@@ -319,21 +357,21 @@ def _per_line_heat(w_T, c, g, scheme, symmetric=True):
     return w
 
 
-def _per_line_fokker_planck(mu0, b, g, scheme):
+def _per_line_fokker_planck(mu0, phi, g, scheme):
     half = scheme == "crank_nicolson"
     dt = 0.5 * g.dt if half else g.dt
     shape = (g.nx,) * g.dim
-    b = b.reshape((g.nt + 1, g.dim) + shape)
+    phi = phi.reshape((g.nt + 1,) + shape)
     mu = np.empty((g.nt + 1, g.n_nodes))
     mu[0] = mu0
     for n in range(1, g.nt + 1):
         cur = mu[n - 1].reshape(shape)
         for axis in range(g.dim):
             if half:
-                b_old = np.moveaxis(b[n - 1, axis], axis, 0)
-                cur = _explicit_each_line(cur, axis, lambda idx: _fp_band(b_old[idx], g, dt))
-            b_new = np.moveaxis(b[n, axis], axis, 0)
-            cur = _solve_each_line(cur, axis, lambda idx: _fp_band(b_new[idx], g, dt))
+                old = np.moveaxis(phi[n - 1], axis, 0)
+                cur = _explicit_each_line(cur, axis, lambda idx: _fp_band(old[idx], g, dt))
+            new = np.moveaxis(phi[n], axis, 0)
+            cur = _solve_each_line(cur, axis, lambda idx: _fp_band(new[idx], g, dt))
         mu[n] = np.maximum(cur.ravel(), 0.0)
     return mu
 
@@ -362,10 +400,10 @@ def test_line_sweep_matches_per_line_solves(dim, scheme, monkeypatch, rng):
         reference = _per_line_heat(w_T, c, g, scheme, symmetric=False)
         np.testing.assert_allclose(w, reference, rtol=1e-13, atol=0.0)
 
-        b = 0.5 * rng.standard_normal((g.nt + 1, dim, g.n_nodes))
+        phi = 0.75 * rng.standard_normal((g.nt + 1, g.n_nodes))
         mu0 = _gaussian(g)
-        mu = solve_fokker_planck(mu0, b, g, scheme=scheme)
-        assert np.array_equal(mu, _per_line_fokker_planck(mu0, b, g, scheme))
+        mu = solve_fokker_planck(mu0, phi, g, scheme=scheme)
+        assert np.array_equal(mu, _per_line_fokker_planck(mu0, phi, g, scheme))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -387,8 +425,8 @@ def test_marches_hold_one_blocks_bands_at_a_time(dim, monkeypatch, rng):
 
     monkeypatch.setattr(parabolic, "_diagonals", recording)
     solve_backward_heat(_gaussian(g) + 0.1, np.zeros((g.nt + 1, g.n_nodes)), g)
-    b = 0.5 * rng.standard_normal((g.nt + 1, dim, g.n_nodes))
-    solve_fokker_planck(_gaussian(g), b, g)
+    phi = 0.75 * rng.standard_normal((g.nt + 1, g.n_nodes))
+    solve_fokker_planck(_gaussian(g), phi, g)
     assert alive == [k % dim for k in range(2 * 3 * dim)]
 
 
@@ -406,8 +444,8 @@ def _kernel_rows_per_march(dim, monkeypatch, rng):
     solve_backward_heat(_gaussian(g) + 0.1, np.zeros((g.nt + 1, g.n_nodes)), g)
     heat = list(rows)
     rows.clear()
-    b = rng.standard_normal((g.nt + 1, dim, g.n_nodes))
-    solve_fokker_planck(_gaussian(g), b, g)
+    phi = 1.5 * rng.standard_normal((g.nt + 1, g.n_nodes))
+    solve_fokker_planck(_gaussian(g), phi, g)
     return g, heat, rows
 
 
@@ -629,11 +667,11 @@ def test_heat_block_check_names_a_nan_level(monkeypatch):
 
 def test_fokker_planck_clamps_a_small_undershoot_and_resolves_the_block(monkeypatch, rng):
     g = _one_block_grid()
-    b = 0.5 * rng.standard_normal((g.nt + 1, 1, g.n_nodes))
+    phi = 0.75 * rng.standard_normal((g.nt + 1, g.n_nodes))
     mu0 = _gaussian(g)
-    clean = solve_fokker_planck(mu0, b, g)
+    clean = solve_fokker_planck(mu0, phi, g)
     calls = _inject_after_kernel(monkeypatch, {9: -1e-14})  # call 9 solves level 10
-    mu = solve_fokker_planck(mu0, b, g)
+    mu = solve_fokker_planck(mu0, phi, g)
     assert np.array_equal(mu[:10], clean[:10])
     assert mu[10, 3] == 0.0
     assert len(calls) == g.nt + (g.nt - 10)  # levels 11 .. 20 solved again
@@ -641,7 +679,7 @@ def test_fokker_planck_clamps_a_small_undershoot_and_resolves_the_block(monkeypa
     step = Grid(dim=1, half_width=g.half_width, nx=g.nx, nt=1, horizon=g.dt)
     ref = mu[10]
     for n in range(11, g.nt + 1):
-        ref = _per_line_fokker_planck(ref, b[n - 1 : n + 1], step, "implicit_euler")[1]
+        ref = _per_line_fokker_planck(ref, phi[n - 1 : n + 1], step, "implicit_euler")[1]
         assert np.array_equal(mu[n], ref)
 
 
@@ -649,39 +687,39 @@ def test_fokker_planck_2d_clamps_inside_a_block_of_the_minimum_levels(monkeypatc
     monkeypatch.setattr(discretization, "_BLOCK_ROWS", 1)
     g = Grid(dim=2, half_width=6.0, nx=9, nt=8, horizon=0.2)
     assert list(_level_blocks(g.nt, g.n_nodes)) == [(0, 4), (4, 8)]
-    b = 0.5 * rng.standard_normal((g.nt + 1, 2, g.n_nodes))
+    phi = 0.75 * rng.standard_normal((g.nt + 1, g.n_nodes))
     mu0 = _gaussian(g)
-    clean = solve_fokker_planck(mu0, b, g)
+    clean = solve_fokker_planck(mu0, phi, g)
     # two calls per level, axis 0 into scratch and then axis 1 into the
     # level itself: call 3 is the axis-1 solve of level 2
     calls = _inject_after_kernel(monkeypatch, {3: -1e-14})
-    mu = solve_fokker_planck(mu0, b, g)
+    mu = solve_fokker_planck(mu0, phi, g)
     assert np.array_equal(mu[:2], clean[:2])
     assert mu[2, 3] == 0.0
     assert len(calls) == 2 * g.nt + 2 * 2  # levels 3 and 4 of the first block solved again
     step = Grid(dim=2, half_width=g.half_width, nx=g.nx, nt=1, horizon=g.dt)
     ref = mu[2]
     for n in range(3, g.nt + 1):
-        ref = _per_line_fokker_planck(ref, b[n - 1 : n + 1], step, "implicit_euler")[1]
+        ref = _per_line_fokker_planck(ref, phi[n - 1 : n + 1], step, "implicit_euler")[1]
         assert np.array_equal(mu[n], ref)
 
 
 def test_fokker_planck_deep_undershoot_names_its_level(monkeypatch, rng):
     g = _one_block_grid()
-    b = 0.5 * rng.standard_normal((g.nt + 1, 1, g.n_nodes))
+    phi = 0.75 * rng.standard_normal((g.nt + 1, g.n_nodes))
     _inject_after_kernel(monkeypatch, {9: -1e-11})
     with pytest.raises(SchemeViolationError, match=r"undershoot -1\.000e-11 at time level 10$"):
-        solve_fokker_planck(_gaussian(g), b, g)
+        solve_fokker_planck(_gaussian(g), phi, g)
 
 
 def test_fokker_planck_nan_does_not_hide_an_earlier_undershoot(monkeypatch, rng):
     # the block's single minimum is NaN here (call 14 solves level 15), so
     # the level-by-level search still finds the undershoot below it
     g = _one_block_grid()
-    b = 0.5 * rng.standard_normal((g.nt + 1, 1, g.n_nodes))
+    phi = 0.75 * rng.standard_normal((g.nt + 1, g.n_nodes))
     _inject_after_kernel(monkeypatch, {9: -1e-11, 14: np.nan})
     with pytest.raises(SchemeViolationError, match=r"undershoot -1\.000e-11 at time level 10$"):
-        solve_fokker_planck(_gaussian(g), b, g)
+        solve_fokker_planck(_gaussian(g), phi, g)
 
 
 @settings(max_examples=200, deadline=None)

@@ -79,18 +79,18 @@ def test_picard_map_releases_the_heat_coefficient_before_the_density_march(
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("dim,nx", [(1, 17), (2, 9)])
-def test_picard_map_forms_the_drift_one_block_at_a_time(dim, nx, scheme, monkeypatch):
+def test_picard_map_forms_the_potential_one_block_at_a_time(dim, nx, scheme, monkeypatch):
     g = Grid(dim=dim, half_width=4.0, nx=nx, nt=three_block_levels(nx**dim), horizon=1.0)
     blocks = list(_level_blocks(g.nt, g.n_nodes))
     assert len(blocks) == 3
-    drift = solver_module._BlockDrift.__getitem__
+    potential = solver_module._BlockPotential.__getitem__
     formed = []
 
     def recording(self, levels):
         formed.append(range(*levels.indices(g.nt + 1)))
-        return drift(self, levels)
+        return potential(self, levels)
 
-    monkeypatch.setattr(solver_module._BlockDrift, "__getitem__", recording)
+    monkeypatch.setattr(solver_module._BlockPotential, "__getitem__", recording)
     p = gaussian_problem(sigma=1.0, dim=dim)
     fields = sample_on_grid(p, g)
     w, mu = picard_map(np.tile(fields.m0, (g.nt + 1, 1)), p, g, fields=fields, scheme=scheme)
@@ -102,8 +102,9 @@ def test_picard_map_forms_the_drift_one_block_at_a_time(dim, nx, scheme, monkeyp
         assert levels == list(range(1, g.nt + 1))
     else:
         assert len(formed) == len(blocks) and sorted(set(levels)) == list(range(g.nt + 1))
-    # the per-block drifts give the march the bits of the whole trajectory's
-    whole = drift(solver_module._BlockDrift(w, g), slice(None))
+    # the per-block potentials give the march the bits of the whole trajectory's
+    whole = potential(solver_module._BlockPotential(w), slice(None))
+    assert np.array_equal(whole, 2.0 * np.log(w))
     assert np.array_equal(mu, solve_fokker_planck(fields.m0, whole, g, scheme=scheme))
 
 
@@ -157,9 +158,8 @@ def test_solve_decoupled_self_consistency(grid_1d):
 
 def _resolve_by_march(out, p, g):
     """|mu - m| / |m| for mu the density march driven by -grad u, re-solved."""
-    b = gradient(inverse_hopf_cole(out.w), g)
-    np.negative(b, out=b)
-    mu = solve_fokker_planck(sample_on_grid(p, g).m0, b, g)
+    phi = -inverse_hopf_cole(out.w)
+    mu = solve_fokker_planck(sample_on_grid(p, g).m0, phi, g)
     m = out.m
     return integrate_space_time(np.abs(mu - m), g) / integrate_space_time(np.abs(m), g)
 
@@ -347,8 +347,7 @@ def _per_level_residual(uv, mv, p, g):
         r = du - laplacian(uv[j], g) + 0.5 * np.sum(gu**2, axis=0) + f_j - v
         hjb += float(np.dot(w_int, np.abs(r))) * g.dt
     for j in range(1, g.nt + 1):
-        b = -gradient(uv[j], g)
-        r = (mv[j] - mv[j - 1]) / g.dt + flux_divergence(b, mv[j], g)
+        r = (mv[j] - mv[j - 1]) / g.dt + flux_divergence(-uv[j], mv[j], g)
         fp += float(np.dot(w_int, np.abs(r))) * g.dt
     return hjb, fp
 

@@ -14,7 +14,8 @@ bytecode into the checkout. The command set is:
   the unit-mass initial density overflows e0's coupling term;
 - a long-time series;
 - 1D and 2D Crank-Nicolson solves;
-- the default kernelcheck;
+- the default kernelcheck, and one whose two queries' horizons (7.8e-305 in
+  1D, 1e-300 in 2D) overflow the kernel's time integral;
 - the determinism criterion's solve;
 - a diverged solve and a budget-exhausted solve;
 - with --acceptance, the 144-cell acceptance sweep as well.
@@ -190,6 +191,10 @@ def jobs(acceptance: bool) -> list[tuple[str, str, dict | None]]:
         ("solve_cn_1d", "solve", _solve(1, 129, 128, 5.0, time_scheme="crank_nicolson")),
         ("solve_cn_2d", "solve", _solve(2, 33, 20, 5.0, time_scheme="crank_nicolson")),
         ("kernelcheck", "kernelcheck", None),
+        ("kernelcheck_tiny", "kernelcheck", {"kernel": {"queries": [
+            {"dim": 1, "exponent": 2.0, "t": 7.789799295767365e-305},
+            {"dim": 2, "exponent": 1.2, "t": 1e-300},
+        ]}}),
         ("determinism", "solve", _solve(1, 129, 128, 0.05)),
         ("diverged", "solve", _solve(1, 65, 240, 30.0, horizon=4.0, damping=0.8, tol=1e-7)),
         ("budget", "solve", _solve(1, 65, 240, 20.0, horizon=4.0, damping=0.8, tol=1e-7,
