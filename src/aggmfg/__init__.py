@@ -28,7 +28,6 @@ from .diagnostics import (
 from .discretization import Grid, integrate, integrate_space_time
 from .errors import (
     ConfigError,
-    KernelNormDivergenceError,
     PositivityError,
     SchemeViolationError,
     SolverError,
@@ -75,7 +74,6 @@ __all__ = [
     "GaussianMixture",
     "Grid",
     "HeatKernelQuery",
-    "KernelNormDivergenceError",
     "KernelNormResult",
     "MomentReport",
     "PlanningCertificate",

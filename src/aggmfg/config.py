@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from typing import Any
 
 import numpy as np
@@ -119,6 +120,18 @@ class _Checker:
             raise ConfigError(sorted(set(self.bad)))
 
 
+@contextmanager
+def _checking(cfg: dict, chk: _Checker | None):
+    """chk, or when it is None a new checker of cfg, which raises one
+    ConfigError naming every bad key when the block that reads it ends."""
+    if chk is not None:
+        yield chk
+        return
+    chk = _Checker(cfg)
+    yield chk
+    chk.raise_if_bad()
+
+
 def _read_dim(chk: _Checker) -> int:
     """problem.dim, 1 when absent or bad."""
     return chk.integer("problem.dim", default=1, rule=Grid.RULES["dim"])
@@ -201,18 +214,14 @@ def _spec_from(chk: _Checker, base: str, spec, dim: int):
 
 
 def build_problem(cfg: dict, chk: _Checker | None = None) -> ProblemSpec | None:
-    own = chk is None
-    if own:
-        chk = _Checker(cfg)
-    dim = _read_dim(chk)
-    horizon = chk.number("problem.horizon", required=True, rule=ProblemSpec.RULES["horizon"])
-    sigma = chk.number("problem.sigma", required=True, rule=CouplingSpec.RULES["sigma"])
-    alpha = chk.number("problem.alpha", required=True, rule=CouplingSpec.RULES["alpha"])
-    mixture = _mixture_from(chk, "problem.initial_density", dim)
-    potential = _spec_from(chk, "problem.potential", PotentialSpec, dim)
-    terminal = _spec_from(chk, "problem.terminal_cost", TerminalCostSpec, dim)
-    if own:
-        chk.raise_if_bad()
+    with _checking(cfg, chk) as chk:
+        dim = _read_dim(chk)
+        horizon = chk.number("problem.horizon", required=True, rule=ProblemSpec.RULES["horizon"])
+        sigma = chk.number("problem.sigma", required=True, rule=CouplingSpec.RULES["sigma"])
+        alpha = chk.number("problem.alpha", required=True, rule=CouplingSpec.RULES["alpha"])
+        mixture = _mixture_from(chk, "problem.initial_density", dim)
+        potential = _spec_from(chk, "problem.potential", PotentialSpec, dim)
+        terminal = _spec_from(chk, "problem.terminal_cost", TerminalCostSpec, dim)
     if chk.bad or mixture is None or horizon is None:
         return None
     return ProblemSpec(
@@ -225,14 +234,10 @@ def build_problem(cfg: dict, chk: _Checker | None = None) -> ProblemSpec | None:
 
 
 def build_grid(cfg: dict, horizon: float, chk: _Checker | None = None) -> Grid | None:
-    own = chk is None
-    if own:
-        chk = _Checker(cfg)
-    nx = chk.integer("grid.nx", required=True, rule=Grid.RULES["nx"])
-    nt = chk.integer("grid.nt", required=True, rule=Grid.RULES["nt"])
-    half_width = _read_grid_rule(chk, nx, nt, "grid.nx", "grid.nt")
-    if own:
-        chk.raise_if_bad()
+    with _checking(cfg, chk) as chk:
+        nx = chk.integer("grid.nx", required=True, rule=Grid.RULES["nx"])
+        nt = chk.integer("grid.nt", required=True, rule=Grid.RULES["nt"])
+        half_width = _read_grid_rule(chk, nx, nt, "grid.nx", "grid.nt")
     if chk.bad or nx is None or nt is None:
         return None
     return Grid(dim=_read_dim(chk), half_width=half_width, nx=nx, nt=nt, horizon=horizon)
@@ -240,15 +245,11 @@ def build_grid(cfg: dict, horizon: float, chk: _Checker | None = None) -> Grid |
 
 def build_solver(cfg: dict, chk: _Checker | None = None) -> SolverConfig | None:
     """The solver section; an absent key keeps SolverConfig's default."""
-    own = chk is None
-    if own:
-        chk = _Checker(cfg)
-    readers = {"damping": chk.number, "tol": chk.number, "max_iter": chk.integer,
-               "d_cap": chk.number, "time_scheme": chk.string, "initial_guess": chk.string}
-    values = {name: read(f"solver.{name}", rule=SolverConfig.RULES[name])
-              for name, read in readers.items()}
-    if own:
-        chk.raise_if_bad()
+    with _checking(cfg, chk) as chk:
+        readers = {"damping": chk.number, "tol": chk.number, "max_iter": chk.integer,
+                   "d_cap": chk.number, "time_scheme": chk.string, "initial_guess": chk.string}
+        values = {name: read(f"solver.{name}", rule=SolverConfig.RULES[name])
+                  for name, read in readers.items()}
     if chk.bad:
         return None
     return SolverConfig(**{name: v for name, v in values.items() if v is not None})
@@ -264,7 +265,5 @@ def _read_run(cfg: dict, chk: _Checker) -> tuple:
 
 def build_run(cfg: dict) -> tuple[ProblemSpec, Grid, SolverConfig]:
     """Validate and build everything a single solve needs, in one pass."""
-    chk = _Checker(cfg)
-    run = _read_run(cfg, chk)
-    chk.raise_if_bad()
-    return run
+    with _checking(cfg, None) as chk:
+        return _read_run(cfg, chk)

@@ -114,8 +114,9 @@ def check_moment_identity(
     the second equates d2h/dt2 with 4E + 2*dim*int(f m) - 2(dim+2)*int(F)
     + 4*int(V m) + 2*int(grad V . x m). Residuals r1, r2 are weighted L1
     norms over interior time nodes, derivatives by centered differences.
-    Every level's integrals come from one np.vecdot per block and integrand,
-    with the bits of integrate on that level.
+    int(F) and -int(V m) are energy's coupling and potential; every other
+    level's integral comes from one np.vecdot per block and integrand, with
+    the bits of integrate on that level.
     """
     uv, mv = np.asarray(u, dtype=float), np.asarray(m, dtype=float)
     nt, dt, n = grid.nt, grid.dt, grid.dim
@@ -145,8 +146,8 @@ def check_moment_identity(
         rhs2[lo:hi] = (
             4.0 * energy.total[lo:hi]
             + 2.0 * n * np.vecdot(p.coupling.f(mb) * mb, w)
-            - 2.0 * (n + 2.0) * np.vecdot(p.coupling.F(mb), w)
-            + 4.0 * np.vecdot(fields.v * mb, w)
+            - 2.0 * (n + 2.0) * energy.coupling[lo:hi]
+            - 4.0 * energy.potential[lo:hi]
             + 2.0 * np.vecdot(gv_dot_x * mb, w)
         )
 
@@ -444,7 +445,6 @@ class AprioriReport:
     exponent_delta: float
     beta: float
     growth_a: float | None
-    notes: str
 
 
 def compute_apriori(d_value: float, p: ProblemSpec) -> AprioriReport:
@@ -463,18 +463,11 @@ def compute_apriori(d_value: float, p: ProblemSpec) -> AprioriReport:
     q = 2.0 * power / (alpha + 1.0)
     delta = 4.0 / q
     beta = alpha * p.dim / 2.0
-    if beta >= 1.0:
-        theta = (1.0 - 1.0 / beta) * (alpha + 1.0) / alpha
-        growth_a = theta
-        notes = "interpolation exponents valid (beta >= 1)"
-    else:
-        growth_a = None
-        notes = "beta < 1: interpolation exponents undefined at this alpha and dim"
+    growth_a = (1.0 - 1.0 / beta) * (alpha + 1.0) / alpha if beta >= 1.0 else None
     return AprioriReport(
         d_value=float(d_value),
         exponent_q=float(q),
         exponent_delta=float(delta),
         beta=float(beta),
         growth_a=growth_a,
-        notes=notes,
     )

@@ -36,19 +36,3 @@ class PositivityError(SolverError):
 class SchemeViolationError(SolverError):
     """A discrete invariant (nonnegativity, mass) was violated beyond roundoff."""
 
-
-class KernelNormDivergenceError(ValueError):
-    """Requested space-time kernel norm is infinite.
-
-    The analytic exponent is still reported so callers can tabulate it.
-    ``boundary`` distinguishes the log-divergent borderline case from a
-    genuinely negative exponent.
-    """
-
-    def __init__(self, analytic_exponent: float, boundary: bool):
-        self.analytic_exponent = float(analytic_exponent)
-        self.boundary = bool(boundary)
-        kind = "boundary-of-integrability" if boundary else "divergent"
-        super().__init__(
-            f"space-time norm is {kind} (analytic exponent {analytic_exponent:.6g})"
-        )

@@ -25,13 +25,7 @@ from .discretization import (
     fitted_bands,
     neumann_off_diagonals,
 )
-from .errors import (
-    KernelNormDivergenceError,
-    PositivityError,
-    SchemeViolationError,
-    SolverError,
-    check_fields,
-)
+from .errors import PositivityError, SchemeViolationError, SolverError, check_fields
 
 SCHEMES = ("implicit_euler", "crank_nicolson")
 
@@ -406,9 +400,13 @@ class HeatKernelQuery:
 
 @dataclass(frozen=True)
 class KernelNormResult:
-    value: float | None  # None, with fitted_exponent, when the quadrature is unresolved
-    fitted_exponent: float | None
+    """status is 'fit', 'unresolved', 'boundary' or 'divergent'; value and
+    fitted_exponent are None unless it is 'fit'."""
+
+    status: str
     analytic_exponent: float
+    value: float | None = None
+    fitted_exponent: float | None = None
 
 
 def analytic_kernel_exponent(dim: int, exponent: float, kind: str = "kernel") -> float:
@@ -457,23 +455,20 @@ def heat_kernel_spacetime_norm(query: HeatKernelQuery) -> KernelNormResult:
     """Space-time L^q norm of the heat kernel (or its gradient) on (0, t).
 
     The time integral is done on a log-spaced mesh and the growth exponent is
-    fitted by log-log regression over a decade of horizons. Non-integrable
-    queries raise KernelNormDivergenceError carrying the analytic exponent;
-    the borderline log-divergent case is flagged as such. A time integral
-    that over- or underflows (t near either end of the floats) is unresolved.
+    fitted by log-log regression over a decade of horizons. A non-integrable
+    query has status 'divergent', or 'boundary' in the borderline
+    log-divergent case; a time integral that over- or underflows (t near
+    either end of the floats) is 'unresolved'. Each carries the analytic
+    exponent alone.
     """
     beta = analytic_kernel_exponent(query.dim, query.exponent, query.kind)
     if beta <= 1e-14:
-        raise KernelNormDivergenceError(beta, boundary=abs(beta) <= 1e-14)
+        return KernelNormResult("boundary" if abs(beta) <= 1e-14 else "divergent", beta)
     taus = query.t * np.logspace(-1.0, 0.0, 9)
     with np.errstate(all="ignore"):
         vals = np.array([_time_integral(tau, query) for tau in taus])
     if not np.all((vals > 0.0) & (vals < np.inf)):
-        return KernelNormResult(value=None, fitted_exponent=None, analytic_exponent=float(beta))
+        return KernelNormResult("unresolved", beta)
     norms = vals ** (1.0 / query.exponent)
     slope = np.polyfit(np.log(taus), np.log(norms), 1)[0]
-    return KernelNormResult(
-        value=float(norms[-1]),
-        fitted_exponent=float(slope),
-        analytic_exponent=float(beta),
-    )
+    return KernelNormResult("fit", beta, value=float(norms[-1]), fitted_exponent=float(slope))

@@ -29,11 +29,7 @@ from .diagnostics import (
     compute_planning_certificate,
 )
 from .discretization import Grid, write_field_csv
-from .errors import KernelNormDivergenceError
-from .parabolic import (
-    HeatKernelQuery,
-    heat_kernel_spacetime_norm,
-)
+from .parabolic import HeatKernelQuery, heat_kernel_spacetime_norm
 from .problem import CouplingSpec, sample_on_grid
 from .solver import inverse_hopf_cole, self_consistency_residual, solve
 
@@ -254,15 +250,31 @@ def _horizon_grid(dim: int, rule: tuple, horizon: float) -> Grid:
 
 # --- phase sweep -----------------------------------------------------------
 
+def _cell_verdict(applies: bool, runs: list[dict], last: bool) -> str | None:
+    """The verdict of a sweep cell from its per-level runs so far, or None while
+    the next level must re-solve.
+
+    A run that agrees with the certificate (converged where none applies,
+    diverged where one does) decides the cell. A contradicting run decides it
+    only on the last level, so that a diverged run is only labeled
+    non-convergent after it stays diverged on refined grids, and a converged
+    run under a certificate is confirmed the same way before the
+    contradiction is written.
+    """
+    converged = runs[-1]["verdict"] == "converged"
+    if converged == applies and not last:
+        return None
+    if applies:
+        return ("certified_nonexistent_but_converged" if converged
+                else "certified_nonexistent_and_non_convergent")
+    return "converged" if converged else "non_convergent"
+
+
 def _sweep_cell(template, solver_cfg, rule: tuple, confirm_rounds: int, cell: tuple) -> dict:
     """One cell = (sigma, horizon) of the template problem, including refinement confirmation.
 
-    Level k solves on the base grid refined 2**k times. A run that agrees
-    with the certificate (converged where none applies, diverged where one
-    does) decides the cell. Otherwise the next level re-solves, so that a
-    diverged run is only labeled non-convergent after it stays diverged on
-    refined grids, and a converged run under a certificate is confirmed the
-    same way before the contradiction is written.
+    Level k solves on the base grid refined 2**k times, until _cell_verdict
+    decides the cell.
     """
     sigma, horizon = cell
     coupling = dataclasses.replace(template.coupling, sigma=sigma)
@@ -282,19 +294,11 @@ def _sweep_cell(template, solver_cfg, rule: tuple, confirm_rounds: int, cell: tu
             "verdict": outcome.verdict, "iterations": outcome.iterations,
             "d_final": outcome.d_final,
         })
-        if outcome.converged != applies:
+        verdict = _cell_verdict(applies, runs, level == confirm_rounds)
+        if verdict is not None:
             break
 
     deciding = runs[-1]
-    empirical = outcome.converged
-    if applies and empirical:
-        verdict = "certified_nonexistent_but_converged"
-    elif applies:
-        verdict = "certified_nonexistent_and_non_convergent"
-    elif empirical:
-        verdict = "converged"
-    else:
-        verdict = "non_convergent"
     return {
         "sigma": sigma,
         "horizon": horizon,
@@ -492,19 +496,8 @@ def run_kernelcheck(cfg: dict, out_dir=None) -> dict:
     queries = _kernel_queries(chk)
     names = _output_names(chk)
     chk.raise_if_bad()
-    rows = []
-    for q in queries:
-        try:
-            result = heat_kernel_spacetime_norm(q)
-            status = "fit" if result.value is not None else "unresolved"
-            analytic, fitted, value = result.analytic_exponent, result.fitted_exponent, result.value
-        except KernelNormDivergenceError as exc:
-            status = "boundary" if exc.boundary else "divergent"
-            analytic, fitted, value = exc.analytic_exponent, None, None
-        rows.append({
-            "dim": q.dim, "exponent": q.exponent, "kind": q.kind, "t": q.t, "status": status,
-            "analytic_exponent": analytic, "fitted_exponent": fitted, "value": value,
-        })
+    rows = [{"dim": q.dim, "exponent": q.exponent, "kind": q.kind, "t": q.t,
+             **dataclasses.asdict(heat_kernel_spacetime_norm(q))} for q in queries]
 
     out_dir = prepare_out_dir(*names, "kernelcheck", out_dir)
     header = ["dim", "exponent", "kind", "t", "status",

@@ -178,14 +178,14 @@ def solve(
     verdict 'diverged' when the monitor integral of m^(2 alpha + 1) exceeds
     d_cap, when non-finite values appear, or when a linear march fails: it
     loses positivity (which only happens under blow-up scale coefficients)
-    or LAPACK refuses one of its lines. A failed march of the initial guess
-    stops with 0 iterations. Every other stop records its verdict, note and
-    d_final inside the loop and leaves it by break; the one SolveOutcome is
-    built after the loop. The loop owns three trajectories for its whole
-    life: the iterate m, the value field w, which each map writes over the
-    last map's, and the spent iterate, in which each map forms its heat
-    coefficient and then its density, which the update turns into the next
-    iterate.
+    or LAPACK refuses one of its lines. A failed march, the initial guess's
+    (0 iterations) or a map's, leaves by the one except; every other stop
+    records its verdict, note and d_final inside the loop and leaves it by
+    break. The one SolveOutcome is built after both. The loop owns three
+    trajectories for its whole life: the iterate m, the value field w, which
+    each map writes over the last map's, and the spent iterate, in which each
+    map forms its heat coefficient and then its density, which the update
+    turns into the next iterate.
     A converged outcome carries the last iterate m, the last map's w and
     resolve_residual; u is inverse_hopf_cole(w). fields, when given, is the
     problem data already sampled on grid.
@@ -196,35 +196,32 @@ def solve(
         raise ValueError("grid horizon does not match problem horizon")
     if fields is None:
         fields = sample_on_grid(p, grid)
-    try:
-        m = _initial_trajectory(fields, grid, cfg)
-    except SolverError as exc:
-        return SolveOutcome(VERDICT_DIVERGED, 0, [], [], np.inf, note=f"linear march failed: {exc}")
-    den = integrate_space_time(np.abs(m), grid)
-    w, spent = np.empty_like(m), np.empty_like(m)
 
+    it = 0
     residuals: list[float] = []
     d_history: list[float] = []
     verdict, note = VERDICT_MAX_ITERATIONS, "iteration budget exhausted"
-    for it in range(1, cfg.max_iter + 1):
-        try:
+    try:
+        m = _initial_trajectory(fields, grid, cfg)
+        den = integrate_space_time(np.abs(m), grid)
+        w, spent = np.empty_like(m), np.empty_like(m)
+        for it in range(1, cfg.max_iter + 1):
             w, mu = picard_map(m, p, grid, fields=fields, scheme=cfg.time_scheme, out=(w, spent))
-        except SolverError as exc:
-            verdict, note, d_final = VERDICT_DIVERGED, f"linear march failed: {exc}", np.inf
-            break
-        # the update overwrites m and returns the next iterate in mu's buffer
-        mu, res, d_final, next_den = _damped_update(m, mu, cfg.damping, den, p, grid)
-        residuals.append(res)
-        d_history.append(d_final)
-        finite = np.isfinite(res) and np.isfinite(d_final)
-        if not finite or d_final > cfg.d_cap:
-            verdict = VERDICT_DIVERGED
-            note = "blow-up monitor exceeded" if finite else "non-finite iterate"
-            break
-        m, spent, prev_den, den = mu, m, den, next_den
-        if res <= cfg.tol:
-            verdict, note = VERDICT_CONVERGED, ""
-            break
+            # the update overwrites m and returns the next iterate in mu's buffer
+            mu, res, d_final, next_den = _damped_update(m, mu, cfg.damping, den, p, grid)
+            residuals.append(res)
+            d_history.append(d_final)
+            finite = np.isfinite(res) and np.isfinite(d_final)
+            if not finite or d_final > cfg.d_cap:
+                verdict = VERDICT_DIVERGED
+                note = "blow-up monitor exceeded" if finite else "non-finite iterate"
+                break
+            m, spent, prev_den, den = mu, m, den, next_den
+            if res <= cfg.tol:
+                verdict, note = VERDICT_CONVERGED, ""
+                break
+    except SolverError as exc:
+        verdict, note, d_final = VERDICT_DIVERGED, f"linear march failed: {exc}", np.inf
 
     out = SolveOutcome(verdict, it, residuals, d_history, d_final, note=note)
     if out.converged:

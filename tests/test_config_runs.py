@@ -24,6 +24,7 @@ from aggmfg import solver as solver_module
 from aggmfg.cli import main
 from aggmfg.config import build_run, load_config
 from aggmfg.runs import (
+    _cell_verdict,
     run_certify,
     run_kernelcheck,
     run_longtime,
@@ -335,6 +336,27 @@ def test_sweep_cell_refines_until_the_verdict_agrees_with_the_certificate(
     expected = [(base.refined(2**k).nx, base.refined(2**k).nt) for k in levels]
     assert [(g.nx, g.nt) for g in grids] == expected
     assert [(r["nx"], r["nt"]) for r in cell["runs"]] == expected
+
+
+def _levels(*verdicts):
+    return [{"level": k, "verdict": v} for k, v in enumerate(verdicts)]
+
+
+@pytest.mark.parametrize("applies, runs, last, verdict", [
+    # agreement decides on any level, the base one included
+    (False, _levels("converged"), False, "converged"),
+    (True, _levels("converged", "max_iterations"), False,
+     "certified_nonexistent_and_non_convergent"),
+    # a contradiction decides only on the last level
+    (False, _levels("diverged", "max_iterations", "diverged"), True, "non_convergent"),
+    (True, _levels("converged", "converged", "converged"), True,
+     "certified_nonexistent_but_converged"),
+    # a contradicted level before the last: the next level re-solves
+    (False, _levels("diverged"), False, None),
+    (True, _levels("converged", "converged"), False, None),
+])
+def test_cell_verdict_decides_on_agreement_or_on_the_last_level(applies, runs, last, verdict):
+    assert _cell_verdict(applies, runs, last) == verdict
 
 
 def test_run_sweep_caps_the_pool_at_the_cell_count(tmp_path, monkeypatch):

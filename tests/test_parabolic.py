@@ -14,7 +14,6 @@ from aggmfg import discretization, parabolic
 from aggmfg import (
     GaussianMixture,
     HeatKernelQuery,
-    KernelNormDivergenceError,
     PositivityError,
     SchemeViolationError,
     SolverError,
@@ -756,22 +755,23 @@ def test_kernel_norm_q1_equals_time():
 
 def test_kernel_norm_integrable_pair():
     res = heat_kernel_spacetime_norm(HeatKernelQuery(dim=1, exponent=2.0, t=1.0))
+    assert res.status == "fit"
     assert res.analytic_exponent == pytest.approx(0.25)
     assert res.fitted_exponent == pytest.approx(0.25, abs=1e-3)
 
 
-def test_kernel_norm_boundary_raises():
-    with pytest.raises(KernelNormDivergenceError) as exc:
-        heat_kernel_spacetime_norm(HeatKernelQuery(dim=1, exponent=3.0, t=1.0))
-    assert exc.value.boundary
-    assert exc.value.analytic_exponent == pytest.approx(0.0, abs=1e-12)
+def test_kernel_norm_boundary_is_a_status():
+    res = heat_kernel_spacetime_norm(HeatKernelQuery(dim=1, exponent=3.0, t=1.0))
+    assert res.status == "boundary"
+    assert res.analytic_exponent == pytest.approx(0.0, abs=1e-12)
+    assert res.value is None and res.fitted_exponent is None
 
 
-def test_kernel_norm_divergent_raises():
-    with pytest.raises(KernelNormDivergenceError) as exc:
-        heat_kernel_spacetime_norm(HeatKernelQuery(dim=2, exponent=3.0, t=1.0))
-    assert not exc.value.boundary
-    assert exc.value.analytic_exponent == pytest.approx(-1.0 / 3.0)
+def test_kernel_norm_divergent_is_a_status():
+    res = heat_kernel_spacetime_norm(HeatKernelQuery(dim=2, exponent=3.0, t=1.0))
+    assert res.status == "divergent"
+    assert res.analytic_exponent == pytest.approx(-1.0 / 3.0)
+    assert res.value is None and res.fitted_exponent is None
 
 
 def test_gradient_norm_matches_closed_form():

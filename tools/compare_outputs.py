@@ -17,7 +17,8 @@ bytecode into the checkout. The command set is:
 - the default kernelcheck, and one whose two queries' horizons (7.8e-305 in
   1D, 1e-300 in 2D) overflow the kernel's time integral;
 - the determinism criterion's solve;
-- a diverged solve and a budget-exhausted solve;
+- a diverged solve, a budget-exhausted solve, and a solve whose initial
+  guess's march fails (horizon 1e20), so that it stops before its first map;
 - with --acceptance, the 144-cell acceptance sweep as well.
 
 Every file each side writes, and each command's exit code, is compared.
@@ -199,6 +200,7 @@ def jobs(acceptance: bool) -> list[tuple[str, str, dict | None]]:
         ("diverged", "solve", _solve(1, 65, 240, 30.0, horizon=4.0, damping=0.8, tol=1e-7)),
         ("budget", "solve", _solve(1, 65, 240, 20.0, horizon=4.0, damping=0.8, tol=1e-7,
                                    max_iter=40)),
+        ("initial_guess_stop", "solve", _solve(1, 65, 64, 5.0, horizon=1e20)),
     ]
     if acceptance:
         sweep = _solve(1, 65, 1, 0.0, damping=0.8, tol=1e-7, max_iter=150, d_cap=1e6)
